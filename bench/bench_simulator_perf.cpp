@@ -3,22 +3,26 @@
 // mappings exist; a mapper needs fast evaluations).
 //
 // Besides the google-benchmark micro benches, this binary runs a DSE sweep
-// benchmark on an R-MAT graph: the same candidate population is evaluated
-// through the pre-reuse code path (no WorkloadContext — every candidate
-// re-transposes / re-schedules) and through the memoized path, reporting
-// candidates/sec for both and writing BENCH_dse.json.
+// benchmark on an R-MAT graph: the classic two-phase layer (AC + CA chains)
+// is searched through search_pipeline_mappings on one WorkloadContext — the
+// cached production path, PipelineEvalPlan per chain — and a stride sample
+// of the same candidates runs through uncached Omega::run_pipeline (every
+// candidate re-transposes, re-schedules and re-simulates), the oracle.
+// Reports candidates/sec for both, checks bit-parity (the sample through
+// the warm plans against the oracle, and every ranked and Pareto entry
+// re-evaluated uncached), and writes BENCH_dse.json.
 //
 // Knobs: OMEGA_DSE_SCALE (R-MAT scale, default 16 => 65536 vertices),
 //        OMEGA_DSE_EDGES (edge budget, default 524288),
-//        OMEGA_DSE_CANDIDATES (sweep size, default 16384),
+//        OMEGA_DSE_CANDIDATES (search cap, default 16384),
 //        OMEGA_DSE_BASELINE (uncached-baseline sample size, default 1024),
 //        OMEGA_DSE_JSON (output path, default BENCH_dse.json),
 //        --dse-only (DSE + model sweeps only; skip the micro benches),
 //        --dse-skip (micro benches only; skip both sweeps),
 //        --repeat N (timed repeats per sweep path, median-of-N after one
 //        warmup run; default 1),
-//        OMEGA_DSE_GATE_MIN_SPEEDUP (fail unless batched beats the scalar
-//        context path by this factor; 0/unset = report only).
+//        OMEGA_DSE_GATE_MIN_SPEEDUP (fail unless the cached search beats
+//        uncached run_pipeline by this factor; 0/unset = report only).
 //
 // The model sweep (run_model_sweep) measures model-level DSE: a multi-layer
 // GCN searched with a per-layer mapping (one shared WorkloadContext,
@@ -32,15 +36,19 @@
 //
 // --pipeline-dse runs the N-phase search sweep (run_pipeline_dse_sweep): an
 // EDP search over a 3-phase GAT-style chain, gating prune-parity (pruned
-// best == unpruned best) and scalar/delta/batched path parity, writing
+// best == unpruned best) and parity of every ranked and Pareto entry with
+// uncached run_pipeline, writing
 // BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT, OMEGA_PDSE_CANDIDATES,
 // OMEGA_PDSE_JSON.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <span>
 
 #include "bench_common.hpp"
 #include "dataflow/enumerate.hpp"
@@ -112,47 +120,78 @@ void BM_MappingSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingSearch)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// ---- DSE sweep: scalar / delta / batched candidates/sec ---------------------
+// ---- DSE sweep: cached search vs uncached run_pipeline ----------------------
 
 struct SweepTiming {
   double seconds = 0.0;      // median over the timed repeats
   double p99_seconds = 0.0;  // tail repeat (== median when repeat is small)
   double candidates_per_sec = 0.0;
-  std::size_t evaluated = 0;
 };
 
-/// Runs `pass` once as warmup (also filling *cycles_out with the parity
-/// fingerprint), then `repeat` timed times, reporting the median. The
-/// warmup run warms whatever memo layer the pass uses, so every path is
-/// measured warm under the same protocol — and every timed repeat must
-/// reproduce the warmup fingerprint bit-for-bit (caching may change
-/// timing, never results).
+/// Runs `pass` once as warmup (filling *fingerprint), then `repeat` timed
+/// times, reporting the median over `n` candidates per pass. The warmup run
+/// warms whatever memo layer the pass uses, and every timed repeat must
+/// reproduce the warmup fingerprint bit-for-bit (caching may change timing,
+/// never results).
 template <typename Pass>
 SweepTiming time_sweep(std::size_t n, std::size_t repeat,
-                       std::vector<std::uint64_t>* cycles_out, Pass&& pass) {
-  cycles_out->assign(n, 0);
-  pass(*cycles_out);
+                       std::vector<std::uint64_t>* fingerprint, Pass&& pass) {
+  pass(*fingerprint);
   std::vector<double> secs;
   secs.reserve(repeat);
-  std::vector<std::uint64_t> scratch(n);
+  std::vector<std::uint64_t> again;
   for (std::size_t r = 0; r < repeat; ++r) {
-    std::fill(scratch.begin(), scratch.end(), 0);
     const auto t0 = std::chrono::steady_clock::now();
-    pass(scratch);
+    pass(again);
     const auto t1 = std::chrono::steady_clock::now();
-    if (scratch != *cycles_out) {
+    if (again != *fingerprint) {
       throw Error("sweep repeat diverged from its warmup results");
     }
     secs.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
   const bench::RepeatSummary summary = bench::summarize_samples(secs);
   SweepTiming t;
-  t.evaluated = n;
   t.seconds = summary.median;
   t.p99_seconds = summary.p99;
   t.candidates_per_sec =
       t.seconds > 0.0 ? static_cast<double>(n) / t.seconds : 0.0;
   return t;
+}
+
+/// (cycles, energy bits) per outcome; infeasible outcomes stay (0, 0).
+void append_outcome(std::vector<std::uint64_t>& fp, const EvalOutcome& o) {
+  fp.push_back(o.cycles);
+  fp.push_back(std::bit_cast<std::uint64_t>(o.on_chip_pj));
+}
+
+/// The oracle: uncached Omega::run_pipeline on the bound spec.
+EvalOutcome run_uncached(const Omega& omega, const GnnWorkload& w,
+                         const PipelineChainSpec& chain,
+                         const PipelineCandidate& c) {
+  try {
+    const PipelineResult r = omega.run_pipeline(w, chain.bind(c.view()));
+    return {r.cycles, r.energy.on_chip_pj(), true};
+  } catch (const Error&) {
+    return {};
+  }
+}
+
+/// True when every ranked and Pareto entry re-evaluates bit-identically
+/// through uncached run_pipeline.
+bool entries_match_uncached(const Omega& omega, const GnnWorkload& w,
+                            std::span<const PipelineChainSpec> chains,
+                            const PipelineSearchResult& r) {
+  for (const auto* list : {&r.ranked, &r.pareto}) {
+    for (const RankedPipelineCandidate& rc : *list) {
+      const EvalOutcome o = run_uncached(
+          omega, w, chains[rc.candidate.chain_index], rc.candidate);
+      if (!o.ok || o.cycles != rc.cycles || o.on_chip_pj != rc.on_chip_pj) {
+        std::cout << "ORACLE MISMATCH on " << rc.key << "\n";
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 int run_dse_sweep(std::size_t repeat) {
@@ -163,148 +202,117 @@ int run_dse_sweep(std::size_t repeat) {
   const char* json_path = std::getenv("OMEGA_DSE_JSON");
   if (json_path == nullptr) json_path = "BENCH_dse.json";
 
-  std::cout << "\n== DSE sweep: evaluation-reuse layer ==\n";
+  std::cout << "\n== DSE sweep: cached search vs uncached run_pipeline ==\n";
   Rng rng(42);
   GnnWorkload w;
   w.name = "rmat-s" + std::to_string(scale);
   w.adjacency =
       rmat(scale, edge_budget, rng).with_self_loops().gcn_normalized();
   w.in_features = 64;
-  const LayerSpec layer = eval_layer();
   std::cout << "graph: " << w.num_vertices() << " vertices, " << w.num_edges()
             << " edges (R-MAT scale " << scale << ")\n";
 
+  // The classic two-phase layer in both phase orders, as search_mappings
+  // with include_ca searches it.
   const Omega omega(default_accelerator());
-  SearchOptions opt;
-  opt.include_ca = true;
-  std::vector<DataflowDescriptor> candidates = enumerate_search_candidates(
-      opt, dims_of(w, layer), omega.config().num_pes);
-  const std::size_t population = candidates.size();
-  if (candidates.size() > max_candidates) {
-    // The deterministic stride subsample search_mappings uses.
-    std::vector<DataflowDescriptor> sampled;
-    sampled.reserve(max_candidates);
-    for (std::size_t i = 0; i < max_candidates; ++i) {
-      sampled.push_back(
-          candidates[stride_sample_index(i, candidates.size(), max_candidates)]);
-    }
-    candidates = std::move(sampled);
+  const PhaseChainSpec agg{.name = "agg", .engine = PhaseEngine::kSparseDense};
+  const PhaseChainSpec cmb{.name = "cmb",
+                           .engine = PhaseEngine::kDenseDense,
+                           .out_features = eval_layer().out_features};
+  const std::vector<PipelineChainSpec> chains = {{.phases = {agg, cmb}},
+                                                 {.phases = {cmb, agg}}};
+  PipelineSearchOptions opt;
+  opt.max_candidates = max_candidates;
+  opt.seed_table5 = false;
+
+  // The population the search samples from: the per-chain populations
+  // concatenated, then the deterministic stride subsample.
+  std::vector<PipelineCandidate> population;
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    std::vector<PipelineCandidate> pop = enumerate_pipeline_candidates(
+        chains[c], c, w, omega.config().num_pes, opt);
+    std::move(pop.begin(), pop.end(), std::back_inserter(population));
   }
-  // The pre-PR (uncached) path pays a fixed cost per candidate, so its rate
-  // is estimated on a stride subsample of the same population; the cached
-  // rate is measured over the full sweep, where its memo reuse actually
+  const std::size_t selected = std::min(population.size(), max_candidates);
+  // The uncached path pays a fixed cost per candidate, so its rate is
+  // estimated on a stride subsample of the searched candidates; the cached
+  // rate is measured over the full search, where its memo reuse actually
   // operates (a real sweep is dense by definition).
-  const std::size_t baseline_count = std::min(baseline_n, candidates.size());
-  std::vector<DataflowDescriptor> baseline;
-  baseline.reserve(baseline_count);
+  const std::size_t baseline_count = std::min(baseline_n, selected);
+  std::vector<const PipelineCandidate*> baseline;
   for (std::size_t i = 0; i < baseline_count; ++i) {
+    const std::size_t k = stride_sample_index(i, selected, baseline_count);
     baseline.push_back(
-        candidates[stride_sample_index(i, candidates.size(), baseline_count)]);
+        &population[stride_sample_index(k, population.size(), selected)]);
   }
-  std::cout << "candidates: " << candidates.size() << " (of " << population
+  std::cout << "candidates: " << selected << " (of " << population.size()
             << " generated; uncached baseline on " << baseline.size()
             << "; median of " << repeat << " after warmup)\n";
 
-  // Pre-PR code path: every candidate pays its own transpose + schedule +
-  // full phase simulations.
-  std::vector<std::uint64_t> uncached_cycles;
+  // Uncached: every candidate pays its own transpose, schedules and full
+  // phase simulations.
+  std::vector<std::uint64_t> uncached_fp;
   const SweepTiming uncached = time_sweep(
-      baseline.size(), repeat, &uncached_cycles,
-      [&](std::vector<std::uint64_t>& out) {
+      baseline.size(), repeat, &uncached_fp,
+      [&](std::vector<std::uint64_t>& fp) {
+        std::vector<EvalOutcome> outs(baseline.size());
         parallel_blocks(baseline.size(),
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t i = begin; i < end; ++i) {
-                            try {
-                              out[i] = omega.run(w, layer, baseline[i]).cycles;
-                            } catch (const Error&) {
-                              out[i] = 0;  // infeasible still counts
-                            }
+                            outs[i] = run_uncached(
+                                omega, w, chains[baseline[i]->chain_index],
+                                *baseline[i]);
                           }
                         });
+        fp.clear();
+        for (const EvalOutcome& o : outs) append_outcome(fp, o);
       });
 
-  // Scalar through the reuse layer: one context shared by the whole sweep
-  // (the pre-delta hot path, kept as the oracle).
+  // Cached: the production path, search_pipeline_mappings through one
+  // context. The warmup search fills the plans' term stores, so the timed
+  // repeats measure warm searches.
   const WorkloadContext context(w.adjacency);
-  (void)context.reverse_graph();  // pre-warm, as search_mappings does
-  std::vector<std::uint64_t> scalar_cycles;
-  const SweepTiming scalar = time_sweep(
-      candidates.size(), repeat, &scalar_cycles,
-      [&](std::vector<std::uint64_t>& out) {
-        parallel_blocks(candidates.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            try {
-                              out[i] =
-                                  omega.run(w, layer, candidates[i], context)
-                                      .cycles;
-                            } catch (const Error&) {
-                              out[i] = 0;
-                            }
-                          }
-                        });
-      });
+  PipelineSearchResult searched;
+  std::vector<std::uint64_t> cached_fp;
+  const SweepTiming cached =
+      time_sweep(selected, repeat, &cached_fp,
+                 [&](std::vector<std::uint64_t>& fp) {
+                   searched = search_pipeline_mappings(omega, w, chains, opt,
+                                                       &context);
+                   fp.clear();
+                   for (const auto* list : {&searched.ranked, &searched.pareto}) {
+                     for (const RankedPipelineCandidate& rc : *list) {
+                       append_outcome(fp, {rc.cycles, rc.on_chip_pj, true});
+                     }
+                   }
+                 });
 
-  // Delta core: per-candidate evaluation through the plan's term cache.
-  const auto plan = EvalPlan::obtain(omega, w, layer, context);
-  std::vector<std::uint64_t> delta_cycles;
-  const SweepTiming delta = time_sweep(
-      candidates.size(), repeat, &delta_cycles,
-      [&](std::vector<std::uint64_t>& out) {
-        parallel_blocks(candidates.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          DeltaState state;
-                          for (std::size_t i = begin; i < end; ++i) {
-                            const EvalOutcome o =
-                                plan->evaluate_one(candidates[i], state);
-                            out[i] = o.ok ? o.cycles : 0;
-                          }
-                        });
-      });
-
-  // Batched core: struct-of-arrays evaluation of whole candidate blocks —
-  // the path search_mappings drives by default.
-  std::vector<std::uint64_t> batched_cycles;
-  const SweepTiming batched = time_sweep(
-      candidates.size(), repeat, &batched_cycles,
-      [&](std::vector<std::uint64_t>& out) {
-        parallel_blocks(candidates.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          DeltaState state;
-                          const std::size_t n = end - begin;
-                          std::vector<const DataflowDescriptor*> dfs(n);
-                          std::vector<EvalOutcome> outs(n);
-                          for (std::size_t j = 0; j < n; ++j) {
-                            dfs[j] = &candidates[begin + j];
-                          }
-                          plan->evaluate_batch({dfs.data(), n}, outs.data(),
-                                               state);
-                          for (std::size_t j = 0; j < n; ++j) {
-                            out[begin + j] =
-                                outs[j].ok ? outs[j].cycles : 0;
-                          }
-                        });
-      });
-
-  // Parity gates: the scalar results on the baseline indices must be
-  // bit-identical to the context-free runs, and delta/batched must be
-  // bit-identical to scalar over the full sweep.
-  std::vector<std::uint64_t> scalar_on_baseline;
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    scalar_on_baseline.push_back(scalar_cycles[stride_sample_index(
-        i, candidates.size(), baseline.size())]);
+  // Parity gates: the baseline candidates through the warm plans must match
+  // the uncached outcomes bit-for-bit (infeasible ones included), and every
+  // ranked and Pareto entry must re-evaluate identically uncached.
+  std::vector<std::uint64_t> plan_fp;
+  std::size_t terms = 0;
+  std::size_t timeline_bytes = 0;
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    const auto plan = PipelineEvalPlan::obtain(omega, w, chains[c], context);
+    terms += plan->term_count();
+    timeline_bytes += plan->term_timeline_bytes();
   }
-  const bool identical = uncached_cycles == scalar_on_baseline &&
-                         delta_cycles == scalar_cycles &&
-                         batched_cycles == scalar_cycles;
+  PipelineDeltaState state;
+  for (const PipelineCandidate* c : baseline) {
+    const auto plan =
+        PipelineEvalPlan::obtain(omega, w, chains[c->chain_index], context);
+    const PipelineBindingView view = c->view();
+    EvalOutcome o;
+    plan->evaluate_batch({&view, 1}, &o, state);
+    append_outcome(plan_fp, o);
+  }
+  const bool identical = plan_fp == uncached_fp &&
+                         entries_match_uncached(omega, w, chains, searched);
   const double speedup = uncached.candidates_per_sec > 0.0
-                             ? scalar.candidates_per_sec /
+                             ? cached.candidates_per_sec /
                                    uncached.candidates_per_sec
                              : 0.0;
-  const double batched_vs_scalar =
-      scalar.candidates_per_sec > 0.0
-          ? batched.candidates_per_sec / scalar.candidates_per_sec
-          : 0.0;
   const auto report = [](const char* name, const SweepTiming& t,
                          std::size_t n) {
     std::cout << name << fixed(t.candidates_per_sec, 1)
@@ -312,26 +320,21 @@ int run_dse_sweep(std::size_t repeat) {
               << " s median, " << fixed(t.p99_seconds, 3) << " s p99)\n";
   };
   report("uncached: ", uncached, baseline.size());
-  report("scalar:   ", scalar, candidates.size());
-  report("delta:    ", delta, candidates.size());
-  report("batched:  ", batched, candidates.size());
-  std::cout << "  (" << context.phase_cache_size() << " phase sims, "
-            << plan->term_count() << " terms ("
-            << plan->term_timeline_bytes() / (1024 * 1024)
-            << " MiB chunked timelines), "
-            << context.schedule_cache_size() << " schedules)\n"
-            << "speedup:  " << fixed(speedup, 2)
-            << "x scalar vs uncached, " << fixed(batched_vs_scalar, 2)
-            << "x batched vs scalar\n"
+  report("cached:   ", cached, selected);
+  std::cout << "  (" << context.phase_cache_size() << " phase sims, " << terms
+            << " terms (" << timeline_bytes / (1024 * 1024)
+            << " MiB chunked timelines), " << context.schedule_cache_size()
+            << " schedules)\n"
+            << "speedup:  " << fixed(speedup, 2) << "x cached vs uncached\n"
             << "parity:   " << (identical ? "bit-identical" : "MISMATCH")
             << "\n";
 
-  // CI perf gate: the batched core must beat the scalar context path by at
+  // CI perf gate: the cached search must beat uncached run_pipeline by at
   // least this factor (unset/0 = report only).
   const std::size_t gate = env_or("OMEGA_DSE_GATE_MIN_SPEEDUP", 0);
   bool gate_ok = true;
-  if (gate > 0 && batched_vs_scalar < static_cast<double>(gate)) {
-    std::cout << "PERF GATE FAILED: batched " << fixed(batched_vs_scalar, 2)
+  if (gate > 0 && speedup < static_cast<double>(gate)) {
+    std::cout << "PERF GATE FAILED: cached " << fixed(speedup, 2)
               << "x < required " << gate << "x\n";
     gate_ok = false;
   }
@@ -347,16 +350,16 @@ int run_dse_sweep(std::size_t repeat) {
     jw.member("vertices", static_cast<std::uint64_t>(w.num_vertices()));
     jw.member("edges", static_cast<std::uint64_t>(w.num_edges()));
     jw.end_object();
-    jw.member("population", static_cast<std::uint64_t>(population));
-    jw.member("candidates", static_cast<std::uint64_t>(candidates.size()));
+    jw.member("population", static_cast<std::uint64_t>(population.size()));
+    jw.member("candidates", static_cast<std::uint64_t>(selected));
     jw.member("baseline_candidates",
               static_cast<std::uint64_t>(baseline.size()));
     jw.member("repeat", static_cast<std::uint64_t>(repeat));
     jw.member("phase_sims",
               static_cast<std::uint64_t>(context.phase_cache_size()));
-    jw.member("terms", static_cast<std::uint64_t>(plan->term_count()));
+    jw.member("terms", static_cast<std::uint64_t>(terms));
     jw.member("term_timeline_bytes",
-              static_cast<std::uint64_t>(plan->term_timeline_bytes()));
+              static_cast<std::uint64_t>(timeline_bytes));
     jw.member("threads", static_cast<std::uint64_t>(default_thread_count()));
     const auto emit_timing = [&](const char* name, const SweepTiming& t) {
       jw.key(name).begin_object();
@@ -366,11 +369,8 @@ int run_dse_sweep(std::size_t repeat) {
       jw.end_object();
     };
     emit_timing("uncached", uncached);
-    emit_timing("cached", scalar);  // historical key: the scalar context path
-    emit_timing("delta", delta);
-    emit_timing("batched", batched);
+    emit_timing("cached", cached);
     jw.member("speedup", speedup);
-    jw.member("batched_speedup_vs_scalar", batched_vs_scalar);
     jw.member("parity", identical ? "bit-identical" : "mismatch");
     jw.end_object();
     json << jw.str() << "\n";
@@ -757,9 +757,9 @@ int run_pipeline_study() {
 /// sparse-dense aggregation -> sparse-weight transform), the EDP-pruned
 /// search must return the same best candidate (key, cycles, energy, score)
 /// as the unpruned one — the lossless-pruning contract of
-/// dse/pipeline_search.hpp — and the scalar / delta / batched evaluation
-/// paths must produce bit-identical ranked + Pareto sets. Throughput of the
-/// three paths and the pruning win are reported and written to
+/// dse/pipeline_search.hpp — and every ranked and Pareto entry of both
+/// searches must re-evaluate bit-identically through uncached run_pipeline.
+/// Throughput and the pruning win are reported and written to
 /// BENCH_pipeline_dse.json. Knobs: OMEGA_PDSE_SCALE_PCT (Cora scale in
 /// percent, default 25), OMEGA_PDSE_CANDIDATES (cap, default 512),
 /// OMEGA_PDSE_JSON (output path).
@@ -802,45 +802,18 @@ int run_pipeline_dse_sweep() {
         std::move(r), std::chrono::duration<double>(t1 - t0).count());
   };
 
-  PipelineSearchOptions scalar_opt = base;
-  scalar_opt.eval_path = EvalPath::kScalar;
-  PipelineSearchOptions delta_opt = base;
-  delta_opt.eval_path = EvalPath::kDelta;
   PipelineSearchOptions pruned_opt = base;
   pruned_opt.prune = true;
-
-  const auto [batched, batched_s] = timed(base);
-  const auto [scalar, scalar_s] = timed(scalar_opt);
-  const auto [delta, delta_s] = timed(delta_opt);
+  const auto [full, full_s] = timed(base);
   const auto [pruned, pruned_s] = timed(pruned_opt);
 
-  // Path parity: the three evaluation cores must agree bit-for-bit on the
-  // ranked list and the Pareto frontier.
-  const auto same_sets = [](const PipelineSearchResult& a,
-                            const PipelineSearchResult& b) {
-    const auto same_entry = [](const RankedPipelineCandidate& x,
-                               const RankedPipelineCandidate& y) {
-      return x.key == y.key && x.cycles == y.cycles &&
-             x.on_chip_pj == y.on_chip_pj && x.score == y.score;
-    };
-    if (a.ranked.size() != b.ranked.size() ||
-        a.pareto.size() != b.pareto.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a.ranked.size(); ++i) {
-      if (!same_entry(a.ranked[i], b.ranked[i])) return false;
-    }
-    for (std::size_t i = 0; i < a.pareto.size(); ++i) {
-      if (!same_entry(a.pareto[i], b.pareto[i])) return false;
-    }
-    return true;
-  };
-  const bool path_parity =
-      same_sets(batched, scalar) && same_sets(batched, delta);
+  const std::span<const PipelineChainSpec> chains(&chain, 1);
+  const bool oracle_parity = entries_match_uncached(omega, w, chains, full) &&
+                             entries_match_uncached(omega, w, chains, pruned);
 
   // Prune parity: the lossless-bound contract — same best, fewer
   // evaluations.
-  const RankedPipelineCandidate& ub = batched.best();
+  const RankedPipelineCandidate& ub = full.best();
   const RankedPipelineCandidate& pb = pruned.best();
   const bool prune_parity = ub.key == pb.key && ub.cycles == pb.cycles &&
                             ub.on_chip_pj == pb.on_chip_pj &&
@@ -851,24 +824,20 @@ int run_pipeline_dse_sweep() {
                ? static_cast<double>(r.evaluated + r.pruned) / s
                : 0.0;
   };
-  std::cout << "batched: " << fixed(rate(batched, batched_s), 1)
-            << " candidates/sec (" << batched.evaluated << " in "
-            << fixed(batched_s, 3) << " s)\n"
-            << "scalar:  " << fixed(rate(scalar, scalar_s), 1)
-            << " candidates/sec\n"
-            << "delta:   " << fixed(rate(delta, delta_s), 1)
-            << " candidates/sec\n"
-            << "pruned:  " << fixed(rate(pruned, pruned_s), 1)
+  std::cout << "unpruned: " << fixed(rate(full, full_s), 1)
+            << " candidates/sec (" << full.evaluated << " in "
+            << fixed(full_s, 3) << " s)\n"
+            << "pruned:   " << fixed(rate(pruned, pruned_s), 1)
             << " candidates/sec (" << pruned.evaluated << " evaluated + "
             << pruned.pruned << " culled)\n"
-            << "path parity:  "
-            << (path_parity ? "bit-identical" : "MISMATCH")
-            << " across scalar/delta/batched\n"
-            << "prune parity: " << (prune_parity ? "same best" : "MISMATCH")
+            << "oracle parity: "
+            << (oracle_parity ? "bit-identical" : "MISMATCH")
+            << " (ranked + Pareto vs uncached run_pipeline)\n"
+            << "prune parity:  " << (prune_parity ? "same best" : "MISMATCH")
             << " (best " << pb.key << ", " << with_commas(pb.cycles)
             << " cycles)\n"
-            << "eval core: " << with_commas(batched.eval.term_requests)
-            << " term requests (" << with_commas(batched.eval.term_builds)
+            << "eval core: " << with_commas(full.eval.term_requests)
+            << " term requests (" << with_commas(full.eval.term_builds)
             << " built)\n";
 
   std::ofstream json(json_path);
@@ -881,7 +850,7 @@ int run_pipeline_dse_sweep() {
     jw.member("edges", static_cast<std::uint64_t>(w.num_edges()));
     jw.member("chain", chain.to_string());
     jw.member("cap", static_cast<std::uint64_t>(cap));
-    jw.member("generated", static_cast<std::uint64_t>(batched.generated));
+    jw.member("generated", static_cast<std::uint64_t>(full.generated));
     const auto emit_path = [&](const char* name,
                                const PipelineSearchResult& r, double s) {
       jw.key(name).begin_object();
@@ -891,11 +860,9 @@ int run_pipeline_dse_sweep() {
       jw.member("candidates_per_sec", rate(r, s));
       jw.end_object();
     };
-    emit_path("batched", batched, batched_s);
-    emit_path("scalar", scalar, scalar_s);
-    emit_path("delta", delta, delta_s);
+    emit_path("unpruned", full, full_s);
     emit_path("pruned", pruned, pruned_s);
-    jw.member("path_parity", path_parity ? "bit-identical" : "mismatch");
+    jw.member("oracle_parity", oracle_parity ? "bit-identical" : "mismatch");
     jw.member("prune_parity", prune_parity ? "same best" : "mismatch");
     jw.key("best").begin_object();
     jw.member("pipeline", pb.key);
@@ -904,14 +871,14 @@ int run_pipeline_dse_sweep() {
     jw.member("score", pb.score);
     jw.end_object();
     jw.key("eval").begin_object();
-    jw.member("term_requests", batched.eval.term_requests);
-    jw.member("term_builds", batched.eval.term_builds);
+    jw.member("term_requests", full.eval.term_requests);
+    jw.member("term_builds", full.eval.term_builds);
     jw.end_object();
     jw.end_object();
     json << jw.str() << "\n";
     std::cout << "(json: " << json_path << ")\n";
   }
-  return path_parity && prune_parity ? 0 : 1;
+  return oracle_parity && prune_parity ? 0 : 1;
 }
 
 }  // namespace

@@ -870,12 +870,10 @@ PipelineSearchResult search_pipeline_mappings(
   std::vector<std::shared_ptr<const PipelineEvalPlan>> plans(chains.size());
   std::vector<std::uint64_t> requests0(chains.size(), 0);
   std::vector<std::uint64_t> builds0(chains.size(), 0);
-  if (options.eval_path != EvalPath::kScalar) {
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-      plans[c] = PipelineEvalPlan::obtain(omega, workload, chains[c], context);
-      requests0[c] = plans[c]->term_requests();
-      builds0[c] = plans[c]->term_builds();
-    }
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    plans[c] = PipelineEvalPlan::obtain(omega, workload, chains[c], context);
+    requests0[c] = plans[c]->term_requests();
+    builds0[c] = plans[c]->term_builds();
   }
   std::atomic<std::uint64_t> delta_hits{0};
   std::atomic<std::uint64_t> batches{0};
@@ -892,72 +890,41 @@ PipelineSearchResult search_pipeline_mappings(
     parallel_blocks(
         to - from,
         [&](std::size_t begin, std::size_t end) {
-          if (options.eval_path == EvalPath::kScalar) {
-            for (std::size_t j = begin; j < end; ++j) {
-              const std::size_t i = eval_order[from + j];
-              try {
-                const PipelineSpec spec =
-                    chains[cands[i].chain_index].bind(cands[i].view());
-                const PipelineResult r =
-                    omega.run_pipeline(workload, spec, &context);
-                metrics[i] = {r.cycles, r.energy.on_chip_pj()};
-                ok[i] = 1;
-              } catch (const Error&) {
-                ok[i] = 0;  // infeasible under this substrate; skip
-              }
-            }
-            return;
-          }
           // Per-block states (delta slots never cross threads), one per
-          // chain so multi-chain sweeps keep per-position reuse.
+          // chain so multi-chain sweeps keep per-position reuse. Maximal
+          // runs of same-chain candidates flow through one evaluate_batch
+          // call each.
           std::vector<PipelineDeltaState> states(chains.size());
-          if (options.eval_path == EvalPath::kDelta) {
-            for (std::size_t j = begin; j < end; ++j) {
-              const std::size_t i = eval_order[from + j];
-              const std::size_t c = cands[i].chain_index;
-              const EvalOutcome o =
-                  plans[c]->evaluate_one(cands[i].view(), states[c]);
-              if (o.ok) {
-                metrics[i] = {o.cycles, o.on_chip_pj};
+          std::vector<PipelineBindingView> views;
+          std::vector<EvalOutcome> outs;
+          std::size_t j = begin;
+          while (j < end) {
+            const std::size_t run_begin = j;
+            const std::size_t c = cands[eval_order[from + j]].chain_index;
+            while (j < end && cands[eval_order[from + j]].chain_index == c) {
+              ++j;
+            }
+            const std::size_t m = j - run_begin;
+            views.clear();
+            views.reserve(m);
+            for (std::size_t k = 0; k < m; ++k) {
+              views.push_back(cands[eval_order[from + run_begin + k]].view());
+            }
+            outs.assign(m, EvalOutcome{});
+            plans[c]->evaluate_batch({views.data(), m}, outs.data(),
+                                     states[c]);
+            for (std::size_t k = 0; k < m; ++k) {
+              const std::size_t i = eval_order[from + run_begin + k];
+              if (outs[k].ok) {
+                metrics[i] = {outs[k].cycles, outs[k].on_chip_pj};
                 ok[i] = 1;
               }
             }
-          } else {
-            // Batched: group maximal runs of same-chain candidates so each
-            // run flows through one evaluate_batch call.
-            std::vector<PipelineBindingView> views;
-            std::vector<EvalOutcome> outs;
-            std::size_t j = begin;
-            while (j < end) {
-              const std::size_t run_begin = j;
-              const std::size_t c =
-                  cands[eval_order[from + j]].chain_index;
-              while (j < end && cands[eval_order[from + j]].chain_index == c) {
-                ++j;
-              }
-              const std::size_t m = j - run_begin;
-              views.clear();
-              views.reserve(m);
-              for (std::size_t k = 0; k < m; ++k) {
-                views.push_back(
-                    cands[eval_order[from + run_begin + k]].view());
-              }
-              outs.assign(m, EvalOutcome{});
-              plans[c]->evaluate_batch({views.data(), m}, outs.data(),
-                                       states[c]);
-              for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t i = eval_order[from + run_begin + k];
-                if (outs[k].ok) {
-                  metrics[i] = {outs[k].cycles, outs[k].on_chip_pj};
-                  ok[i] = 1;
-                }
-              }
-              batches.fetch_add(1, std::memory_order_relaxed);
-              batched_candidates.fetch_add(m, std::memory_order_relaxed);
-              std::uint64_t cur = max_batch.load(std::memory_order_relaxed);
-              while (cur < m && !max_batch.compare_exchange_weak(
-                                    cur, m, std::memory_order_relaxed)) {
-              }
+            batches.fetch_add(1, std::memory_order_relaxed);
+            batched_candidates.fetch_add(m, std::memory_order_relaxed);
+            std::uint64_t cur = max_batch.load(std::memory_order_relaxed);
+            while (cur < m && !max_batch.compare_exchange_weak(
+                                  cur, m, std::memory_order_relaxed)) {
             }
           }
           for (const PipelineDeltaState& s : states) {
@@ -992,17 +959,15 @@ PipelineSearchResult search_pipeline_mappings(
     evaluate_range(seed, keep);
   }
 
-  if (options.eval_path != EvalPath::kScalar) {
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-      result.eval.term_requests += plans[c]->term_requests() - requests0[c];
-      result.eval.term_builds += plans[c]->term_builds() - builds0[c];
-    }
-    result.eval.delta_hits = delta_hits.load(std::memory_order_relaxed);
-    result.eval.batches = batches.load(std::memory_order_relaxed);
-    result.eval.batched_candidates =
-        batched_candidates.load(std::memory_order_relaxed);
-    result.eval.max_batch = max_batch.load(std::memory_order_relaxed);
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    result.eval.term_requests += plans[c]->term_requests() - requests0[c];
+    result.eval.term_builds += plans[c]->term_builds() - builds0[c];
   }
+  result.eval.delta_hits = delta_hits.load(std::memory_order_relaxed);
+  result.eval.batches = batches.load(std::memory_order_relaxed);
+  result.eval.batched_candidates =
+      batched_candidates.load(std::memory_order_relaxed);
+  result.eval.max_batch = max_batch.load(std::memory_order_relaxed);
   span->arg("pruned", result.pruned);
   span->arg("term_builds", result.eval.term_builds);
   span.reset();

@@ -87,7 +87,6 @@ struct PipelineSearchOptions {
   /// be dropped. Deterministic across thread counts.
   bool prune = false;
   std::size_t prune_seed = 64;
-  EvalPath eval_path = EvalPath::kBatched;
   /// Seed the population with the Table V pattern compositions per chain
   /// (boundaries take the pattern's strategy where the chain admits it,
   /// tiles are bound per phase by the pattern's style). Seeds ride along as

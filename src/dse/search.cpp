@@ -19,15 +19,6 @@ const char* to_string(Objective o) {
   return "?";
 }
 
-const char* to_string(EvalPath p) {
-  switch (p) {
-    case EvalPath::kBatched: return "batched";
-    case EvalPath::kDelta: return "delta";
-    case EvalPath::kScalar: return "scalar";
-  }
-  return "?";
-}
-
 void EvalStats::merge(const EvalStats& other) {
   term_requests += other.term_requests;
   term_builds += other.term_builds;
@@ -277,7 +268,6 @@ SearchResult search_mappings(const Omega& omega, const GnnWorkload& workload,
   // searcher prunes every objective, so gate here.
   popt.prune = options.prune && options.objective == Objective::kRuntime;
   popt.prune_seed = options.prune_seed;
-  popt.eval_path = options.eval_path;
   popt.trace = options.trace;
   popt.seed_table5 = false;
   // CA extras without include_ca evaluate against a bind-only CA chain that

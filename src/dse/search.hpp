@@ -2,7 +2,10 @@
 // Optimizer"): enumerates loop-order pairs from the taxonomy, binds
 // power-of-two tile splits with near-100% static utilization, evaluates
 // each candidate through the OMEGA cost model, and ranks by the chosen
-// objective. Evaluations run in parallel (Omega::run is const/thread-safe).
+// objective. search_mappings is an adapter over the N-phase pipeline
+// searcher (dse/pipeline_search.hpp), whose one evaluation path is the
+// context-cached PipelineEvalPlan — bit-identical to Omega::run per
+// candidate, evaluated in parallel.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +27,10 @@ enum class Objective : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Objective o);
 
-/// Which evaluation core the sweep drives. All three return bit-identical
-/// candidate metrics (and therefore identical ranked/Pareto output) across
-/// thread counts — the scalar path is kept alive as the differential oracle
-/// for the delta/batched cores (tests/eval_core_test.cpp).
-enum class EvalPath : std::uint8_t {
-  kBatched = 0,  // SoA batch evaluation over each parallel block (default)
-  kDelta = 1,    // per-candidate delta evaluation through the term cache
-  kScalar = 2,   // full Omega::run per candidate (the oracle)
-};
-
-[[nodiscard]] const char* to_string(EvalPath p);
-
-/// Evaluation-core observability for one sweep (SearchResult::eval).
+/// Evaluation-core observability for one sweep (SearchResult::eval). Every
+/// sweep evaluates through the context-cached PipelineEvalPlan
+/// (engine/eval_core.hpp), whose metrics are bit-identical to uncached
+/// Omega::run_pipeline (tests/eval_core_test.cpp).
 /// term_requests/term_builds are deterministic for a given candidate set;
 /// delta_hits and the batch stats depend on the parallel block layout and
 /// therefore on the thread count / machine (report them, never golden them).
@@ -76,9 +70,6 @@ struct SearchOptions {
   /// seed scores, so results are identical across thread counts.
   bool prune = false;
   std::size_t prune_seed = 64;
-  /// Evaluation core (see EvalPath). Batched/delta require no caller setup:
-  /// the plan is obtained from (and cached in) the sweep's WorkloadContext.
-  EvalPath eval_path = EvalPath::kBatched;
   /// Fully bound descriptors appended to the candidate population and
   /// always evaluated: they bypass the max_candidates subsample and are
   /// exempt from the lower-bound cull (their bound is treated as zero).

@@ -1,14 +1,12 @@
 #include "engine/eval_core.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <utility>
 
-#include "dataflow/descriptor.hpp"
-#include "omega/pipeline.hpp"
 #include "util/error.hpp"
 #include "util/once.hpp"
-#include "util/saturate.hpp"
 
 namespace omega {
 
@@ -31,8 +29,8 @@ std::uint64_t pack_chunk_kind(ChunkTarget target, const ChunkSpec& chunks) {
 
 /// Field->term dependency map, spmm side. Mirrors the spmm engine's string
 /// memo key field-for-field (everything that determines the PhaseResult
-/// besides the graph, which is plan-invariant); see DESIGN.md "Batched +
-/// delta evaluation".
+/// besides the graph, which the caller tags in w[19]); see DESIGN.md
+/// "Cached evaluation".
 EvalTermKey key_of(const SpmmPhaseConfig& cfg) {
   EvalTermKey k;
   k.w = {1ull,  // engine tag
@@ -102,7 +100,7 @@ EvalTermKey key_of(const GemmPhaseConfig& cfg) {
 }
 
 // Estimated timeline footprint a term would pin in the shared map: zero for
-// small grids (admitted unconditionally, matching the legacy engine memo's
+// small grids (admitted unconditionally, matching the context phase memo's
 // policy), else the two per-chunk u64 vectors a PhaseResult carries.
 std::size_t term_timeline_footprint(ChunkTarget target,
                                     const ChunkSpec& chunks) {
@@ -115,62 +113,14 @@ std::size_t term_timeline_footprint(ChunkTarget target,
 
 }  // namespace
 
-// SoA batch scratch: parallel arrays, one row per candidate of the block.
-struct DeltaState::Scratch {
-  std::vector<EvalPlan::TermSpecs> specs;
-  std::vector<std::shared_ptr<const PhaseResult>> first;
-  std::vector<std::shared_ptr<const PhaseResult>> second;
-};
-
-std::shared_ptr<const EvalPlan> EvalPlan::obtain(const Omega& omega,
-                                                 const GnnWorkload& workload,
-                                                 const LayerSpec& layer,
-                                                 const WorkloadContext& context) {
-  OMEGA_CHECK(&context.graph() == &workload.adjacency,
-              "WorkloadContext is bound to a different graph");
-  const AcceleratorConfig& hw = omega.config();
-  const EnergyModel& em = omega.energy_model();
-  const std::size_t f =
-      layer.in_features > 0 ? layer.in_features : workload.in_features;
-
-  // Everything the plan depends on besides the graph (which is the
-  // context's own): substrate dims/flags, energy coefficients (hex floats —
-  // exact round trip), and the resolved layer shape.
-  char sig[512];
-  std::snprintf(sig, sizeof(sig),
-                "plan|%zu|%zu|%zu|%zu|%zu|%zu|%zu|%zu|%d|%d|%a|%a|%a|%zu|%zu|%zu",
-                hw.num_pes, hw.rf_bytes_per_pe, hw.gb_bytes, hw.gb_bank_bytes,
-                hw.distribution_bandwidth, hw.reduction_bandwidth,
-                hw.dram_bandwidth, hw.element_bytes,
-                hw.supports_spatial_reduction ? 1 : 0,
-                hw.supports_temporal_reduction ? 1 : 0, em.gb_access_pj,
-                em.rf_access_pj, em.dram_access_pj, em.reference_bank_bytes, f,
-                layer.out_features);
-
-  std::shared_ptr<EvalPlanBase> base =
-      context.eval_plan(sig, [&]() -> std::shared_ptr<EvalPlanBase> {
-        auto plan = std::shared_ptr<EvalPlan>(new EvalPlan());
-        plan->graph_ = &workload.adjacency;
-        plan->context_ = &context;
-        plan->hw_ = hw;
-        plan->em_ = em;
-        plan->v_ = workload.num_vertices();
-        plan->f_ = f;
-        plan->g_ = layer.out_features;
-        plan->dims_ok_ = plan->v_ >= 1 && f >= 1 && layer.out_features >= 1;
-        return plan;
-      });
-  return std::static_pointer_cast<const EvalPlan>(base);
-}
-
-std::shared_ptr<const PhaseResult> TermStore::resolve(
-    const EvalTermKey& key, DeltaState::Slot& slot,
+const PhaseResult* TermStore::resolve(
+    const EvalTermKey& key, PipelineDeltaState::Slot& slot,
     const std::function<std::shared_ptr<const PhaseResult>()>& build,
     std::size_t timeline_bytes, std::uint64_t& delta_hits) const {
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (slot.valid && slot.key == key) {
     ++delta_hits;
-    return slot.term;
+    return slot.term.get();
   }
   std::shared_ptr<TermEntry> entry;
   bool overflow = false;
@@ -208,7 +158,7 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
       } catch (const Error&) {
         // Leave result null: the config is infeasible (engine validate
         // threw), cached so revisits fail without re-simulating. Exactly
-        // the candidates on which the scalar oracle throws. Anything else
+        // the candidates on which run_pipeline throws. Anything else
         // (bad_alloc, logic bugs) is memoized by call_once_caching and
         // rethrown to every caller.
       }
@@ -216,9 +166,9 @@ std::shared_ptr<const PhaseResult> TermStore::resolve(
     term = entry->result;
   }
   slot.key = key;
-  slot.term = term;
+  slot.term = std::move(term);
   slot.valid = true;
-  return term;
+  return slot.term.get();
 }
 
 std::size_t TermStore::size() const {
@@ -230,308 +180,6 @@ std::size_t TermStore::timeline_bytes() const {
   const std::scoped_lock lock(mutex_);
   return timeline_bytes_;
 }
-
-bool EvalPlan::derive(const DataflowDescriptor& df, TermSpecs* ts) const {
-  // Precheck: exactly the throws Omega::run_impl performs before the
-  // engines run (descriptor validity, substrate capability, PP sanity,
-  // positive dims). Any failure means the scalar oracle throws -> ok=false.
-  ts->feasible = false;
-  if (!dims_ok_) return false;
-  if (df.validation_error().has_value()) return false;
-  const HardwareRequirements req = hardware_requirements(df);
-  if (req.needs_spatial_reduction && !hw_.supports_spatial_reduction) {
-    return false;
-  }
-  if (req.needs_temporal_reduction && !hw_.supports_temporal_reduction) {
-    return false;
-  }
-  const bool pp = df.inter == InterPhase::kParallelPipeline;
-  if (pp) {
-    if (!(df.pp_agg_pe_fraction > 0.0 && df.pp_agg_pe_fraction < 1.0)) {
-      return false;
-    }
-    if (hw_.num_pes < 2) return false;
-  }
-  const bool ac = df.phase_order == PhaseOrder::kAC;
-
-  // PE / bandwidth split. Replicates two_phase_pipeline's llround-then-
-  // clamp on the Aggregation share, then run_pipeline_impl's re-derivation
-  // through pe_fractions, double-for-double — the round trip must stay
-  // bit-exact or a PP candidate drifts by one PE against the oracle.
-  std::size_t pes0 = hw_.num_pes;
-  std::size_t pes1 = hw_.num_pes;
-  std::size_t bwd0 = hw_.distribution_bandwidth;
-  std::size_t bwd1 = hw_.distribution_bandwidth;
-  std::size_t bwr0 = hw_.reduction_bandwidth;
-  std::size_t bwr1 = hw_.reduction_bandwidth;
-  if (pp) {
-    const std::size_t pes_agg = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) *
-                         df.pp_agg_pe_fraction)),
-        1, hw_.num_pes - 1);
-    const std::size_t first_pes = ac ? pes_agg : hw_.num_pes - pes_agg;
-    const double first_frac =
-        static_cast<double>(first_pes) / static_cast<double>(hw_.num_pes);
-    const double second_frac = 1.0 - first_frac;
-    const double share = first_frac / (first_frac + second_frac);
-    if (!(share > 0.0 && share < 1.0)) return false;
-    pes0 = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) * share)),
-        1, hw_.num_pes - 1);
-    pes1 = hw_.num_pes - pes0;
-    bwd0 = scaled_bandwidth(hw_.distribution_bandwidth, pes0, hw_.num_pes);
-    bwd1 = scaled_bandwidth(hw_.distribution_bandwidth, pes1, hw_.num_pes);
-    bwr0 = scaled_bandwidth(hw_.reduction_bandwidth, pes0, hw_.num_pes);
-    bwr1 = scaled_bandwidth(hw_.reduction_bandwidth, pes1, hw_.num_pes);
-  }
-
-  // Feature widths along the two-phase chain: the sparse-dense phase
-  // preserves its input width, the dense phase emits G.
-  const std::size_t in0 = f_;
-  const std::size_t out0 = ac ? f_ : g_;
-  const std::size_t in1 = out0;
-
-  // Boundary plan (Table III): the intermediate is V x out0.
-  const std::size_t rows = v_;
-  const std::size_t cols = out0;
-  Granularity gran = Granularity::kNone;
-  ChunkSpec grid = ChunkSpec::whole(rows, cols);
-  std::size_t pel = 0;
-  if (df.inter != InterPhase::kSequential &&
-      df.inter != InterPhase::kSPOptimized) {
-    const HandoffRole prod_role =
-        ac ? HandoffRole{df.agg.order, Dim::kV, Dim::kF, Dim::kN}
-           : HandoffRole{df.cmb.order, Dim::kV, Dim::kG, Dim::kF};
-    const HandoffRole cons_role =
-        ac ? HandoffRole{df.cmb.order, Dim::kV, Dim::kF, Dim::kG}
-           : HandoffRole{df.agg.order, Dim::kN, Dim::kF, Dim::kV};
-    const PipelineAnalysis analysis = analyze_handoff(prod_role, cons_role);
-    if (!analysis.feasible) return false;  // oracle: OMEGA_CHECK throw
-    gran = analysis.granularity;
-    grid.major = analysis.major;
-    const TileSizes& prod_tiles = ac ? df.agg.tiles : df.cmb.tiles;
-    const TileSizes& cons_tiles = ac ? df.cmb.tiles : df.agg.tiles;
-    const std::size_t t_row =
-        std::min(std::max(prod_tiles.get(prod_role.row),
-                          cons_tiles.get(cons_role.row)),
-                 rows);
-    const std::size_t t_col =
-        std::min(std::max(prod_tiles.get(prod_role.col),
-                          cons_tiles.get(cons_role.col)),
-                 cols);
-    switch (gran) {
-      case Granularity::kElement:
-        grid.row_block = t_row;
-        grid.col_block = t_col;
-        pel = t_row * t_col;
-        break;
-      case Granularity::kRow:
-        grid.row_block = t_row;
-        pel = t_row * cols;
-        break;
-      case Granularity::kColumn:
-        grid.col_block = t_col;
-        pel = rows * t_col;
-        break;
-      case Granularity::kNone:
-        break;
-    }
-  }
-  std::size_t buffer_elements = 0;
-  switch (df.inter) {
-    case InterPhase::kSequential: buffer_elements = rows * cols; break;
-    case InterPhase::kSPGeneric: buffer_elements = pel; break;
-    case InterPhase::kSPOptimized: buffer_elements = 0; break;
-    case InterPhase::kParallelPipeline: buffer_elements = 2 * pel; break;
-  }
-  const std::uint64_t int_bytes =
-      sat_mul_u64(sat_mul_u64(rows, cols), hw_.element_bytes);
-  const bool spilled =
-      df.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-  const bool chunked = chunked_inter(df.inter);
-  const bool spo = df.inter == InterPhase::kSPOptimized;
-
-  // Engine configs — phase 0 produces the intermediate, phase 1 consumes
-  // it; the boundary-derived flag sets mirror run_pipeline_impl exactly.
-  SpmmPhaseConfig& sp = ts->spmm;
-  sp = SpmmPhaseConfig{};
-  sp.graph = graph_;
-  sp.context = context_;
-  sp.order = df.agg.order;
-  sp.tiles = df.agg.tiles;
-  sp.rf_elements = hw_.rf_elements_per_pe();
-  GemmPhaseConfig& ge = ts->gemm;
-  ge = GemmPhaseConfig{};
-  ge.context = context_;
-  ge.rows = v_;
-  ge.order = df.cmb.order;
-  ge.tiles = df.cmb.tiles;
-  ge.rf_elements = hw_.rf_elements_per_pe();
-
-  if (ac) {
-    sp.feat = in0;
-    sp.pes = pes0;
-    sp.bw_dist = bwd0;
-    sp.bw_red = bwr0;
-    sp.b_category = TrafficCategory::kInput;
-    sp.out_category = TrafficCategory::kIntermediate;
-    sp.out_to_rf = spo;
-    sp.out_in_dram = spilled;
-    sp.out_drain_bw = spilled ? hw_.dram_bandwidth : 0;
-    sp.out_via_partition = pp;
-    if (chunked) {
-      sp.chunks = grid;
-      sp.chunk_target = ChunkTarget::kMatrixOut;
-    }
-    ge.inner = in1;
-    ge.cols = g_;
-    ge.pes = pes1;
-    ge.bw_dist = bwd1;
-    ge.bw_red = bwr1;
-    ge.a_category = TrafficCategory::kIntermediate;
-    ge.out_category = TrafficCategory::kOutput;
-    ge.a_from_rf = spo;
-    ge.a_in_dram = spilled;
-    ge.a_stream_bw = spilled ? hw_.dram_bandwidth : 0;
-    ge.a_via_partition = pp;
-    if (chunked) {
-      ge.chunks = grid;
-      ge.chunk_target = ChunkTarget::kMatrixA;
-    }
-  } else {
-    ge.inner = in0;
-    ge.cols = out0;
-    ge.pes = pes0;
-    ge.bw_dist = bwd0;
-    ge.bw_red = bwr0;
-    ge.a_category = TrafficCategory::kInput;
-    ge.out_category = TrafficCategory::kIntermediate;
-    ge.out_to_rf = spo;
-    ge.out_in_dram = spilled;
-    ge.out_drain_bw = spilled ? hw_.dram_bandwidth : 0;
-    ge.out_via_partition = pp;
-    if (chunked) {
-      ge.chunks = grid;
-      ge.chunk_target = ChunkTarget::kMatrixOut;
-    }
-    sp.feat = in1;
-    sp.pes = pes1;
-    sp.bw_dist = bwd1;
-    sp.bw_red = bwr1;
-    sp.b_category = TrafficCategory::kIntermediate;
-    sp.out_category = TrafficCategory::kOutput;
-    sp.b_from_rf = spo;
-    sp.b_in_dram = spilled;
-    sp.b_stream_bw = spilled ? hw_.dram_bandwidth : 0;
-    sp.b_via_partition = pp;
-    if (chunked) {
-      sp.chunks = grid;
-      sp.chunk_target = ChunkTarget::kMatrixA;
-    }
-  }
-
-  ts->feasible = true;
-  ts->pp = pp;
-  ts->spmm_first = ac;
-  ts->partition_bytes = pp ? buffer_elements * hw_.element_bytes : 0;
-  return true;
-}
-
-std::shared_ptr<const PhaseResult> EvalPlan::resolve_spmm(
-    const SpmmPhaseConfig& cfg, DeltaState& state) const {
-  return store_.resolve(
-      key_of(cfg), state.slots[0], [&] { return run_spmm_phase_shared(cfg); },
-      term_timeline_footprint(cfg.chunk_target, cfg.chunks), state.delta_hits);
-}
-
-std::shared_ptr<const PhaseResult> EvalPlan::resolve_gemm(
-    const GemmPhaseConfig& cfg, DeltaState& state) const {
-  return store_.resolve(
-      key_of(cfg), state.slots[1], [&] { return run_gemm_phase_shared(cfg); },
-      term_timeline_footprint(cfg.chunk_target, cfg.chunks), state.delta_hits);
-}
-
-EvalOutcome EvalPlan::compose(const TermSpecs& ts, const PhaseResult& first,
-                              const PhaseResult& second,
-                              const EnergyModel& em) {
-  EvalOutcome out;
-  out.cycles =
-      ts.pp ? compose_parallel_pipeline(first.chunk_completion,
-                                        second.chunk_cycles)
-            : sat_add_u64(first.cycles, second.cycles);
-  TrafficCounters traffic = first.traffic;
-  traffic += second.traffic;
-  const EnergyBreakdown e = compute_energy(traffic, em, ts.partition_bytes);
-  out.on_chip_pj = e.on_chip_pj();
-  out.ok = true;
-  return out;
-}
-
-EvalOutcome EvalPlan::evaluate_one(const DataflowDescriptor& df,
-                                   DeltaState& state) const {
-  TermSpecs ts;
-  if (!derive(df, &ts)) return EvalOutcome{};
-  // Execution order matters twice: the PP composition consumes (producer,
-  // consumer) in order, and the first phase's terms must resolve first so
-  // an infeasible first phase skips the second — the same build set the
-  // scalar oracle touches before throwing.
-  const std::shared_ptr<const PhaseResult> first =
-      ts.spmm_first ? resolve_spmm(ts.spmm, state)
-                    : resolve_gemm(ts.gemm, state);
-  if (first == nullptr) return EvalOutcome{};
-  const std::shared_ptr<const PhaseResult> second =
-      ts.spmm_first ? resolve_gemm(ts.gemm, state)
-                    : resolve_spmm(ts.spmm, state);
-  if (second == nullptr) return EvalOutcome{};
-  return compose(ts, *first, *second, em_);
-}
-
-void EvalPlan::evaluate_batch(std::span<const DataflowDescriptor* const> dfs,
-                              EvalOutcome* out, DeltaState& state) const {
-  const std::size_t n = dfs.size();
-  if (state.scratch == nullptr) {
-    state.scratch = std::make_shared<DeltaState::Scratch>();
-  }
-  DeltaState::Scratch& s = *state.scratch;
-  s.specs.resize(n);
-  s.first.assign(n, nullptr);
-  s.second.assign(n, nullptr);
-
-  // Pass 1 (derive, SoA): precheck + PE split + boundary plan + both engine
-  // configs per candidate, no simulation.
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = EvalOutcome{};
-    (void)derive(*dfs[i], &s.specs[i]);
-  }
-  // Pass 2 (resolve): term lookups over the block. Consecutive candidates
-  // that share a phase hit the delta slots without hashing; the two terms
-  // of one candidate resolve back-to-back so the first phase's
-  // infeasibility still skips the second.
-  for (std::size_t i = 0; i < n; ++i) {
-    const TermSpecs& ts = s.specs[i];
-    if (!ts.feasible) continue;
-    s.first[i] = ts.spmm_first ? resolve_spmm(ts.spmm, state)
-                               : resolve_gemm(ts.gemm, state);
-    if (s.first[i] == nullptr) continue;
-    s.second[i] = ts.spmm_first ? resolve_gemm(ts.gemm, state)
-                                : resolve_spmm(ts.spmm, state);
-  }
-  // Pass 3 (compose): tight loop over the resolved arrays.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (s.first[i] == nullptr || s.second[i] == nullptr) continue;
-    out[i] = compose(s.specs[i], *s.first[i], *s.second[i], em_);
-  }
-}
-
-// SoA batch scratch for N-phase evaluation: flat row-major arrays, one row
-// of phase_count() entries per candidate of the block.
-struct PipelineDeltaState::Scratch {
-  std::vector<PipelineEvalPlan::PhaseTerm> terms;
-  std::vector<std::shared_ptr<const PhaseResult>> results;
-  std::vector<PipelineEvalPlan::CandidateMeta> meta;
-};
 
 std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
     const Omega& omega, const GnnWorkload& workload,
@@ -571,29 +219,28 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
         plan->context_ = &context;
         plan->hw_ = hw;
         plan->em_ = em;
-        plan->v_ = workload.num_vertices();
-        plan->chain_ok_ =
-            !chain.chain_error().has_value() && plan->v_ >= 1 && f >= 1;
+        plan->chain_ok_ = !chain.chain_error().has_value() &&
+                          workload.num_vertices() >= 1 && f >= 1;
         if (plan->chain_ok_) {
           // Chain-fixed facts: the width chain and, for sparse-weight
-          // phases, the W^T CSR built ONCE here instead of once per
-          // candidate as in run_pipeline (chain_error already pinned
-          // out_features >= 1 and density in (0, 1], so this cannot throw).
-          const std::size_t n = chain.phases.size();
-          plan->statics_.resize(n);
+          // phases, the W^T CSR built ONCE here instead of once per call as
+          // in run_pipeline (chain_error already pinned out_features >= 1
+          // and density in (0, 1], so this cannot throw).
+          plan->shapes_.resize(chain.phases.size());
           std::size_t width = f;
-          for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t i = 0; i < chain.phases.size(); ++i) {
             const PhaseChainSpec& p = chain.phases[i];
-            PhaseStatic& ps = plan->statics_[i];
-            ps.engine = p.engine;
-            ps.in_w = width;
-            ps.out_w = p.engine == PhaseEngine::kSparseDense ? width
-                                                             : p.out_features;
-            width = ps.out_w;
+            PipelinePhaseShape& s = plan->shapes_[i];
+            s.engine = p.engine;
+            s.in_features = width;
+            s.out_features =
+                p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
+            width = s.out_features;
             if (p.engine == PhaseEngine::kSparseSparse) {
-              ps.graph_tag = 1 + static_cast<std::uint64_t>(i);
-              ps.wcsr = std::make_shared<const CSRGraph>(
-                  sparse_weight_csr(ps.in_w, ps.out_w, p.weight_density));
+              plan->weights_.push_back(
+                  std::make_unique<const CSRGraph>(sparse_weight_csr(
+                      s.in_features, s.out_features, p.weight_density)));
+              s.weights = plan->weights_.back().get();
             }
           }
         }
@@ -602,15 +249,9 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
   return std::static_pointer_cast<const PipelineEvalPlan>(base);
 }
 
-bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
-                              CandidateMeta* meta) const {
-  // Precheck: exactly the throws Omega::run_pipeline performs before the
-  // engines run (spec validation, substrate capability, PP sanity). Any
-  // failure means the oracle throws on the bound spec -> ok == false.
-  meta->feasible = false;
-  meta->partition_bytes = 0;
+bool PipelineEvalPlan::feasible(const PipelineBindingView& b) const {
   if (!chain_ok_) return false;
-  const std::size_t n = statics_.size();
+  const std::size_t n = shapes_.size();
   if (b.phases.size() != n || b.boundaries.size() + 1 != n) return false;
   if (!b.pe_fractions.empty() && b.pe_fractions.size() != n) return false;
   for (const double frac : b.pe_fractions) {
@@ -618,400 +259,111 @@ bool PipelineEvalPlan::derive(const PipelineBindingView& b, PhaseTerm* terms,
   }
   for (std::size_t i = 0; i < n; ++i) {
     const IntraPhaseDataflow& df = b.phases[i];
-    const PhaseStatic& ps = statics_[i];
-    if (df.phase != taxonomy_phase(ps.engine)) return false;
+    const PhaseEngine engine = shapes_[i].engine;
+    if (df.phase != taxonomy_phase(engine)) return false;
     try {
       df.validate();
     } catch (const Error&) {
       return false;
     }
-    if (ps.engine == PhaseEngine::kSparseSparse &&
+    if (engine == PhaseEngine::kSparseSparse &&
         df.order.depth_of(Dim::kG) > df.order.depth_of(Dim::kF)) {
       return false;
     }
     // Substrate capability (Table II NoC/PE support column).
     const Dim contraction =
-        ps.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
+        engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
     const bool spatial = df.tiles.get(contraction) > 1;
     if (spatial && !hw_.supports_spatial_reduction) return false;
     if (!spatial && !hw_.supports_temporal_reduction) return false;
   }
-  const auto first_share = [&](std::size_t bi) {
-    if (b.pe_fractions.size() != n) return 0.5;
-    return b.pe_fractions[bi] / (b.pe_fractions[bi] + b.pe_fractions[bi + 1]);
-  };
   for (std::size_t bi = 0; bi + 1 < n; ++bi) {
     const InterPhase ip = b.boundaries[bi];
+    const PhaseEngine prod = shapes_[bi].engine;
+    const PhaseEngine cons = shapes_[bi + 1].engine;
     switch (ip) {
       case InterPhase::kSequential:
         break;
       case InterPhase::kSPOptimized:
-        if (!sp_optimized_pair_ok(statics_[bi].engine, b.phases[bi],
-                                  statics_[bi + 1].engine, b.phases[bi + 1])) {
+        if (!sp_optimized_pair_ok(prod, b.phases[bi], cons,
+                                  b.phases[bi + 1])) {
           return false;
         }
         break;
       case InterPhase::kSPGeneric:
       case InterPhase::kParallelPipeline: {
         const PipelineAnalysis a = analyze_handoff(
-            phase_producer_role(statics_[bi].engine, b.phases[bi].order),
-            phase_consumer_role(statics_[bi + 1].engine,
-                                b.phases[bi + 1].order));
+            phase_producer_role(prod, b.phases[bi].order),
+            phase_consumer_role(cons, b.phases[bi + 1].order));
         if (!a.feasible) return false;
         break;
       }
     }
-    if (chunked_inter(ip) &&
-        statics_[bi + 1].engine == PhaseEngine::kSparseSparse) {
-      return false;
-    }
+    if (chunked_inter(ip) && cons == PhaseEngine::kSparseSparse) return false;
     if (bi > 0 && chunked_inter(b.boundaries[bi - 1]) && chunked_inter(ip)) {
       return false;
     }
     if (ip == InterPhase::kParallelPipeline) {
       if (hw_.num_pes < 2) return false;
-      const double share = first_share(bi);
+      const double share = pp_first_share(b, bi);
       if (!(share > 0.0 && share < 1.0)) return false;
     }
   }
-
-  // Per-boundary plan (Table III generalized), mirroring run_pipeline_impl
-  // field-for-field; each boundary is derived once and handed to both
-  // adjacent phases.
-  struct BoundaryPlan {
-    InterPhase inter = InterPhase::kSequential;
-    ChunkSpec grid;
-    std::size_t buffer_elements = 0;
-    bool chunked = false;
-    bool spilled = false;
-  };
-  const auto plan_boundary = [&](std::size_t bi) {
-    BoundaryPlan bp;
-    bp.inter = b.boundaries[bi];
-    const std::size_t rows = v_;
-    const std::size_t cols = statics_[bi].out_w;
-    bp.grid = ChunkSpec::whole(rows, cols);
-    std::size_t pel = 0;
-    if (bp.inter != InterPhase::kSequential &&
-        bp.inter != InterPhase::kSPOptimized) {
-      const HandoffRole prod_role =
-          phase_producer_role(statics_[bi].engine, b.phases[bi].order);
-      const HandoffRole cons_role = phase_consumer_role(
-          statics_[bi + 1].engine, b.phases[bi + 1].order);
-      const PipelineAnalysis a = analyze_handoff(prod_role, cons_role);
-      bp.grid.major = a.major;
-      const std::size_t t_row =
-          std::min(std::max(b.phases[bi].tiles.get(prod_role.row),
-                            b.phases[bi + 1].tiles.get(cons_role.row)),
-                   rows);
-      const std::size_t t_col =
-          std::min(std::max(b.phases[bi].tiles.get(prod_role.col),
-                            b.phases[bi + 1].tiles.get(cons_role.col)),
-                   cols);
-      switch (a.granularity) {
-        case Granularity::kElement:
-          bp.grid.row_block = t_row;
-          bp.grid.col_block = t_col;
-          pel = t_row * t_col;
-          break;
-        case Granularity::kRow:
-          bp.grid.row_block = t_row;
-          pel = t_row * cols;
-          break;
-        case Granularity::kColumn:
-          bp.grid.col_block = t_col;
-          pel = rows * t_col;
-          break;
-        case Granularity::kNone:
-          break;
-      }
-    }
-    switch (bp.inter) {
-      case InterPhase::kSequential: bp.buffer_elements = rows * cols; break;
-      case InterPhase::kSPGeneric: bp.buffer_elements = pel; break;
-      case InterPhase::kSPOptimized: bp.buffer_elements = 0; break;
-      case InterPhase::kParallelPipeline: bp.buffer_elements = 2 * pel; break;
-    }
-    bp.chunked = chunked_inter(bp.inter);
-    const std::uint64_t int_bytes =
-        sat_mul_u64(sat_mul_u64(rows, cols), hw_.element_bytes);
-    bp.spilled =
-        bp.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-    return bp;
-  };
-
-  BoundaryPlan up;
-  bool has_up = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    BoundaryPlan down;
-    const bool has_down = i + 1 < n;
-    if (has_down) {
-      down = plan_boundary(i);
-      if (down.inter == InterPhase::kParallelPipeline) {
-        meta->partition_bytes = std::max(
-            meta->partition_bytes, down.buffer_elements * hw_.element_bytes);
-      }
-    }
-
-    // PE / bandwidth allocation: the phase's PP pair or the whole array.
-    // Validation caps every phase at one chunked boundary, so PP pairs
-    // never overlap and at most one side is PP.
-    std::size_t pes = hw_.num_pes;
-    std::size_t bwd = hw_.distribution_bandwidth;
-    std::size_t bwr = hw_.reduction_bandwidth;
-    const bool pp_second = has_up && up.inter == InterPhase::kParallelPipeline;
-    const bool pp_first =
-        has_down && down.inter == InterPhase::kParallelPipeline;
-    if (pp_first || pp_second) {
-      const std::size_t bi = pp_first ? i : i - 1;
-      const std::size_t first = std::clamp<std::size_t>(
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(hw_.num_pes) * first_share(bi))),
-          1, hw_.num_pes - 1);
-      pes = pp_first ? first : hw_.num_pes - first;
-      bwd = scaled_bandwidth(hw_.distribution_bandwidth, pes, hw_.num_pes);
-      bwr = scaled_bandwidth(hw_.reduction_bandwidth, pes, hw_.num_pes);
-    }
-
-    const bool in_from_rf = has_up && up.inter == InterPhase::kSPOptimized;
-    const bool in_dram = has_up && up.spilled;
-    const bool in_via_partition = pp_second;
-    const bool out_to_rf = has_down && down.inter == InterPhase::kSPOptimized;
-    const bool out_in_dram = has_down && down.spilled;
-    const bool out_via_partition = pp_first;
-    const TrafficCategory in_cat =
-        has_up ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
-    const TrafficCategory out_cat =
-        has_down ? TrafficCategory::kIntermediate : TrafficCategory::kOutput;
-    const bool up_chunked = has_up && up.chunked;
-    const bool down_chunked = has_down && down.chunked;
-
-    const PhaseStatic& ps = statics_[i];
-    PhaseTerm& t = terms[i];
-    t = PhaseTerm{};
-    t.graph_tag = ps.graph_tag;
-    switch (ps.engine) {
-      case PhaseEngine::kSparseDense: {
-        SpmmPhaseConfig& cfg = t.spmm;
-        cfg.graph = graph_;
-        cfg.context = context_;
-        cfg.order = b.phases[i].order;
-        cfg.tiles = b.phases[i].tiles;
-        cfg.feat = ps.in_w;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        break;
-      }
-      case PhaseEngine::kDenseDense: {
-        t.is_gemm = true;
-        GemmPhaseConfig& cfg = t.gemm;
-        cfg.context = context_;
-        cfg.rows = v_;
-        cfg.inner = ps.in_w;
-        cfg.cols = ps.out_w;
-        cfg.order = b.phases[i].order;
-        cfg.tiles = b.phases[i].tiles;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.a_category = in_cat;
-        cfg.a_from_rf = in_from_rf;
-        cfg.a_in_dram = in_dram;
-        cfg.a_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.a_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down.grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        break;
-      }
-      case PhaseEngine::kSparseSparse: {
-        // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V] on the
-        // plan-owned W^T pattern; loop dims translate G->V, F->N, V->Feat
-        // (the vocabulary check above rules out kN).
-        SpmmPhaseConfig& cfg = t.spmm;
-        cfg.graph = ps.wcsr.get();
-        cfg.context = nullptr;  // the workload context is bound to the graph
-        const auto translate = [](Dim d) {
-          if (d == Dim::kG) return Dim::kV;
-          if (d == Dim::kF) return Dim::kN;
-          return Dim::kF;
-        };
-        cfg.order = LoopOrder(translate(b.phases[i].order.at(0)),
-                              translate(b.phases[i].order.at(1)),
-                              translate(b.phases[i].order.at(2)));
-        cfg.tiles.v = b.phases[i].tiles.g;
-        cfg.tiles.n = b.phases[i].tiles.f;
-        cfg.tiles.f = b.phases[i].tiles.v;
-        cfg.feat = v_;
-        cfg.pes = pes;
-        cfg.bw_dist = bwd;
-        cfg.bw_red = bwr;
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        // A chunked upstream boundary is rejected above (sparse-weight
-        // phases cannot consume chunked intermediates), so only the
-        // producer side can stage chunks — through the transposed grid.
-        if (down_chunked) {
-          cfg.chunks = transpose_chunks(down.grid);
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        break;
-      }
-    }
-    up = down;
-    has_up = has_down;
-  }
-  meta->feasible = true;
   return true;
 }
 
-std::shared_ptr<const PhaseResult> PipelineEvalPlan::resolve_phase(
-    const PhaseTerm& term, std::size_t phase_idx,
-    PipelineDeltaState& state) const {
-  if (term.is_gemm) {
+const PhaseResult* PipelineEvalPlan::resolve_phase(
+    std::size_t phase, PipelineDeltaState& state) const {
+  const PhaseEngineConfig& cfg = state.configs[phase];
+  if (cfg.is_gemm) {
     return store_.resolve(
-        key_of(term.gemm), state.slots[phase_idx],
-        [&] { return run_gemm_phase_shared(term.gemm); },
-        term_timeline_footprint(term.gemm.chunk_target, term.gemm.chunks),
+        key_of(cfg.gemm), state.slots[phase],
+        [&] { return run_gemm_phase_shared(cfg.gemm); },
+        term_timeline_footprint(cfg.gemm.chunk_target, cfg.gemm.chunks),
         state.delta_hits);
   }
-  EvalTermKey key = key_of(term.spmm);
-  key.w[19] = term.graph_tag;  // which graph: adjacency vs a phase's W^T
+  // Which graph a sparse term walks: 0 = the workload adjacency, 1 + i =
+  // phase i's W^T. Two sparse-weight phases can share every keyed config
+  // field while walking different weight patterns.
+  EvalTermKey key = key_of(cfg.spmm);
+  key.w[19] = shapes_[phase].engine == PhaseEngine::kSparseSparse
+                  ? 1 + static_cast<std::uint64_t>(phase)
+                  : 0;
   return store_.resolve(
-      key, state.slots[phase_idx],
-      [&] { return run_spmm_phase_shared(term.spmm); },
-      term_timeline_footprint(term.spmm.chunk_target, term.spmm.chunks),
+      key, state.slots[phase], [&] { return run_spmm_phase_shared(cfg.spmm); },
+      term_timeline_footprint(cfg.spmm.chunk_target, cfg.spmm.chunks),
       state.delta_hits);
 }
 
-EvalOutcome PipelineEvalPlan::compose(
-    const PipelineBindingView& binding,
-    const std::shared_ptr<const PhaseResult>* results,
-    std::size_t partition_bytes) const {
-  const std::size_t n = statics_.size();
-  EvalOutcome out;
-  // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
-  // producer completed it); everything else serializes.
-  out.cycles = 0;
-  for (std::size_t i = 0; i < n;) {
-    if (i + 1 < n && binding.boundaries[i] == InterPhase::kParallelPipeline) {
-      out.cycles = sat_add_u64(
-          out.cycles, compose_parallel_pipeline(results[i]->chunk_completion,
-                                                results[i + 1]->chunk_cycles));
-      i += 2;
-    } else {
-      out.cycles = sat_add_u64(out.cycles, results[i]->cycles);
-      i += 1;
-    }
-  }
-  TrafficCounters traffic = results[0]->traffic;
-  for (std::size_t i = 1; i < n; ++i) traffic += results[i]->traffic;
-  const EnergyBreakdown e = compute_energy(traffic, em_, partition_bytes);
-  out.on_chip_pj = e.on_chip_pj();
-  out.ok = true;
-  return out;
-}
-
-void PipelineEvalPlan::ensure_state(PipelineDeltaState& state) const {
-  if (state.slots.size() != statics_.size()) {
-    state.slots.assign(statics_.size(), DeltaState::Slot{});
-  }
-  if (state.scratch == nullptr) {
-    state.scratch = std::make_shared<PipelineDeltaState::Scratch>();
-  }
-}
-
-EvalOutcome PipelineEvalPlan::evaluate_one(const PipelineBindingView& binding,
-                                           PipelineDeltaState& state) const {
-  const std::size_t n = statics_.size();
-  ensure_state(state);
-  PipelineDeltaState::Scratch& s = *state.scratch;
-  s.terms.resize(std::max<std::size_t>(n, 1));
-  s.results.assign(std::max<std::size_t>(n, 1), nullptr);
-  s.meta.resize(1);
-  if (!derive(binding, s.terms.data(), &s.meta[0])) return EvalOutcome{};
+EvalOutcome PipelineEvalPlan::evaluate(const PipelineBindingView& binding,
+                                       PipelineDeltaState& state) const {
+  if (!feasible(binding)) return EvalOutcome{};
+  const std::size_t partition_bytes =
+      derive_pipeline(hw_, *graph_, context_, shapes_, binding, state.configs,
+                      state.boundaries);
   // Terms resolve in execution order so an infeasible phase skips the later
   // builds — the same build set run_pipeline touches before throwing.
-  for (std::size_t i = 0; i < n; ++i) {
-    s.results[i] = resolve_phase(s.terms[i], i, state);
-    if (s.results[i] == nullptr) return EvalOutcome{};
+  for (std::size_t i = 0; i < shapes_.size(); ++i) {
+    state.results[i] = resolve_phase(i, state);
+    if (state.results[i] == nullptr) return EvalOutcome{};
   }
-  return compose(binding, s.results.data(), s.meta[0].partition_bytes);
+  const PipelineCost cost = compose_pipeline(state.results, binding.boundaries,
+                                             em_, partition_bytes);
+  return EvalOutcome{cost.cycles, cost.energy.on_chip_pj(), true};
 }
 
 void PipelineEvalPlan::evaluate_batch(
     std::span<const PipelineBindingView> bindings, EvalOutcome* out,
     PipelineDeltaState& state) const {
-  const std::size_t nb = bindings.size();
-  const std::size_t n = statics_.size();
-  ensure_state(state);
-  PipelineDeltaState::Scratch& s = *state.scratch;
-  s.terms.resize(std::max<std::size_t>(nb * n, 1));
-  s.results.assign(std::max<std::size_t>(nb * n, 1), nullptr);
-  s.meta.resize(std::max<std::size_t>(nb, 1));
-
-  // Pass 1 (derive, SoA): precheck + PE split + boundary plans + N engine
-  // configs per candidate, no simulation.
-  for (std::size_t i = 0; i < nb; ++i) {
-    out[i] = EvalOutcome{};
-    (void)derive(bindings[i], s.terms.data() + i * n, &s.meta[i]);
+  const std::size_t n = shapes_.size();
+  if (state.slots.size() != n) {
+    state.slots.assign(n, PipelineDeltaState::Slot{});
+    state.configs.resize(n);
+    state.boundaries.resize(n > 0 ? n - 1 : 0);
+    state.results.resize(n);
   }
-  // Pass 2 (resolve): term lookups over the block. Consecutive candidates
-  // that share phase p's config hit delta slot p without hashing; one
-  // candidate's terms resolve in execution order so an infeasible phase
-  // still skips the later builds.
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (!s.meta[i].feasible) continue;
-    for (std::size_t p = 0; p < n; ++p) {
-      s.results[i * n + p] = resolve_phase(s.terms[i * n + p], p, state);
-      if (s.results[i * n + p] == nullptr) break;
-    }
-  }
-  // Pass 3 (compose): tight loop over the resolved arrays (a null last
-  // phase marks a candidate whose resolve pass short-circuited).
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (!s.meta[i].feasible || n == 0) continue;
-    if (s.results[i * n + n - 1] == nullptr) continue;
-    out[i] = compose(bindings[i], s.results.data() + i * n,
-                     s.meta[i].partition_bytes);
+  for (std::size_t i = 0; i < bindings.size(); ++i) {
+    out[i] = evaluate(bindings[i], state);
   }
 }
 

@@ -1,70 +1,55 @@
-// Delta + batched candidate evaluation: the DSE hot path.
+// Cached candidate evaluation: the DSE hot path.
 //
-// A sweep's candidates differ from their neighbors in one or two descriptor
-// fields, and the full Omega::run pipeline re-derives everything per
-// candidate: PE/bandwidth split, feature widths, the boundary plan, two
-// engine configs, two phase simulations (memoized by string key — built,
-// hashed and compared per candidate), the PP composition, the traffic sum
-// and the energy model. An EvalPlan factors one candidate evaluation into
-// exactly two *phase terms* — the memoizable units — plus O(1) composition:
+// A sweep's candidates differ from their neighbors in one or two binding
+// fields, yet Omega::run_pipeline re-derives and re-simulates everything
+// per candidate. A PipelineEvalPlan factors one candidate evaluation into
+// one *phase term* per chain position — the memoizable unit — plus the
+// composition:
 //
-//   cycles  = compose(term_first, term_second)   (PP overlap or sat-add)
-//   traffic = term_first.traffic + term_second.traffic
-//   energy  = compute_energy(traffic, em, partition_bytes(boundary))
+//   configs = derive_pipeline(substrate, chain shapes, binding)
+//   term_i  = PhaseResult of configs[i]          (cached by EvalTermKey)
+//   cycles, traffic, energy = compose_pipeline(terms, boundaries)
 //
-// Each term is keyed by the descriptor fields it actually depends on (its
-// engine config: tile dims, loop order, the InterPhase-derived flag set,
-// the PE/bandwidth split, widths, chunk grid — see key_of in eval_core.cpp
-// for the exact field->term dependency map) and cached in a POD-keyed hash
-// map on the plan, so a single-field mutation invalidates at most the terms
-// whose key embeds that field. The plan itself is cached in the
-// WorkloadContext keyed by everything outside the descriptor (substrate +
-// energy model + layer shape), so repeated searches over one workload reuse
-// all terms across calls.
+// derive_pipeline and compose_pipeline (omega/pipeline.hpp) are the same
+// functions run_pipeline calls, so the plan differs from the uncached path
+// only in where the terms come from. Each term is keyed by the fields its
+// engine config actually depends on (see key_of in eval_core.cpp) and held
+// in a POD-keyed TermStore on the plan, so a single-field mutation
+// re-simulates at most the terms whose key embeds that field. The plan
+// itself is cached in the WorkloadContext keyed by everything outside the
+// binding (substrate + energy model + chain), so repeated searches over one
+// workload reuse all terms across calls.
 //
-// Two access tiers sit above the shared map:
-//  * DeltaState — a per-evaluation-block L1: the last term per engine slot.
-//    Neighboring candidates that leave one phase untouched (the common case
-//    in tiling sweeps: the agg x cmb cross product mutates one side at a
-//    time) hit the slot without touching the map or hashing the key.
-//  * evaluate_batch — struct-of-arrays evaluation of a candidate block:
-//    pass 1 derives every candidate's term specs into parallel arrays,
-//    pass 2 resolves terms (delta slot -> shared map -> simulate), pass 3
-//    composes cycles/energy in a tight loop over the resolved arrays.
+// A per-block PipelineDeltaState sits in front of the store: the last term
+// per phase position. Neighboring candidates that leave a phase untouched
+// (the common case in tiling sweeps) hit the slot without hashing the key.
 //
-// Parity contract: for every descriptor, evaluate_one/evaluate_batch return
-// bit-identical (cycles, on_chip_pj) to Omega::run with the same context,
-// and `ok == false` exactly when Omega::run throws Error. The scalar path
-// stays alive behind SearchOptions::eval_path as the differential oracle;
-// tests/eval_core_test.cpp fuzzes single-field mutations against it.
-//
-// PipelineEvalPlan (below) generalizes the same factoring to N-phase chains
-// for the pipeline-space DSE: one term per chain position, (N-1) boundary
-// compositions, the same TermStore/delta-slot machinery, and the same
-// parity contract against Omega::run_pipeline.
+// Parity contract: for every binding, evaluate_batch returns bit-identical
+// (cycles, on_chip_pj) to Omega::run_pipeline on the bound spec, and
+// `ok == false` exactly when run_pipeline throws Error. Uncached
+// run_pipeline is the oracle: tests/eval_core_test.cpp fuzzes binding
+// mutations against it.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "engine/gemm_engine.hpp"
 #include "engine/schedule_cache.hpp"
-#include "engine/spmm_engine.hpp"
 #include "omega/omega.hpp"
 #include "omega/pipeline.hpp"
 
 namespace omega {
 
 /// One candidate's evaluation result, reduced to what the search ranks on.
-/// `ok == false` mirrors Omega::run throwing (infeasible candidate); the
+/// `ok == false` mirrors run_pipeline throwing (infeasible candidate); the
 /// other fields are zero then.
 struct EvalOutcome {
   std::uint64_t cycles = 0;
@@ -80,15 +65,15 @@ struct EvalTermKey {
   [[nodiscard]] bool operator==(const EvalTermKey&) const = default;
 };
 
-/// Byte budget for *chunked* phase-term timelines held by one EvalPlan.
-/// The legacy engine memo refuses chunk grids past kPhaseMemoMaxChunks on
-/// the assumption that giant timelines are near-unique; sweep profiles show
-/// the opposite — candidates that differ only in fields outside a phase's
-/// key share its grid, and re-simulating those terms dominates the hot
-/// path. The plan therefore admits big-chunk terms until their estimated
+/// Byte budget for *chunked* phase-term timelines held by one plan. The
+/// context's phase memo refuses chunk grids past kPhaseMemoMaxChunks on the
+/// assumption that giant timelines are near-unique; sweep profiles show the
+/// opposite — candidates that differ only in fields outside a phase's key
+/// share its grid, and re-simulating those terms dominates the hot path.
+/// The store therefore admits big-chunk terms until their estimated
 /// timeline footprint (two u64 vectors per term) reaches this budget; past
-/// it, new big terms fall back to uncached builds (results identical, the
-/// DeltaState slot is then their only cache).
+/// it, new big terms build uncached (results identical, the delta slot is
+/// then their only cache).
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
 
 struct EvalTermKeyHash {
@@ -104,40 +89,41 @@ struct EvalTermKeyHash {
   }
 };
 
-/// Per-evaluation-block working state: the last resolved term per engine
-/// slot (0 = spmm, 1 = gemm) plus reusable batch scratch. One DeltaState
-/// per parallel block — never shared across threads. A null `term` with
-/// `valid == true` caches "this term's phase config is infeasible".
-struct DeltaState {
+/// Per-evaluation-block working state: one delta slot per phase POSITION
+/// (consecutive candidates that leave phase i untouched hit slot i without
+/// hashing its key) plus the per-candidate derive/resolve scratch, reused so
+/// the loop stays allocation-free. One state per parallel block — never
+/// shared across threads.
+struct PipelineDeltaState {
+  /// The last resolved term of one position. A null `term` with
+  /// `valid == true` caches "this phase config is infeasible".
   struct Slot {
     EvalTermKey key;
     std::shared_ptr<const PhaseResult> term;
     bool valid = false;
   };
-  std::array<Slot, 2> slots;
+  std::vector<Slot> slots;       // sized to the plan's phase count
   std::uint64_t delta_hits = 0;  // term requests served by a slot
 
-  // evaluate_batch scratch (SoA arrays), reused across batches to keep the
-  // hot loop allocation-free after the first call.
-  struct Scratch;
-  std::shared_ptr<Scratch> scratch;
+  std::vector<PhaseEngineConfig> configs;
+  std::vector<BoundaryOutcome> boundaries;
+  std::vector<const PhaseResult*> results;  // pinned by `slots`
 };
 
-/// The shared term memo behind an evaluation plan: a POD-keyed map of
-/// once-built phase results, the chunked-timeline byte budget, and the
-/// request/build counters. Thread-safe; one store per plan, shared between
-/// the two-phase EvalPlan and the N-phase PipelineEvalPlan so the admission
-/// policy and counter semantics cannot drift between them.
+/// The shared term memo behind a plan: a POD-keyed map of once-built phase
+/// results, the chunked-timeline byte budget, and the request/build
+/// counters. Thread-safe.
 class TermStore {
  public:
-  /// Resolves a term through (delta slot -> map -> build). `timeline_bytes
-  /// == 0` marks a small-grid term (always admitted, like the legacy
-  /// engine memo); nonzero is the estimated footprint of a chunked term's
-  /// timelines, admitted against kTermTimelineBudgetBytes. `slot` is the
-  /// caller's per-block L1 for this term position; `delta_hits` counts the
-  /// requests it served.
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve(
-      const EvalTermKey& key, DeltaState::Slot& slot,
+  /// Resolves a term through (delta slot -> map -> build) and returns it,
+  /// pinned by `slot` until the slot's next resolve; null means the engines
+  /// reject the config. `timeline_bytes == 0` marks a small-grid term
+  /// (always admitted, like the context's phase memo); nonzero is the
+  /// estimated footprint of a chunked term's timelines, admitted against
+  /// kTermTimelineBudgetBytes. `delta_hits` counts the requests the slot
+  /// served.
+  [[nodiscard]] const PhaseResult* resolve(
+      const EvalTermKey& key, PipelineDeltaState::Slot& slot,
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
       std::size_t timeline_bytes, std::uint64_t& delta_hits) const;
 
@@ -170,114 +156,18 @@ class TermStore {
   mutable std::atomic<std::uint64_t> builds_{0};
 };
 
-/// A per-(workload, substrate, layer) evaluation plan. Obtain through
-/// EvalPlan::obtain (cached in the WorkloadContext); all methods are const
-/// and thread-safe. Counter semantics: term_requests/term_builds/term_count
-/// are deterministic for a given evaluated-candidate set (builds happen
-/// once per distinct key); delta-hit counts live on the caller's DeltaState
-/// because block layout is thread-count-dependent.
-class EvalPlan final : public EvalPlanBase {
- public:
-  /// The context-cached plan for (omega's substrate + energy model,
-  /// workload, layer). `context` must be bound to `workload.adjacency`.
-  [[nodiscard]] static std::shared_ptr<const EvalPlan> obtain(
-      const Omega& omega, const GnnWorkload& workload, const LayerSpec& layer,
-      const WorkloadContext& context);
-
-  /// Evaluates one candidate through the term cache. Bit-identical to
-  /// Omega::run (see the parity contract above).
-  [[nodiscard]] EvalOutcome evaluate_one(const DataflowDescriptor& df,
-                                         DeltaState& state) const;
-
-  /// Struct-of-arrays evaluation of a candidate block: writes one
-  /// EvalOutcome per input descriptor pointer. Outcomes are identical to
-  /// calling evaluate_one per candidate in order (the batch only
-  /// restructures the passes).
-  void evaluate_batch(std::span<const DataflowDescriptor* const> dfs,
-                      EvalOutcome* out, DeltaState& state) const;
-
-  // EvalPlanBase observability.
-  [[nodiscard]] std::size_t term_count() const override {
-    return store_.size();
-  }
-  [[nodiscard]] std::uint64_t term_requests() const override {
-    return store_.requests();
-  }
-  [[nodiscard]] std::uint64_t term_builds() const override {
-    return store_.builds();
-  }
-
-  /// Estimated bytes of chunked-term timelines admitted against
-  /// kTermTimelineBudgetBytes (small-grid terms are not counted).
-  [[nodiscard]] std::size_t term_timeline_bytes() const override {
-    return store_.timeline_bytes();
-  }
-
- private:
-  friend struct DeltaState::Scratch;  // batch scratch holds TermSpecs arrays
-  EvalPlan() = default;
-
-  /// Fully derived engine configs for one candidate (the term specs) plus
-  /// the O(1) composition inputs. `feasible == false` short-circuits the
-  /// term passes (precheck failed — exactly the throws Omega::run performs
-  /// before reaching the engines).
-  struct TermSpecs {
-    SpmmPhaseConfig spmm;
-    GemmPhaseConfig gemm;
-    bool feasible = false;
-    bool pp = false;          // compose by chunk overlap instead of sat-add
-    bool spmm_first = false;  // execution order of the two terms
-    std::size_t partition_bytes = 0;
-  };
-
-  [[nodiscard]] bool derive(const DataflowDescriptor& df, TermSpecs* ts) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_spmm(
-      const SpmmPhaseConfig& cfg, DeltaState& state) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_gemm(
-      const GemmPhaseConfig& cfg, DeltaState& state) const;
-  [[nodiscard]] static EvalOutcome compose(
-      const TermSpecs& ts, const PhaseResult& first,
-      const PhaseResult& second, const EnergyModel& em);
-
-  // Workload / substrate bindings (all layer- and descriptor-invariant).
-  const CSRGraph* graph_ = nullptr;
-  const WorkloadContext* context_ = nullptr;
-  AcceleratorConfig hw_;
-  EnergyModel em_;
-  std::size_t v_ = 0;
-  std::size_t f_ = 0;  // resolved input width
-  std::size_t g_ = 0;  // output width
-  bool dims_ok_ = false;
-
-  TermStore store_;
-};
-
-/// Per-evaluation-block working state for N-phase pipeline evaluation: one
-/// delta slot per phase POSITION (consecutive candidates that leave phase i
-/// untouched hit slot i without hashing its key) plus reusable batch
-/// scratch. One state per parallel block — never shared across threads.
-struct PipelineDeltaState {
-  std::vector<DeltaState::Slot> slots;  // sized to the plan's phase count
-  std::uint64_t delta_hits = 0;         // term requests served by a slot
-
-  struct Scratch;
-  std::shared_ptr<Scratch> scratch;
-};
-
-/// The N-phase generalization of EvalPlan: one candidate evaluation factors
-/// into N phase terms — one per chain position — plus (N-1) boundary
-/// compositions (PP pairs overlap chunk-by-chunk, everything else
-/// sat-adds), all resolved through the same TermStore machinery. The plan
-/// is keyed by the *chain* (engines, widths, densities — everything a
-/// pipeline sweep holds fixed) so per-candidate work reduces to deriving
-/// engine configs from the binding (dataflows, boundaries, PE fractions)
-/// and resolving cached terms; sparse-weight W^T CSRs are built once per
-/// chain phase here instead of once per candidate as in run_pipeline.
+/// The per-(workload, substrate, chain) evaluation plan. The plan is keyed
+/// by the *chain* (engines, widths, densities — everything a pipeline sweep
+/// holds fixed), so per-candidate work reduces to deriving engine configs
+/// from the binding (dataflows, boundaries, PE fractions) and resolving
+/// cached terms; sparse-weight W^T CSRs are built once per chain phase here
+/// instead of once per call as in run_pipeline.
 ///
-/// Parity contract (the pipeline sibling of EvalPlan's): for every binding,
-/// evaluate_one/evaluate_batch return bit-identical (cycles, on_chip_pj) to
-/// Omega::run_pipeline on the bound spec with the same context, and
-/// `ok == false` exactly when run_pipeline throws Error.
+/// All methods are const and thread-safe. Counter semantics:
+/// term_requests/term_builds/term_count are deterministic for a given
+/// evaluated-candidate set (builds happen once per distinct key); delta-hit
+/// counts live on the caller's PipelineDeltaState because block layout is
+/// thread-count-dependent.
 class PipelineEvalPlan final : public EvalPlanBase {
  public:
   /// The context-cached plan for (omega's substrate + energy model,
@@ -289,17 +179,10 @@ class PipelineEvalPlan final : public EvalPlanBase {
       const Omega& omega, const GnnWorkload& workload,
       const PipelineChainSpec& chain, const WorkloadContext& context);
 
-  /// Evaluates one candidate binding through the term cache.
-  [[nodiscard]] EvalOutcome evaluate_one(const PipelineBindingView& binding,
-                                         PipelineDeltaState& state) const;
-
-  /// Struct-of-arrays evaluation of a binding block: writes one EvalOutcome
-  /// per input binding. Outcomes are identical to calling evaluate_one per
-  /// binding in order (the batch only restructures the passes).
+  /// Evaluates a binding block, one candidate at a time (derive -> resolve
+  /// -> compose), writing one EvalOutcome per input binding.
   void evaluate_batch(std::span<const PipelineBindingView> bindings,
                       EvalOutcome* out, PipelineDeltaState& state) const;
-
-  [[nodiscard]] std::size_t phase_count() const { return statics_.size(); }
 
   // EvalPlanBase observability.
   [[nodiscard]] std::size_t term_count() const override {
@@ -316,57 +199,24 @@ class PipelineEvalPlan final : public EvalPlanBase {
   }
 
  private:
-  friend struct PipelineDeltaState::Scratch;  // scratch holds term arrays
   PipelineEvalPlan() = default;
 
-  /// Chain-invariant per-phase facts, resolved once at obtain time.
-  struct PhaseStatic {
-    PhaseEngine engine = PhaseEngine::kDenseDense;
-    std::size_t in_w = 0;
-    std::size_t out_w = 0;
-    /// Distinguishes which graph a sparse term runs on in its key (spare
-    /// word w[19]): 0 = the workload adjacency, 1 + i = phase i's W^T. Two
-    /// sparse-weight phases can share every keyed config field while
-    /// walking different weight patterns.
-    std::uint64_t graph_tag = 0;
-    std::shared_ptr<const CSRGraph> wcsr;  // sparse-weight phases only
-  };
-
-  /// One phase's fully derived engine config (the term spec). Exactly one
-  /// of spmm/gemm is meaningful per `is_gemm`; sparse-weight phases derive
-  /// a transposed spmm config like run_pipeline.
-  struct PhaseTerm {
-    bool is_gemm = false;
-    std::uint64_t graph_tag = 0;
-    SpmmPhaseConfig spmm;
-    GemmPhaseConfig gemm;
-  };
-  /// Per-candidate composition inputs. `feasible == false` short-circuits
-  /// the term passes (precheck failed — exactly the throws run_pipeline
-  /// performs before reaching the engines).
-  struct CandidateMeta {
-    bool feasible = false;
-    std::size_t partition_bytes = 0;
-  };
-
-  [[nodiscard]] bool derive(const PipelineBindingView& binding,
-                            PhaseTerm* terms, CandidateMeta* meta) const;
-  [[nodiscard]] std::shared_ptr<const PhaseResult> resolve_phase(
-      const PhaseTerm& term, std::size_t phase_idx,
-      PipelineDeltaState& state) const;
-  [[nodiscard]] EvalOutcome compose(
-      const PipelineBindingView& binding,
-      const std::shared_ptr<const PhaseResult>* results,
-      std::size_t partition_bytes) const;
-  void ensure_state(PipelineDeltaState& state) const;
+  /// Exactly the throws run_pipeline performs before it reaches the
+  /// engines (spec validation, substrate capability, PP sanity), without
+  /// building a message: false means the oracle throws on the bound spec.
+  [[nodiscard]] bool feasible(const PipelineBindingView& binding) const;
+  [[nodiscard]] EvalOutcome evaluate(const PipelineBindingView& binding,
+                                     PipelineDeltaState& state) const;
+  [[nodiscard]] const PhaseResult* resolve_phase(
+      std::size_t phase, PipelineDeltaState& state) const;
 
   // Workload / substrate / chain bindings (all binding-invariant).
   const CSRGraph* graph_ = nullptr;
   const WorkloadContext* context_ = nullptr;
   AcceleratorConfig hw_;
   EnergyModel em_;
-  std::size_t v_ = 0;
-  std::vector<PhaseStatic> statics_;
+  std::vector<PipelinePhaseShape> shapes_;
+  std::vector<std::unique_ptr<const CSRGraph>> weights_;  // W^T per spgemm
   bool chain_ok_ = false;
 
   TermStore store_;

@@ -86,7 +86,7 @@ struct GemmPhaseConfig {
 /// Like run_gemm_phase, but hands back the memo's shared entry instead of
 /// copying the PhaseResult out of it. The copy is what the by-value path
 /// pays per candidate (chunked results carry O(chunks) timeline vectors);
-/// the delta-evaluation core (engine/eval_core.hpp) holds terms by pointer,
+/// the cached evaluation core (engine/eval_core.hpp) holds terms by pointer,
 /// so it must not pay it. Uncached configs build a fresh shared result —
 /// bit-identical either way.
 [[nodiscard]] std::shared_ptr<const PhaseResult> run_gemm_phase_shared(

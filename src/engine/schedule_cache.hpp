@@ -75,19 +75,21 @@ struct LaneSchedule {
                                                std::size_t lanes,
                                                std::size_t lane_width);
 
-/// Interface the context uses to hold delta-evaluation plans without
-/// depending on the DSE layer (engine/eval_core.hpp implements it; the
-/// concrete EvalPlan factors a candidate evaluation into phase terms and
-/// memoizes them). The counters feed the service `stats` response and the
-/// search observability — every one of them is deterministic for a given
-/// request sequence (term builds happen once per distinct key, and the set
-/// of evaluated candidates is thread-count-invariant).
+/// Interface the context uses to hold evaluation plans without depending on
+/// the eval core (engine/eval_core.hpp: the concrete PipelineEvalPlan
+/// factors a candidate evaluation into one phase term per chain position
+/// and memoizes the terms in its TermStore). The counters feed the service
+/// `stats` response and the search observability — every one of them is
+/// deterministic for a given request sequence (term builds happen once per
+/// distinct key, and the set of evaluated candidates is
+/// thread-count-invariant).
 class EvalPlanBase {
  public:
   virtual ~EvalPlanBase() = default;
-  /// Distinct phase terms resident in the plan's term memo.
+  /// Distinct phase terms resident in the plan's TermStore.
   [[nodiscard]] virtual std::size_t term_count() const = 0;
-  /// Term lookups served (2 per feasible candidate evaluation).
+  /// Term lookups served (one per phase of a feasible candidate, up to the
+  /// first infeasible phase).
   [[nodiscard]] virtual std::uint64_t term_requests() const = 0;
   /// Term lookups that had to run a phase simulation (memo misses).
   [[nodiscard]] virtual std::uint64_t term_builds() const = 0;
@@ -139,7 +141,9 @@ class WorkloadContext {
   /// Callers must bypass the memo for results whose chunk grid
   /// exceeds kPhaseMemoMaxChunks: giant grids are near-unique across
   /// candidates, and caching their multi-megabyte timelines trades memory
-  /// (gigabytes over a long sweep) for hits that never come.
+  /// (gigabytes over a long sweep) for hits that never come. Small-grid
+  /// terms an eval plan builds land here too, besides the plan's TermStore
+  /// (folding the two memos into one is a deferred step).
   [[nodiscard]] std::shared_ptr<const PhaseResult> phase_result(
       const std::string& key, const std::function<PhaseResult()>& build) const;
 
@@ -150,9 +154,9 @@ class WorkloadContext {
   /// reached (observability for long-lived service contexts).
   [[nodiscard]] std::size_t phase_memo_overflow() const;
 
-  /// Memoized delta-evaluation plan. `signature` captures everything the
-  /// plan depends on besides the graph (substrate + energy model + layer
-  /// shape — see EvalPlan::obtain); `build` runs at most once per
+  /// Memoized evaluation plan. `signature` captures everything the plan
+  /// depends on besides the graph (substrate + energy model + chain — see
+  /// PipelineEvalPlan::obtain); `build` runs at most once per
   /// signature. Same once-entry discipline as phase_result: concurrent
   /// misses on different signatures build in parallel.
   [[nodiscard]] std::shared_ptr<EvalPlanBase> eval_plan(

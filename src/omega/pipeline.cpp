@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "util/error.hpp"
@@ -83,10 +84,10 @@ std::string PhaseSpec::to_string() const {
   return s;
 }
 
-double PipelineSpec::pp_first_share(std::size_t b) const {
-  if (pe_fractions.size() != phases.size()) return 0.5;
-  const double first = pe_fractions[b];
-  const double second = pe_fractions[b + 1];
+double pp_first_share(const PipelineBindingView& binding, std::size_t b) {
+  if (binding.pe_fractions.size() != binding.phases.size()) return 0.5;
+  const double first = binding.pe_fractions[b];
+  const double second = binding.pe_fractions[b + 1];
   return first / (first + second);
 }
 
@@ -195,19 +196,6 @@ bool is_chunked(InterPhase ip) {
   return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
 }
 
-/// Max tile across the pair for the intermediate's row / column dimension —
-/// the N-phase generalization of DataflowDescriptor::t_row_max/t_col_max.
-std::size_t pair_t_row(const PhaseSpec& prod, const PhaseSpec& cons) {
-  return std::max(prod.dataflow.tiles.get(prod.producer_role().row),
-                  cons.dataflow.tiles.get(cons.consumer_role().row));
-}
-std::size_t pair_t_col(const PhaseSpec& prod, const PhaseSpec& cons) {
-  return std::max(prod.dataflow.tiles.get(prod.producer_role().col),
-                  cons.dataflow.tiles.get(cons.consumer_role().col));
-}
-
-}  // namespace
-
 // Out^T swaps rows/columns, and flipping the traversal major keeps the
 // FLATTENED chunk order identical (row-major over (R, C) and column-major
 // over (C, R) enumerate the same (r, c) sequence), which is what lets a
@@ -224,14 +212,9 @@ ChunkSpec transpose_chunks(const ChunkSpec& c) {
   return t;
 }
 
-bool sp_optimized_pair_ok(PhaseEngine prod_engine,
-                          const IntraPhaseDataflow& prod,
-                          PhaseEngine cons_engine,
-                          const IntraPhaseDataflow& cons) {
-  return spo_pair_violation(prod_engine, prod, cons_engine, cons) ==
-         SpoViolation::kNone;
-}
-
+/// Prices a traffic profile through the energy model: per-category GB
+/// accesses, RF, DRAM, and the PP intermediate-partition buffer (sized
+/// `partition_bytes`; 0 when no boundary buffers).
 EnergyBreakdown compute_energy(const TrafficCounters& traffic,
                                const EnergyModel& em,
                                std::size_t partition_bytes) {
@@ -246,6 +229,16 @@ EnergyBreakdown compute_energy(const TrafficCounters& traffic,
                    em.buffer_access_pj(partition_bytes);
   e.dram_pj = static_cast<double>(traffic.dram.total()) * em.dram_access_pj;
   return e;
+}
+
+}  // namespace
+
+bool sp_optimized_pair_ok(PhaseEngine prod_engine,
+                          const IntraPhaseDataflow& prod,
+                          PhaseEngine cons_engine,
+                          const IntraPhaseDataflow& cons) {
+  return spo_pair_violation(prod_engine, prod, cons_engine, cons) ==
+         SpoViolation::kNone;
 }
 
 std::optional<std::string> PipelineSpec::validation_error() const {
@@ -576,6 +569,244 @@ RunResult to_run_result(PipelineResult&& pr, const DataflowDescriptor& df) {
   return r;
 }
 
+std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
+                            const WorkloadContext* context,
+                            std::span<const PipelinePhaseShape> shapes,
+                            const PipelineBindingView& binding,
+                            std::span<PhaseEngineConfig> configs,
+                            std::span<BoundaryOutcome> boundaries) {
+  const std::size_t n = shapes.size();
+  const std::size_t v = graph.num_vertices();
+
+  // ---- Boundary plans (Table III generalized to adjacent pairs) ------------
+  std::size_t partition_bytes = 0;
+  for (std::size_t b = 0; b + 1 < n; ++b) {
+    BoundaryOutcome& bo = boundaries[b];
+    bo = BoundaryOutcome{};
+    bo.inter = binding.boundaries[b];
+    bo.rows = v;
+    bo.cols = shapes[b].out_features;
+    bo.chunk_grid = ChunkSpec::whole(bo.rows, bo.cols);
+    if (is_chunked(bo.inter)) {
+      const IntraPhaseDataflow& prod = binding.phases[b];
+      const IntraPhaseDataflow& cons = binding.phases[b + 1];
+      const HandoffRole prod_role =
+          phase_producer_role(shapes[b].engine, prod.order);
+      const HandoffRole cons_role =
+          phase_consumer_role(shapes[b + 1].engine, cons.order);
+      const PipelineAnalysis analysis = analyze_handoff(prod_role, cons_role);
+      OMEGA_CHECK(analysis.feasible, "validated pipeline must be chunkable");
+      bo.granularity = analysis.granularity;
+      bo.chunk_grid.major = analysis.major;
+      // Max tile across the pair for the intermediate's row / column dim.
+      const std::size_t t_row =
+          std::min(std::max(prod.tiles.get(prod_role.row),
+                            cons.tiles.get(cons_role.row)),
+                   bo.rows);
+      const std::size_t t_col =
+          std::min(std::max(prod.tiles.get(prod_role.col),
+                            cons.tiles.get(cons_role.col)),
+                   bo.cols);
+      switch (bo.granularity) {
+        case Granularity::kElement:
+          bo.chunk_grid.row_block = t_row;
+          bo.chunk_grid.col_block = t_col;
+          bo.pipeline_elements = t_row * t_col;
+          break;
+        case Granularity::kRow:
+          bo.chunk_grid.row_block = t_row;
+          bo.pipeline_elements = t_row * bo.cols;
+          break;
+        case Granularity::kColumn:
+          bo.chunk_grid.col_block = t_col;
+          bo.pipeline_elements = bo.rows * t_col;
+          break;
+        case Granularity::kNone:
+          break;
+      }
+      bo.pipeline_chunks = bo.chunk_grid.num_chunks();
+    }
+    switch (bo.inter) {
+      case InterPhase::kSequential:
+        bo.buffer_elements = bo.rows * bo.cols;
+        break;
+      case InterPhase::kSPGeneric:
+        bo.buffer_elements = bo.pipeline_elements;
+        break;
+      case InterPhase::kSPOptimized:
+        bo.buffer_elements = 0;
+        break;
+      case InterPhase::kParallelPipeline:
+        bo.buffer_elements = 2 * bo.pipeline_elements;
+        partition_bytes =
+            std::max(partition_bytes, bo.buffer_elements * hw.element_bytes);
+        break;
+    }
+    // Seq spill decision: the product saturates so an astronomically large
+    // intermediate cannot wrap into "fits on chip" (DESIGN.md "Overflow
+    // contract").
+    const std::uint64_t int_bytes =
+        sat_mul_u64(sat_mul_u64(bo.rows, bo.cols), hw.element_bytes);
+    bo.spilled = bo.inter == InterPhase::kSequential && int_bytes > hw.gb_bytes;
+  }
+
+  // ---- Per-phase engine configs --------------------------------------------
+  for (std::size_t i = 0; i < n; ++i) {
+    const PipelinePhaseShape& shape = shapes[i];
+    const IntraPhaseDataflow& df = binding.phases[i];
+    const BoundaryOutcome* up = i > 0 ? &boundaries[i - 1] : nullptr;
+    const BoundaryOutcome* down = i + 1 < n ? &boundaries[i] : nullptr;
+    const bool pp_up = up != nullptr && up->inter == InterPhase::kParallelPipeline;
+    const bool pp_down =
+        down != nullptr && down->inter == InterPhase::kParallelPipeline;
+
+    // PE and bandwidth allocation: phases default to the whole array; a PP
+    // boundary splits it between its pair (validation caps every phase at
+    // one chunked boundary, so PP groups are exactly pairs) and both sides
+    // share the GB ports proportionally (Section V-C3).
+    std::size_t pes = hw.num_pes;
+    std::size_t bw_dist = hw.distribution_bandwidth;
+    std::size_t bw_red = hw.reduction_bandwidth;
+    if (pp_up || pp_down) {
+      const std::size_t first = std::clamp<std::size_t>(
+          static_cast<std::size_t>(std::llround(
+              static_cast<double>(hw.num_pes) *
+              pp_first_share(binding, pp_down ? i : i - 1))),
+          1, hw.num_pes - 1);
+      pes = pp_down ? first : hw.num_pes - first;
+      bw_dist = scaled_bandwidth(hw.distribution_bandwidth, pes, hw.num_pes);
+      bw_red = scaled_bandwidth(hw.reduction_bandwidth, pes, hw.num_pes);
+    }
+
+    const bool in_from_rf =
+        up != nullptr && up->inter == InterPhase::kSPOptimized;
+    const bool in_dram = up != nullptr && up->spilled;
+    const bool out_to_rf =
+        down != nullptr && down->inter == InterPhase::kSPOptimized;
+    const bool out_in_dram = down != nullptr && down->spilled;
+    const TrafficCategory in_cat =
+        up != nullptr ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
+    const TrafficCategory out_cat = down != nullptr
+                                        ? TrafficCategory::kIntermediate
+                                        : TrafficCategory::kOutput;
+    const bool up_chunked = up != nullptr && is_chunked(up->inter);
+    const bool down_chunked = down != nullptr && is_chunked(down->inter);
+
+    PhaseEngineConfig& pc = configs[i];
+    pc = PhaseEngineConfig{};
+    if (shape.engine == PhaseEngine::kDenseDense) {
+      pc.is_gemm = true;
+      GemmPhaseConfig& cfg = pc.gemm;
+      cfg.context = context;
+      cfg.rows = v;
+      cfg.inner = shape.in_features;
+      cfg.cols = shape.out_features;
+      cfg.order = df.order;
+      cfg.tiles = df.tiles;
+      cfg.pes = pes;
+      cfg.bw_dist = bw_dist;
+      cfg.bw_red = bw_red;
+      cfg.rf_elements = hw.rf_elements_per_pe();
+      cfg.a_category = in_cat;
+      cfg.a_from_rf = in_from_rf;
+      cfg.a_in_dram = in_dram;
+      cfg.a_stream_bw = in_dram ? hw.dram_bandwidth : 0;
+      cfg.a_via_partition = pp_up;
+      cfg.out_category = out_cat;
+      cfg.out_to_rf = out_to_rf;
+      cfg.out_in_dram = out_in_dram;
+      cfg.out_drain_bw = out_in_dram ? hw.dram_bandwidth : 0;
+      cfg.out_via_partition = pp_down;
+      if (up_chunked) {
+        cfg.chunks = up->chunk_grid;
+        cfg.chunk_target = ChunkTarget::kMatrixA;
+      } else if (down_chunked) {
+        cfg.chunks = down->chunk_grid;
+        cfg.chunk_target = ChunkTarget::kMatrixOut;
+      }
+      continue;
+    }
+
+    SpmmPhaseConfig& cfg = pc.spmm;
+    const bool sparse_weight = shape.engine == PhaseEngine::kSparseSparse;
+    if (sparse_weight) {
+      // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V]: the SpMM
+      // engine walks W^T rows exactly like adjacency rows — fewer nonzeros
+      // per row (lower density) mean fewer neighbor steps and less
+      // metadata/operand traffic. Loop dims translate G->V, F->N, V->Feat
+      // (validation keeps N out of the vocabulary); the consumed X^T
+      // becomes the engine's B operand.
+      const auto translate = [](Dim d) {
+        if (d == Dim::kG) return Dim::kV;
+        if (d == Dim::kF) return Dim::kN;
+        return Dim::kF;
+      };
+      cfg.graph = shape.weights;
+      cfg.context = nullptr;  // the workload context is bound to the graph
+      cfg.order = LoopOrder(translate(df.order.at(0)), translate(df.order.at(1)),
+                            translate(df.order.at(2)));
+      cfg.tiles.v = df.tiles.g;
+      cfg.tiles.n = df.tiles.f;
+      cfg.tiles.f = df.tiles.v;
+      cfg.feat = v;
+    } else {
+      cfg.graph = &graph;
+      cfg.context = context;
+      cfg.order = df.order;
+      cfg.tiles = df.tiles;
+      cfg.feat = shape.in_features;
+    }
+    cfg.pes = pes;
+    cfg.bw_dist = bw_dist;
+    cfg.bw_red = bw_red;
+    cfg.rf_elements = hw.rf_elements_per_pe();
+    cfg.b_category = in_cat;
+    cfg.b_from_rf = in_from_rf;
+    cfg.b_in_dram = in_dram;
+    cfg.b_stream_bw = in_dram ? hw.dram_bandwidth : 0;
+    cfg.b_via_partition = pp_up;
+    cfg.out_category = out_cat;
+    cfg.out_to_rf = out_to_rf;
+    cfg.out_in_dram = out_in_dram;
+    cfg.out_drain_bw = out_in_dram ? hw.dram_bandwidth : 0;
+    cfg.out_via_partition = pp_down;
+    // Validation keeps chunked boundaries out of sparse-weight consumers, so
+    // those phases can only stage chunks as producers — through the
+    // transposed grid.
+    if (up_chunked) {
+      cfg.chunks = up->chunk_grid;
+      cfg.chunk_target = ChunkTarget::kMatrixA;
+    } else if (down_chunked) {
+      cfg.chunks =
+          sparse_weight ? transpose_chunks(down->chunk_grid) : down->chunk_grid;
+      cfg.chunk_target = ChunkTarget::kMatrixOut;
+    }
+  }
+  return partition_bytes;
+}
+
+PipelineCost compose_pipeline(std::span<const PhaseResult* const> phases,
+                              std::span<const InterPhase> boundaries,
+                              const EnergyModel& em,
+                              std::size_t partition_bytes) {
+  const std::size_t n = phases.size();
+  PipelineCost cost;
+  for (std::size_t i = 0; i < n;) {
+    if (i + 1 < n && boundaries[i] == InterPhase::kParallelPipeline) {
+      cost.cycles = sat_add_u64(
+          cost.cycles, compose_parallel_pipeline(phases[i]->chunk_completion,
+                                                 phases[i + 1]->chunk_cycles));
+      i += 2;
+    } else {
+      cost.cycles = sat_add_u64(cost.cycles, phases[i]->cycles);
+      i += 1;
+    }
+  }
+  for (const PhaseResult* p : phases) cost.traffic += p->traffic;
+  cost.energy = compute_energy(cost.traffic, em, partition_bytes);
+  return cost;
+}
+
 PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
                                    const PipelineSpec& spec,
                                    const WorkloadContext* context) const {
@@ -588,20 +819,29 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
                                         bool validated) const {
   if (!validated) spec.validate();
   const std::size_t n = spec.phases.size();
-  const std::size_t v = workload.num_vertices();
-  OMEGA_CHECK(v >= 1, "workload needs at least one vertex");
+  OMEGA_CHECK(workload.num_vertices() >= 1,
+              "workload needs at least one vertex");
 
   // ---- Feature widths along the chain --------------------------------------
-  std::vector<std::size_t> in_w(n);
-  std::vector<std::size_t> out_w(n);
+  // Sparse-weight phases get their W^T pattern here, once per call (the
+  // eval plan builds it once per chain instead).
+  std::vector<PipelinePhaseShape> shapes(n);
+  std::vector<std::unique_ptr<const CSRGraph>> weights;
   std::size_t width =
       spec.in_features > 0 ? spec.in_features : workload.in_features;
   OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
   for (std::size_t i = 0; i < n; ++i) {
     const PhaseSpec& p = spec.phases[i];
-    in_w[i] = width;
-    out_w[i] = p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
-    width = out_w[i];
+    shapes[i].engine = p.engine;
+    shapes[i].in_features = width;
+    shapes[i].out_features =
+        p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
+    width = shapes[i].out_features;
+    if (p.engine == PhaseEngine::kSparseSparse) {
+      weights.push_back(std::make_unique<const CSRGraph>(sparse_weight_csr(
+          shapes[i].in_features, shapes[i].out_features, p.weight_density)));
+      shapes[i].weights = weights.back().get();
+    }
   }
 
   // ---- Substrate capability checks (Table II NoC/PE support column) --------
@@ -627,14 +867,11 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
     }
   }
 
-  // ---- PE and bandwidth allocation -----------------------------------------
-  // Phases default to the whole array; each PP boundary splits it between
-  // its pair (validation caps every phase at one chunked boundary, so PP
-  // groups are exactly pairs) and both sides share the GB ports
-  // proportionally (Section V-C3).
-  std::vector<std::size_t> pes(n, hw_.num_pes);
-  std::vector<std::size_t> bw_dist(n, hw_.distribution_bandwidth);
-  std::vector<std::size_t> bw_red(n, hw_.reduction_bandwidth);
+  // ---- PP sanity: each PP pair splits the array ----------------------------
+  std::vector<IntraPhaseDataflow> dataflows(n);
+  for (std::size_t i = 0; i < n; ++i) dataflows[i] = spec.phases[i].dataflow;
+  const PipelineBindingView binding{dataflows, spec.boundaries,
+                                    spec.pe_fractions};
   for (std::size_t b = 0; b + 1 < n; ++b) {
     if (spec.boundaries[b] != InterPhase::kParallelPipeline) continue;
     if (hw_.num_pes < 2) {
@@ -642,274 +879,50 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
                           ": parallel pipeline needs >= 2 PEs to split the "
                           "array between the phases");
     }
-    const double share = spec.pp_first_share(b);
+    const double share = pp_first_share(binding, b);
     if (!(share > 0.0 && share < 1.0)) {
       throw ResourceError(spec.to_string() +
                           ": PP PE shares must lie strictly inside (0, 1) — "
                           "0, 1 or NaN would starve a phase of PEs");
     }
-    const std::size_t first = std::clamp<std::size_t>(
-        static_cast<std::size_t>(
-            std::llround(static_cast<double>(hw_.num_pes) * share)),
-        1, hw_.num_pes - 1);
-    pes[b] = first;
-    pes[b + 1] = hw_.num_pes - first;
-    bw_dist[b] =
-        scaled_bandwidth(hw_.distribution_bandwidth, pes[b], hw_.num_pes);
-    bw_dist[b + 1] =
-        scaled_bandwidth(hw_.distribution_bandwidth, pes[b + 1], hw_.num_pes);
-    bw_red[b] = scaled_bandwidth(hw_.reduction_bandwidth, pes[b], hw_.num_pes);
-    bw_red[b + 1] =
-        scaled_bandwidth(hw_.reduction_bandwidth, pes[b + 1], hw_.num_pes);
   }
 
-  // ---- Boundary plans (Table III generalized to adjacent pairs) ------------
+  // ---- Derive, simulate, compose -------------------------------------------
   PipelineResult result;
   result.boundaries.resize(n > 0 ? n - 1 : 0);
-  for (std::size_t b = 0; b + 1 < n; ++b) {
-    BoundaryOutcome& bo = result.boundaries[b];
-    bo.inter = spec.boundaries[b];
-    bo.rows = v;
-    bo.cols = out_w[b];
-    bo.chunk_grid = ChunkSpec::whole(bo.rows, bo.cols);
-    const PhaseSpec& prod = spec.phases[b];
-    const PhaseSpec& cons = spec.phases[b + 1];
-    std::size_t t_row = 0;
-    std::size_t t_col = 0;
-    if (bo.inter != InterPhase::kSequential &&
-        bo.inter != InterPhase::kSPOptimized) {
-      const PipelineAnalysis analysis =
-          analyze_handoff(prod.producer_role(), cons.consumer_role());
-      OMEGA_CHECK(analysis.feasible, "validated pipeline must be chunkable");
-      bo.granularity = analysis.granularity;
-      bo.chunk_grid.major = analysis.major;
-      t_row = std::min(pair_t_row(prod, cons), bo.rows);
-      t_col = std::min(pair_t_col(prod, cons), bo.cols);
-      switch (bo.granularity) {
-        case Granularity::kElement:
-          bo.chunk_grid.row_block = t_row;
-          bo.chunk_grid.col_block = t_col;
-          bo.pipeline_elements = t_row * t_col;
-          break;
-        case Granularity::kRow:
-          bo.chunk_grid.row_block = t_row;
-          bo.pipeline_elements = t_row * bo.cols;
-          break;
-        case Granularity::kColumn:
-          bo.chunk_grid.col_block = t_col;
-          bo.pipeline_elements = bo.rows * t_col;
-          break;
-        case Granularity::kNone:
-          break;
-      }
-    }
-    switch (bo.inter) {
-      case InterPhase::kSequential:
-        bo.buffer_elements = bo.rows * bo.cols;
-        break;
-      case InterPhase::kSPGeneric:
-        bo.buffer_elements = bo.pipeline_elements;
-        break;
-      case InterPhase::kSPOptimized:
-        bo.buffer_elements = 0;
-        break;
-      case InterPhase::kParallelPipeline:
-        bo.buffer_elements = 2 * bo.pipeline_elements;
-        break;
-    }
-    bo.pipeline_chunks = is_chunked(bo.inter) ? bo.chunk_grid.num_chunks() : 1;
-    // Seq spill decision: the product saturates so an astronomically large
-    // intermediate cannot wrap into "fits on chip" (DESIGN.md "Overflow
-    // contract").
-    const std::uint64_t int_bytes =
-        sat_mul_u64(sat_mul_u64(bo.rows, bo.cols), hw_.element_bytes);
-    bo.spilled =
-        bo.inter == InterPhase::kSequential && int_bytes > hw_.gb_bytes;
-  }
+  std::vector<PhaseEngineConfig> configs(n);
+  const std::size_t partition_bytes =
+      derive_pipeline(hw_, workload.adjacency, context, shapes, binding,
+                      configs, result.boundaries);
 
-  // ---- Per-phase engine evaluation -----------------------------------------
   result.phases.resize(n);
+  std::vector<const PhaseResult*> results(n);
   for (std::size_t i = 0; i < n; ++i) {
     const PhaseSpec& p = spec.phases[i];
-    const BoundaryOutcome* up = i > 0 ? &result.boundaries[i - 1] : nullptr;
-    const BoundaryOutcome* down =
-        i + 1 < n ? &result.boundaries[i] : nullptr;
-    const bool in_from_rf = up != nullptr && up->inter == InterPhase::kSPOptimized;
-    const bool in_dram = up != nullptr && up->spilled;
-    const bool in_via_partition =
-        up != nullptr && up->inter == InterPhase::kParallelPipeline;
-    const bool out_to_rf =
-        down != nullptr && down->inter == InterPhase::kSPOptimized;
-    const bool out_in_dram = down != nullptr && down->spilled;
-    const bool out_via_partition =
-        down != nullptr && down->inter == InterPhase::kParallelPipeline;
-    const TrafficCategory in_cat =
-        up != nullptr ? TrafficCategory::kIntermediate : TrafficCategory::kInput;
-    const TrafficCategory out_cat = down != nullptr
-                                        ? TrafficCategory::kIntermediate
-                                        : TrafficCategory::kOutput;
-    const bool up_chunked = up != nullptr && is_chunked(up->inter);
-    const bool down_chunked = down != nullptr && is_chunked(down->inter);
-
     PhaseOutcome& po = result.phases[i];
     po.name = p.name;
     po.engine = p.engine;
-    po.pes = pes[i];
-    po.in_features = in_w[i];
-    po.out_features = out_w[i];
-    po.static_utilization = static_utilization(p.dataflow, pes[i]);
-
-    switch (p.engine) {
-      case PhaseEngine::kSparseDense: {
-        SpmmPhaseConfig cfg;
-        cfg.graph = &workload.adjacency;
-        cfg.context = context;
-        cfg.order = p.dataflow.order;
-        cfg.tiles = p.dataflow.tiles;
-        cfg.feat = in_w[i];
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = run_spmm_phase(cfg);
-        break;
-      }
-      case PhaseEngine::kDenseDense: {
-        GemmPhaseConfig cfg;
-        cfg.context = context;
-        cfg.rows = v;
-        cfg.inner = in_w[i];
-        cfg.cols = out_w[i];
-        cfg.order = p.dataflow.order;
-        cfg.tiles = p.dataflow.tiles;
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.a_category = in_cat;
-        cfg.a_from_rf = in_from_rf;
-        cfg.a_in_dram = in_dram;
-        cfg.a_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.a_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (up_chunked) {
-          cfg.chunks = up->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixA;
-        } else if (down_chunked) {
-          cfg.chunks = down->chunk_grid;
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = run_gemm_phase(cfg);
-        break;
-      }
-      case PhaseEngine::kSparseSparse: {
-        // Transposed problem Out^T[G,V] = W^T[G,F] x X^T[F,V]: the SpMM
-        // engine walks W^T rows exactly like adjacency rows — fewer
-        // nonzeros per row (lower density) mean fewer neighbor steps and
-        // less metadata/operand traffic. Loop dims translate G->V, F->N,
-        // V->Feat; the consumed X^T becomes the engine's B operand.
-        const CSRGraph wcsr =
-            sparse_weight_csr(in_w[i], out_w[i], p.weight_density);
-        const auto translate = [](Dim d) {
-          switch (d) {
-            case Dim::kG: return Dim::kV;
-            case Dim::kF: return Dim::kN;
-            case Dim::kV: return Dim::kF;
-            case Dim::kN: break;
-          }
-          throw InvalidDataflowError(
-              "sparse-weight phases loop over V/F/G only");
-        };
-        SpmmPhaseConfig cfg;
-        cfg.graph = &wcsr;
-        cfg.context = nullptr;  // the workload context is bound to the graph
-        cfg.order = LoopOrder(translate(p.dataflow.order.at(0)),
-                              translate(p.dataflow.order.at(1)),
-                              translate(p.dataflow.order.at(2)));
-        cfg.tiles.v = p.dataflow.tiles.g;
-        cfg.tiles.n = p.dataflow.tiles.f;
-        cfg.tiles.f = p.dataflow.tiles.v;
-        cfg.feat = v;
-        cfg.pes = pes[i];
-        cfg.bw_dist = bw_dist[i];
-        cfg.bw_red = bw_red[i];
-        cfg.rf_elements = hw_.rf_elements_per_pe();
-        cfg.b_category = in_cat;
-        cfg.b_from_rf = in_from_rf;
-        cfg.b_in_dram = in_dram;
-        cfg.b_stream_bw = in_dram ? hw_.dram_bandwidth : 0;
-        cfg.b_via_partition = in_via_partition;
-        cfg.out_category = out_cat;
-        cfg.out_to_rf = out_to_rf;
-        cfg.out_in_dram = out_in_dram;
-        cfg.out_drain_bw = out_in_dram ? hw_.dram_bandwidth : 0;
-        cfg.out_via_partition = out_via_partition;
-        if (down_chunked) {
-          cfg.chunks = transpose_chunks(down->chunk_grid);
-          cfg.chunk_target = ChunkTarget::kMatrixOut;
-        }
-        po.result = run_spmm_phase(cfg);
-        break;
-      }
-    }
+    po.pes = configs[i].pes();
+    po.in_features = shapes[i].in_features;
+    po.out_features = shapes[i].out_features;
+    po.static_utilization = static_utilization(p.dataflow, po.pes);
+    po.result = configs[i].is_gemm ? run_gemm_phase(configs[i].gemm)
+                                   : run_spmm_phase(configs[i].spmm);
+    results[i] = &po.result;
   }
 
-  // ---- Compose cycles, traffic and energy ----------------------------------
-  // PP pairs overlap chunk-by-chunk (the consumer starts chunk i once the
-  // producer completed it); everything else serializes, so the makespan is
-  // the saturating sum over segments.
-  result.cycles = 0;
-  for (std::size_t i = 0; i < n;) {
-    if (i + 1 < n &&
-        spec.boundaries[i] == InterPhase::kParallelPipeline) {
-      result.boundaries[i].overlapped = true;
-      result.cycles = sat_add_u64(
-          result.cycles,
-          compose_parallel_pipeline(result.phases[i].result.chunk_completion,
-                                    result.phases[i + 1].result.chunk_cycles));
-      i += 2;
-    } else {
-      result.cycles = sat_add_u64(result.cycles, result.phases[i].result.cycles);
-      i += 1;
-    }
+  const PipelineCost cost =
+      compose_pipeline(results, spec.boundaries, energy_, partition_bytes);
+  result.cycles = cost.cycles;
+  result.traffic = cost.traffic;
+  result.energy = cost.energy;
+  // Validation keeps PP boundaries apart, so every one composes as a pair.
+  for (BoundaryOutcome& bo : result.boundaries) {
+    bo.overlapped = bo.inter == InterPhase::kParallelPipeline;
   }
-
-  for (const PhaseOutcome& po : result.phases) {
-    result.traffic += po.result.traffic;
-  }
-  std::size_t partition_bytes = 0;
-  for (const BoundaryOutcome& bo : result.boundaries) {
-    if (bo.inter == InterPhase::kParallelPipeline) {
-      partition_bytes = std::max(partition_bytes,
-                                 bo.buffer_elements * hw_.element_bytes);
-    }
-  }
-  result.energy = compute_energy(result.traffic, energy_, partition_bytes);
-
-  result.num_rows = v;
-  result.in_features = in_w.empty() ? 0 : in_w.front();
-  result.out_features = out_w.empty() ? 0 : out_w.back();
+  result.num_rows = workload.num_vertices();
+  result.in_features = n > 0 ? shapes.front().in_features : 0;
+  result.out_features = n > 0 ? shapes.back().out_features : 0;
   return result;
 }
 

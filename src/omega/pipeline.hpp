@@ -104,8 +104,8 @@ struct PhaseSpec {
 };
 
 /// Hand-off roles derived from the engine kind and loop order alone —
-/// PhaseSpec::producer_role/consumer_role delegate here, and the DSE eval
-/// core derives boundary plans per candidate without materializing
+/// PhaseSpec::producer_role/consumer_role delegate here, and
+/// derive_pipeline plans boundaries per candidate without materializing
 /// PhaseSpecs (no name strings on the hot path).
 [[nodiscard]] HandoffRole phase_producer_role(PhaseEngine e,
                                               const LoopOrder& order);
@@ -132,9 +132,6 @@ struct PipelineSpec {
   /// First-phase input width override; 0 = the workload's feature width.
   std::size_t in_features = 0;
 
-  /// PE share of the first phase of PP boundary `b`'s pair.
-  [[nodiscard]] double pp_first_share(std::size_t b) const;
-
   /// Like DataflowDescriptor: returns the failure reason, or throws
   /// InvalidDataflowError with it.
   [[nodiscard]] std::optional<std::string> validation_error() const;
@@ -153,6 +150,11 @@ struct PipelineBindingView {
   std::span<const InterPhase> boundaries;      // phases.size() - 1
   std::span<const double> pe_fractions;        // empty or one per phase
 };
+
+/// PE share of the first phase of PP boundary `b`'s pair: fractions[b] :
+/// fractions[b+1], or an even split when the fractions are left empty.
+[[nodiscard]] double pp_first_share(const PipelineBindingView& binding,
+                                    std::size_t b);
 
 /// The binding-invariant half of one phase (PhaseSpec minus the dataflow).
 struct PhaseChainSpec {
@@ -227,6 +229,64 @@ struct PipelineResult {
   EnergyBreakdown energy;
 };
 
+/// The binding-invariant facts of one phase that derive_pipeline consumes.
+struct PipelinePhaseShape {
+  PhaseEngine engine = PhaseEngine::kDenseDense;
+  std::size_t in_features = 0;
+  std::size_t out_features = 0;
+  /// Sparse-weight phases: the W^T pattern (sparse_weight_csr) the SpMM
+  /// engine walks. Null for the other engines.
+  const CSRGraph* weights = nullptr;
+};
+
+/// One phase's derived engine config: `gemm` for dense phases, `spmm` for
+/// sparse-dense phases and for sparse-weight phases (transposed problem).
+struct PhaseEngineConfig {
+  bool is_gemm = false;
+  SpmmPhaseConfig spmm;
+  GemmPhaseConfig gemm;
+
+  [[nodiscard]] std::size_t pes() const {
+    return is_gemm ? gemm.pes : spmm.pes;
+  }
+};
+
+/// The one derivation of a bound pipeline's engine configs, shared by
+/// Omega::run_pipeline and the DSE eval plan (engine/eval_core.hpp): the PP
+/// PE/bandwidth split, the Table III boundary plan of every adjacent pair
+/// (written to `boundaries`, phases - 1 entries) and every phase's engine
+/// config with its boundary-derived flags (written to `configs`). Returns
+/// the PP partition size in bytes for the energy model. Writes only into
+/// caller-owned storage, so a sweep reusing it stays allocation-free.
+///
+/// Preconditions (the callers check them first): the binding passes
+/// PipelineSpec validation for these shapes, and every PP boundary has
+/// hw.num_pes >= 2 and a first-phase share strictly inside (0, 1).
+/// `graph` is the workload adjacency; `context`, when non-null, is bound to
+/// it and feeds the sparse-dense and dense configs.
+[[nodiscard]] std::size_t derive_pipeline(
+    const AcceleratorConfig& hw, const CSRGraph& graph,
+    const WorkloadContext* context, std::span<const PipelinePhaseShape> shapes,
+    const PipelineBindingView& binding, std::span<PhaseEngineConfig> configs,
+    std::span<BoundaryOutcome> boundaries);
+
+/// A composed pipeline: makespan, summed traffic and its energy.
+struct PipelineCost {
+  std::uint64_t cycles = 0;
+  TrafficCounters traffic;
+  EnergyBreakdown energy;
+};
+
+/// Composes per-phase results in execution order. PP pairs overlap
+/// chunk-by-chunk (the consumer starts chunk i once the producer completed
+/// it); everything else serializes, so the makespan is the saturating sum
+/// over segments. Energy prices the summed traffic with a PP partition of
+/// `partition_bytes` (derive_pipeline's return value).
+[[nodiscard]] PipelineCost compose_pipeline(
+    std::span<const PhaseResult* const> phases,
+    std::span<const InterPhase> boundaries, const EnergyModel& em,
+    std::size_t partition_bytes);
+
 /// Lowers the classic two-phase descriptor into a PipelineSpec (phases in
 /// execution order per df.phase_order). When `num_pes` > 0 the PP PE split
 /// is resolved against that array size so the generalized allocator
@@ -260,16 +320,6 @@ struct PipelineResult {
                                             double weight_density,
                                             std::size_t index);
 
-/// Prices a traffic profile through the energy model: per-category GB
-/// accesses, RF, DRAM, and the PP intermediate-partition buffer (sized
-/// `partition_bytes`; 0 when no boundary buffers). This is the single
-/// energy-accounting function behind Omega::run, run_pipeline, and the
-/// delta-evaluation core (engine/eval_core.hpp) — their parity contract
-/// requires pricing summed traffic identically.
-[[nodiscard]] EnergyBreakdown compute_energy(const TrafficCounters& traffic,
-                                             const EnergyModel& em,
-                                             std::size_t partition_bytes);
-
 /// Synthetic CSR pattern of W^T for a sparse-weight phase: `out_features`
 /// rows, each holding max(1, round(density * in_features)) evenly spaced
 /// column ids in [0, in_features). Deterministic — the cost model only
@@ -284,12 +334,5 @@ struct PipelineResult {
 /// bounds (DSE pruning) need without materializing the CSR.
 [[nodiscard]] std::size_t sparse_weight_nnz_per_row(std::size_t in_features,
                                                     double density);
-
-/// Engine-facing chunk grid for the transposed sparse-weight problem: Out^T
-/// swaps rows/columns, and flipping the traversal major keeps the FLATTENED
-/// chunk order identical, which is what lets a transposed producer timeline
-/// compose index-by-index with an untransposed consumer. Shared with the
-/// DSE eval core, whose boundary plans must mirror run_pipeline exactly.
-[[nodiscard]] ChunkSpec transpose_chunks(const ChunkSpec& chunks);
 
 }  // namespace omega

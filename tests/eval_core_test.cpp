@@ -1,18 +1,24 @@
-// Delta/batched evaluation core vs the scalar oracle (engine/eval_core.hpp).
+// Cached evaluation core vs the uncached oracle (engine/eval_core.hpp).
 //
-// The parity contract under test: for every descriptor — valid or not —
-// EvalPlan::evaluate_one and evaluate_batch return bit-identical
-// (cycles, on_chip_pj) to Omega::run through the same WorkloadContext, and
-// ok == false exactly when Omega::run throws Error. The fuzz walks random
-// base descriptors plus single-field mutations (the neighborhood structure
-// delta slots are built for), reusing one DeltaState throughout so stale
-// slots from a previous candidate can never leak into the next.
+// The parity contract under test: for every binding — valid or not —
+// PipelineEvalPlan::evaluate_batch returns bit-identical (cycles,
+// on_chip_pj) to Omega::run_pipeline on the bound spec without a context,
+// and ok == false exactly when run_pipeline throws Error. The fuzz walks
+// random base bindings plus single-field mutations (the neighborhood
+// structure the delta slots are built for) on the classic AC and CA chains
+// and a 3-phase chain with PP and SP boundaries, reusing one
+// PipelineDeltaState throughout so stale slots from a previous candidate —
+// or a previous chain — can never leak into the next.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
-#include "dse/search.hpp"
+#include "dse/pipeline_search.hpp"
 #include "engine/eval_core.hpp"
 #include "graph/generators.hpp"
 #include "omega/omega.hpp"
@@ -36,12 +42,42 @@ AcceleratorConfig small_hw() {
   return hw;
 }
 
+PipelineChainSpec classic_chain(PhaseOrder order) {
+  PipelineChainSpec c;
+  const PhaseChainSpec agg{.name = "agg", .engine = PhaseEngine::kSparseDense};
+  const PhaseChainSpec cmb{
+      .name = "cmb", .engine = PhaseEngine::kDenseDense, .out_features = 16};
+  c.phases = order == PhaseOrder::kAC ? std::vector{agg, cmb}
+                                      : std::vector{cmb, agg};
+  return c;
+}
+
+/// gemm(16) -> spmm -> spgemm(8, d=0.5): the score->agg boundary admits PP,
+/// the agg->xform boundary only Seq or SP (a sparse-weight consumer).
+PipelineChainSpec three_phase_chain() {
+  PipelineChainSpec c;
+  c.phases = {{.name = "score",
+               .engine = PhaseEngine::kDenseDense,
+               .out_features = 16},
+              {.name = "agg", .engine = PhaseEngine::kSparseDense},
+              {.name = "xform",
+               .engine = PhaseEngine::kSparseSparse,
+               .out_features = 8,
+               .weight_density = 0.5}};
+  return c;
+}
+
+std::vector<PipelineChainSpec> fuzz_chains() {
+  return {classic_chain(PhaseOrder::kAC), classic_chain(PhaseOrder::kCA),
+          three_phase_chain()};
+}
+
 EvalOutcome oracle(const Omega& omega, const GnnWorkload& w,
-                   const LayerSpec& layer, const DataflowDescriptor& df,
-                   const WorkloadContext& context) {
+                   const PipelineChainSpec& chain,
+                   const PipelineCandidate& c) {
   EvalOutcome o;
   try {
-    const RunResult r = omega.run(w, layer, df, context);
+    const PipelineResult r = omega.run_pipeline(w, chain.bind(c.view()));
     o.cycles = r.cycles;
     o.on_chip_pj = r.energy.on_chip_pj();
     o.ok = true;
@@ -51,188 +87,205 @@ EvalOutcome oracle(const Omega& omega, const GnnWorkload& w,
   return o;
 }
 
-/// Mutates exactly one descriptor field. Mutants may be invalid (bad tile
-/// shapes, infeasible order pairs, PP fraction at the boundary) — the
-/// contract covers those too: both paths must agree the candidate is
-/// infeasible.
-DataflowDescriptor mutate_one_field(DataflowDescriptor df, std::mt19937& rng) {
+/// Mutates exactly one binding field. Mutants may be invalid (bad tile
+/// shapes, infeasible hand-offs, PP shares outside (0, 1)) — the contract
+/// covers those too: both paths must agree the candidate is infeasible.
+PipelineCandidate mutate_one_field(PipelineCandidate c, std::mt19937& rng) {
   const auto pick = [&](std::size_t n) {
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
   };
-  const auto nudge_tile = [&](std::size_t& t) {
-    if (pick(2) == 0) {
-      t = t * 2;
-    } else {
-      t = std::max<std::size_t>(1, t / 2);
+  const std::size_t n = c.phases.size();
+  switch (pick(4)) {
+    case 0: {
+      if (c.boundaries.empty()) break;
+      c.boundaries[pick(c.boundaries.size())] =
+          static_cast<InterPhase>(pick(4));
+      break;
     }
-  };
-  switch (pick(9)) {
-    case 0:
-      df.inter = static_cast<InterPhase>(pick(4));
+    case 1: {
+      IntraPhaseDataflow& df = c.phases[pick(n)];
+      std::array<Dim, 3> dims{df.order.at(0), df.order.at(1), df.order.at(2)};
+      std::shuffle(dims.begin(), dims.end(), rng);
+      df.order = LoopOrder(dims[0], dims[1], dims[2]);
       break;
-    case 1:
-      df.phase_order = df.phase_order == PhaseOrder::kAC ? PhaseOrder::kCA
-                                                         : PhaseOrder::kAC;
+    }
+    case 2: {
+      IntraPhaseDataflow& df = c.phases[pick(n)];
+      const Dim d = phase_dims(df.phase)[pick(3)];
+      const std::size_t t = df.tiles.get(d);
+      df.tiles.set(d, pick(2) == 0 ? t * 2 : std::max<std::size_t>(1, t / 2));
       break;
-    case 2: nudge_tile(df.agg.tiles.v); break;
-    case 3: nudge_tile(df.agg.tiles.n); break;
-    case 4: nudge_tile(df.agg.tiles.f); break;
-    case 5: nudge_tile(df.cmb.tiles.v); break;
-    case 6: nudge_tile(df.cmb.tiles.f); break;
-    case 7: nudge_tile(df.cmb.tiles.g); break;
+    }
     default: {
-      constexpr double kFracs[] = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
-      df.pp_agg_pe_fraction = kFracs[pick(7)];
+      constexpr double kFracs[] = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, -1.0};
+      if (pick(4) == 0) {
+        c.pe_fractions.clear();
+      } else {
+        if (c.pe_fractions.size() != n) c.pe_fractions.assign(n, 1.0);
+        c.pe_fractions[pick(n)] = pick(8) == 0
+                                      ? std::numeric_limits<double>::quiet_NaN()
+                                      : kFracs[pick(8)];
+      }
       break;
     }
   }
-  return df;
+  return c;
 }
 
-TEST(EvalCoreFuzz, SingleFieldMutationsMatchScalarOracle) {
+void expect_same(const EvalOutcome& got, const EvalOutcome& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.ok, want.ok) << what;
+  ASSERT_EQ(got.cycles, want.cycles) << what;
+  ASSERT_EQ(got.on_chip_pj, want.on_chip_pj) << what;
+}
+
+TEST(EvalCoreFuzz, BindingMutationsMatchUncachedRunPipeline) {
   const GnnWorkload w = fuzz_workload();
-  const LayerSpec layer{16};
   const Omega omega(small_hw());
   const WorkloadContext context(w.adjacency);
-  (void)context.reverse_graph();
-
-  SearchOptions gen;
-  gen.include_ca = true;
-  const std::vector<DataflowDescriptor> base = enumerate_search_candidates(
-      gen, dims_of(w, layer), omega.config().num_pes);
-  ASSERT_GT(base.size(), 100u);
-
-  const auto plan = EvalPlan::obtain(omega, w, layer, context);
-  ASSERT_NE(plan, nullptr);
+  const std::vector<PipelineChainSpec> chains = fuzz_chains();
 
   std::mt19937 rng(20240807);
-  DeltaState state;  // reused across all cases: stale slots must never leak
-  std::vector<DataflowDescriptor> mutants;
-  std::vector<EvalOutcome> expected;
-  std::size_t cases = 0;
+  PipelineDeltaState state;  // reused across all cases and chains
   std::size_t feasible = 0;
   std::size_t infeasible = 0;
-  while (cases < 4200) {
-    const DataflowDescriptor& b =
-        base[std::uniform_int_distribution<std::size_t>(0, base.size() - 1)(
-            rng)];
-    const DataflowDescriptor m = mutate_one_field(b, rng);
-    for (const DataflowDescriptor* df : {&b, &m}) {
-      const EvalOutcome want = oracle(omega, w, layer, *df, context);
-      const EvalOutcome got = plan->evaluate_one(*df, state);
-      ASSERT_EQ(got.ok, want.ok) << df->to_string();
-      if (want.ok) {
-        ASSERT_EQ(got.cycles, want.cycles) << df->to_string();
-        ASSERT_EQ(got.on_chip_pj, want.on_chip_pj) << df->to_string();
-        ++feasible;
-      } else {
-        ASSERT_EQ(got.cycles, 0u);
-        ++infeasible;
+  for (const PipelineChainSpec& chain : chains) {
+    SCOPED_TRACE(chain.to_string());
+    const std::vector<PipelineCandidate> base = enumerate_pipeline_candidates(
+        chain, 0, w, omega.config().num_pes);
+    ASSERT_GT(base.size(), 100u);
+    const auto plan = PipelineEvalPlan::obtain(omega, w, chain, context);
+    ASSERT_NE(plan, nullptr);
+
+    std::vector<PipelineCandidate> cases;
+    std::vector<EvalOutcome> expected;
+    std::size_t chain_feasible = 0;
+    while (cases.size() < 1400) {
+      const PipelineCandidate& b = base[std::uniform_int_distribution<
+          std::size_t>(0, base.size() - 1)(rng)];
+      for (PipelineCandidate c : {b, mutate_one_field(b, rng)}) {
+        const EvalOutcome want = oracle(omega, w, chain, c);
+        const PipelineBindingView view = c.view();
+        EvalOutcome got;
+        plan->evaluate_batch({&view, 1}, &got, state);
+        expect_same(got, want, chain.bind(view).to_string());
+        chain_feasible += want.ok ? 1 : 0;
+        (want.ok ? feasible : infeasible) += 1;
+        cases.push_back(std::move(c));
+        expected.push_back(want);
       }
-      mutants.push_back(*df);
-      expected.push_back(want);
-      ++cases;
+    }
+    EXPECT_GE(plan->term_requests(), chain.phases.size() * chain_feasible);
+    EXPECT_LE(plan->term_builds(), plan->term_requests());
+
+    // Block pass over the same population: outcomes must not depend on how
+    // candidates are grouped into evaluate_batch calls.
+    std::vector<PipelineBindingView> views;
+    for (const PipelineCandidate& c : cases) views.push_back(c.view());
+    std::vector<EvalOutcome> out(views.size());
+    for (std::size_t from = 0; from < views.size(); from += 257) {
+      const std::size_t m = std::min<std::size_t>(257, views.size() - from);
+      plan->evaluate_batch({views.data() + from, m}, out.data() + from, state);
+    }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      expect_same(out[i], expected[i], chain.bind(views[i]).to_string());
     }
   }
   // The neighborhood must exercise both verdicts, or the fuzz proves less
   // than it claims.
-  EXPECT_GT(feasible, 100u);
-  EXPECT_GT(infeasible, 100u);
+  EXPECT_GT(feasible, 300u);
+  EXPECT_GT(infeasible, 300u);
   EXPECT_GT(state.delta_hits, 0u);
-  EXPECT_GE(plan->term_requests(), 2 * feasible);
-  EXPECT_LE(plan->term_builds(), plan->term_requests());
-
-  // Batch pass over the exact same population: evaluate_batch must
-  // reproduce the per-candidate outcomes regardless of batch boundaries.
-  std::vector<const DataflowDescriptor*> ptrs;
-  ptrs.reserve(mutants.size());
-  for (const DataflowDescriptor& df : mutants) ptrs.push_back(&df);
-  std::vector<EvalOutcome> out(ptrs.size());
-  for (std::size_t from = 0; from < ptrs.size(); from += 257) {
-    const std::size_t n = std::min<std::size_t>(257, ptrs.size() - from);
-    plan->evaluate_batch({ptrs.data() + from, n}, out.data() + from, state);
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(out[i].ok, expected[i].ok) << mutants[i].to_string();
-    ASSERT_EQ(out[i].cycles, expected[i].cycles) << mutants[i].to_string();
-    ASSERT_EQ(out[i].on_chip_pj, expected[i].on_chip_pj)
-        << mutants[i].to_string();
-  }
 }
 
 TEST(EvalCoreFuzz, PlanIsCachedPerContextSignature) {
   const GnnWorkload w = fuzz_workload();
-  const LayerSpec layer{16};
   const Omega omega(small_hw());
   const WorkloadContext context(w.adjacency);
-  const auto a = EvalPlan::obtain(omega, w, layer, context);
-  const auto b = EvalPlan::obtain(omega, w, layer, context);
-  EXPECT_EQ(a.get(), b.get());
+  const PipelineChainSpec ac = classic_chain(PhaseOrder::kAC);
+  const auto a = PipelineEvalPlan::obtain(omega, w, ac, context);
+  EXPECT_EQ(a.get(), PipelineEvalPlan::obtain(omega, w, ac, context).get());
   EXPECT_EQ(context.eval_plan_count(), 1u);
-  // A different layer shape is a different plan.
-  const auto c = EvalPlan::obtain(omega, w, LayerSpec{8}, context);
-  EXPECT_NE(a.get(), c.get());
+  // Phase names never affect costs, so they share the plan.
+  PipelineChainSpec renamed = ac;
+  renamed.phases[0].name = "aggregate";
+  EXPECT_EQ(a.get(),
+            PipelineEvalPlan::obtain(omega, w, renamed, context).get());
+  // A different output width is a different plan.
+  PipelineChainSpec wider = ac;
+  wider.phases[1].out_features = 8;
+  EXPECT_NE(a.get(), PipelineEvalPlan::obtain(omega, w, wider, context).get());
   EXPECT_EQ(context.eval_plan_count(), 2u);
 }
 
-/// Ranked + Pareto output of search_mappings must be bit-identical across
-/// the three evaluation paths, all four inter-phase modes, and thread
-/// counts — the acceptance gate of the delta core.
+/// Every ranked and Pareto entry of a search must re-evaluate bit-identically
+/// through uncached run_pipeline, at 1 and 4 threads, for all four
+/// inter-phase modes — the acceptance gate of the cached path.
 class EvalCoreSearchParity : public ::testing::TestWithParam<InterPhase> {};
 
-void expect_same_candidates(const std::vector<Candidate>& a,
-                            const std::vector<Candidate>& b,
-                            const std::string& label) {
+void expect_entries_match_oracle(const Omega& omega, const GnnWorkload& w,
+                                 std::span<const PipelineChainSpec> chains,
+                                 const std::vector<RankedPipelineCandidate>& v,
+                                 const std::string& label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cycles, b[i].cycles);
-    EXPECT_EQ(a[i].on_chip_pj, b[i].on_chip_pj);
-    EXPECT_EQ(a[i].score, b[i].score);
-    EXPECT_EQ(a[i].dataflow.to_string(), b[i].dataflow.to_string());
+  for (const RankedPipelineCandidate& rc : v) {
+    const PipelineResult r = omega.run_pipeline(
+        w, chains[rc.candidate.chain_index].bind(rc.candidate.view()));
+    EXPECT_EQ(rc.cycles, r.cycles) << rc.key;
+    EXPECT_EQ(rc.on_chip_pj, r.energy.on_chip_pj()) << rc.key;
   }
 }
 
-TEST_P(EvalCoreSearchParity, RankedAndParetoIdenticalAcrossPathsAndThreads) {
-  const GnnWorkload w = fuzz_workload();
-  const LayerSpec layer{16};
-  const Omega omega(small_hw());
+void expect_same_entries(const std::vector<RankedPipelineCandidate>& a,
+                         const std::vector<RankedPipelineCandidate>& b,
+                         const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].cycles, b[i].cycles);
+    EXPECT_EQ(a[i].on_chip_pj, b[i].on_chip_pj);
+    EXPECT_EQ(a[i].score, b[i].score);
+  }
+}
 
-  SearchOptions base;
+TEST_P(EvalCoreSearchParity, RankedAndParetoMatchUncachedAcrossThreads) {
+  const GnnWorkload w = fuzz_workload();
+  const Omega omega(small_hw());
+  const std::vector<PipelineChainSpec> chains = fuzz_chains();
+
+  PipelineSearchOptions base;
   base.include_seq = GetParam() == InterPhase::kSequential;
   base.include_sp_generic = GetParam() == InterPhase::kSPGeneric;
   base.include_sp_optimized = GetParam() == InterPhase::kSPOptimized;
   base.include_pp = GetParam() == InterPhase::kParallelPipeline;
-  base.include_ca = true;
   base.top_k = 32;
+  base.max_candidates = 1500;
 
-  SearchOptions scalar = base;
-  scalar.eval_path = EvalPath::kScalar;
-  scalar.threads = 1;
-  const SearchResult want = search_mappings(omega, w, layer, scalar);
-  ASSERT_GT(want.evaluated, 0u);
-
-  for (const EvalPath path : {EvalPath::kDelta, EvalPath::kBatched}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SearchOptions so = base;
-      so.eval_path = path;
-      so.threads = threads;
-      const SearchResult got = search_mappings(omega, w, layer, so);
-      const std::string label = std::string(to_string(path)) + "/t" +
-                                std::to_string(threads);
-      EXPECT_EQ(got.generated, want.generated) << label;
-      EXPECT_EQ(got.evaluated, want.evaluated) << label;
-      expect_same_candidates(want.ranked, got.ranked, label + "/ranked");
-      expect_same_candidates(want.pareto, got.pareto, label + "/pareto");
-      if (path == EvalPath::kBatched) {
-        EXPECT_GT(got.eval.batches, 0u) << label;
-        EXPECT_EQ(got.eval.batched_candidates, got.generated) << label;
-        EXPECT_GT(got.eval.max_batch, 0u) << label;
-      } else {
-        EXPECT_EQ(got.eval.batches, 0u) << label;
-      }
-      EXPECT_GT(got.eval.term_requests, 0u) << label;
+  PipelineSearchResult first;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PipelineSearchOptions so = base;
+    so.threads = threads;
+    const PipelineSearchResult got =
+        search_pipeline_mappings(omega, w, chains, so);
+    const std::string label = "t" + std::to_string(threads);
+    ASSERT_GT(got.evaluated, 0u) << label;
+    expect_entries_match_oracle(omega, w, chains, got.ranked,
+                                label + "/ranked");
+    expect_entries_match_oracle(omega, w, chains, got.pareto,
+                                label + "/pareto");
+    EXPECT_GT(got.eval.term_requests, 0u) << label;
+    EXPECT_GT(got.eval.batches, 0u) << label;
+    EXPECT_GT(got.eval.max_batch, 0u) << label;
+    if (threads == 1) {
+      first = got;
+      continue;
     }
+    EXPECT_EQ(got.generated, first.generated);
+    EXPECT_EQ(got.evaluated, first.evaluated);
+    EXPECT_EQ(got.eval.batched_candidates, first.eval.batched_candidates);
+    expect_same_entries(first.ranked, got.ranked, "ranked t1 vs t4");
+    expect_same_entries(first.pareto, got.pareto, "pareto t1 vs t4");
   }
 }
 
@@ -242,22 +295,21 @@ INSTANTIATE_TEST_SUITE_P(AllInterPhaseModes, EvalCoreSearchParity,
                                            InterPhase::kSPOptimized,
                                            InterPhase::kParallelPipeline));
 
-TEST(EvalCoreSearch, PrunedBatchedSearchMatchesScalarBest) {
+TEST(EvalCoreSearch, PrunedSearchKeepsTheUnprunedBest) {
   const GnnWorkload w = fuzz_workload();
   const LayerSpec layer{16};
   const Omega omega(small_hw());
 
-  SearchOptions scalar;
-  scalar.include_ca = true;
-  scalar.eval_path = EvalPath::kScalar;
-  const SearchResult want = search_mappings(omega, w, layer, scalar);
+  SearchOptions full;
+  full.include_ca = true;
+  const SearchResult want = search_mappings(omega, w, layer, full);
 
-  SearchOptions pruned = scalar;
-  pruned.eval_path = EvalPath::kBatched;
+  SearchOptions pruned = full;
   pruned.prune = true;
   const SearchResult got = search_mappings(omega, w, layer, pruned);
   EXPECT_EQ(got.best().cycles, want.best().cycles);
   EXPECT_EQ(got.best().dataflow.to_string(), want.best().dataflow.to_string());
+  EXPECT_EQ(got.best().cycles, omega.run(w, layer, got.best().dataflow).cycles);
 }
 
 TEST(EvalCoreStats, ContextAggregatesPlanCounters) {

@@ -54,6 +54,7 @@
 //   omega_cli pattern Collab SP2
 //   omega_cli search-model Cora --widths 16,7 --budget 2000 --json model.json
 //   printf '%s\n' '{"id":1,"kind":"stats"}' | omega_cli serve
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -151,7 +152,6 @@ constexpr CommandHelp kCommands[] = {
      "  --top-k N            ranked entries to keep (default 16)\n"
      "  --prune              lossless lower-bound pruning (any objective)\n"
      "  --no-seeds           drop the Table V seed compositions\n"
-     "  --eval-path batched|delta|scalar  evaluation core (default batched)\n"
      "  --threads N --pes N --bw N --scale X --in-features N --json PATH\n"
      "  --trace PATH         write search-stage spans (enumerate / prune /\n"
      "                       evaluate / rank) as Chrome trace-event JSON\n"
@@ -180,7 +180,6 @@ constexpr CommandHelp kCommands[] = {
      "  --allocation mac|even    budget split across layers\n"
      "  --compose sequential|pipelined\n"
      "  --no-prune               disable lower-bound pruning\n"
-     "  --eval-path batched|delta|scalar  evaluation core (default batched)\n"
      "  --pes N --scale X --json PATH\n"},
     {"run-model", "replay one pattern over every model layer",
      "usage: omega_cli run-model <dataset> <pattern> [flags]\n"
@@ -243,8 +242,12 @@ const CommandHelp* find_command(const std::string& name) {
 
 void print_global_usage(std::ostream& os) {
   os << "usage: omega_cli <command> [args]\n\ncommands:\n";
+  std::size_t width = 0;
   for (const CommandHelp& c : kCommands) {
-    os << "  " << pad_right(c.name, 14) << c.summary << "\n";
+    width = std::max(width, std::string(c.name).size());
+  }
+  for (const CommandHelp& c : kCommands) {
+    os << "  " << pad_right(c.name, width + 2) << c.summary << "\n";
   }
   os << "\n`omega_cli help <command>` or `omega_cli <command> --help` "
         "prints the command's flags.\n";
@@ -526,6 +529,16 @@ int cmd_run_pipeline(int argc, char** argv) {
 
 // ---- search-pipeline --------------------------------------------------------
 
+/// Delta-hit and batch-shape numbers vary with the machine's thread layout —
+/// informational here, never part of golden output.
+void print_eval_stats(const EvalStats& e) {
+  std::cout << "eval core: " << with_commas(e.term_requests)
+            << " term requests (" << with_commas(e.term_builds) << " built, "
+            << with_commas(e.delta_hits) << " delta hits), "
+            << with_commas(e.batches) << " batches (max "
+            << with_commas(e.max_batch) << ")\n";
+}
+
 PhaseChainSpec parse_chain_phase_arg(const std::string& text) {
   PhaseChainSpec p;
   bool saw_engine = false;
@@ -592,12 +605,6 @@ int cmd_search_pipeline(int argc, char** argv) {
       pso.prune = true;
     } else if (a == "--no-seeds") {
       pso.seed_table5 = false;
-    } else if (a == "--eval-path") {
-      const std::string p = to_lower(next());
-      if (p == "batched") pso.eval_path = EvalPath::kBatched;
-      else if (p == "delta") pso.eval_path = EvalPath::kDelta;
-      else if (p == "scalar") pso.eval_path = EvalPath::kScalar;
-      else throw InvalidArgumentError("unknown eval path: " + p);
     } else if (a == "--threads") {
       pso.threads = static_cast<std::size_t>(std::stoul(next()));
     } else if (a == "--in-features") {
@@ -667,16 +674,7 @@ int cmd_search_pipeline(int argc, char** argv) {
             << r.evaluated << " evaluated, " << r.pruned << " pruned of "
             << r.generated << " generated; Pareto "
             << r.pareto.size() << ")\n";
-  if (pso.eval_path != EvalPath::kScalar) {
-    // Delta-hit and batch-shape numbers vary with the machine's thread
-    // layout — informational here, never part of golden output.
-    std::cout << "eval core: " << to_string(pso.eval_path) << " path, "
-              << with_commas(r.eval.term_requests) << " term requests ("
-              << with_commas(r.eval.term_builds) << " built, "
-              << with_commas(r.eval.delta_hits) << " delta hits), "
-              << with_commas(r.eval.batches) << " batches (max "
-              << with_commas(r.eval.max_batch) << ")\n";
-  }
+  print_eval_stats(r.eval);
 
   if (!json_path.empty()) {
     JsonWriter jw(2);
@@ -771,12 +769,6 @@ int cmd_search_model(int argc, char** argv) {
       else throw InvalidArgumentError("unknown allocation: " + al);
     } else if (a == "--no-prune") {
       mso.prune = false;
-    } else if (a == "--eval-path") {
-      const std::string p = to_lower(next());
-      if (p == "batched") mso.layer.eval_path = EvalPath::kBatched;
-      else if (p == "delta") mso.layer.eval_path = EvalPath::kDelta;
-      else if (p == "scalar") mso.layer.eval_path = EvalPath::kScalar;
-      else throw InvalidArgumentError("unknown eval path: " + p);
     } else if (a == "--compose") {
       mso.compose = compose_from_string(to_lower(next()));
     } else if (a == "--json") {
@@ -832,16 +824,7 @@ int cmd_search_model(int argc, char** argv) {
             << " uJ on-chip (" << r.evaluated << " evaluated, " << r.pruned
             << " pruned of " << r.generated << " generated"
             << (r.budget_exhausted ? "; budget exhausted" : "") << ")\n";
-  if (mso.layer.eval_path != EvalPath::kScalar) {
-    // Delta-hit and batch-shape numbers vary with the machine's thread
-    // layout — informational here, never part of golden output.
-    std::cout << "eval core: " << to_string(mso.layer.eval_path) << " path, "
-              << with_commas(r.eval.term_requests) << " term requests ("
-              << with_commas(r.eval.term_builds) << " built, "
-              << with_commas(r.eval.delta_hits) << " delta hits), "
-              << with_commas(r.eval.batches) << " batches (max "
-              << with_commas(r.eval.max_batch) << ")\n";
-  }
+  print_eval_stats(r.eval);
   if (mso.compose == ModelCompose::kPipelined) {
     const double pipe_speedup =
         best.composed_cycles > 0
@@ -903,7 +886,6 @@ int cmd_search_model(int argc, char** argv) {
     jw.member("evaluated", static_cast<std::uint64_t>(r.evaluated));
     jw.member("pruned", static_cast<std::uint64_t>(r.pruned));
     jw.member("generated", static_cast<std::uint64_t>(r.generated));
-    jw.member("eval_path", to_string(mso.layer.eval_path));
     jw.key("eval").begin_object();
     jw.member("term_requests", r.eval.term_requests);
     jw.member("term_builds", r.eval.term_builds);
