@@ -2,8 +2,8 @@
 // tail latency.
 //
 // Phase 1 — throughput (warm registry vs cold per-request synthesis, the
-// service's reason to exist). Each batch is replayed through two
-// MappingService instances:
+// service's reason to exist). Each batch is replayed as one serve()
+// session (the stdio transport) through two MappingService instances:
 //
 //  * cold: registry capacity 0, so every request pays graph synthesis and
 //    WorkloadContext warm-up from scratch (the pre-service CLI cost);
@@ -32,11 +32,12 @@
 // Writes BENCH_service.json.
 //
 // Phase 3 — streaming first-result latency over TCP. A fast high-band
-// evaluate is sent behind a slow band-0 search on one connection. The batch
-// transport holds every response until the barrier, so its first-result
-// latency is the whole batch; the streaming transport emits the fast
-// request the moment it completes. The ratio is the headline win of the
-// serving core and OMEGA_SERVICE_GATE_STREAM_SPEEDUP turns it into a gate.
+// evaluate is sent behind a slow band-0 search on one connection. A batch
+// barrier would hold every response until the whole batch is done, so its
+// first-result latency is the time of the round's last response on the
+// same connection; the streaming transport emits the fast request the
+// moment it completes. The ratio is the headline win of the serving core
+// and OMEGA_SERVICE_GATE_STREAM_SPEEDUP turns it into a gate.
 //
 // Phase 4 — priority flood + load shedding over TCP. Four connections
 // flood band 0 while one connection runs closed-loop band-7 probes. The
@@ -72,6 +73,7 @@
 #include <iostream>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,9 +191,15 @@ int main() {
     const auto timed = [&](service::MappingService& svc,
                            const std::vector<std::string>& batch) {
       PathResult p;
+      std::string input;
+      for (const std::string& line : batch) input += line + "\n";
+      std::istringstream in(input);
+      std::ostringstream out;
       const auto t0 = std::chrono::steady_clock::now();
-      p.responses = svc.handle_batch(batch);
+      (void)svc.serve(in, out);
       const auto t1 = std::chrono::steady_clock::now();
+      std::istringstream reread(out.str());
+      for (std::string l; std::getline(reread, l);) p.responses.push_back(l);
       p.seconds = std::chrono::duration<double>(t1 - t0).count();
       p.rps = p.seconds > 0.0 ? static_cast<double>(batch.size()) / p.seconds
                               : 0.0;
@@ -358,21 +366,6 @@ int main() {
       std::cout << "\n== streaming first-result latency over TCP ==\n"
                 << "band-7 evaluate behind a band-0 search (cap "
                 << search_cap * 4 << "), " << kStreamRounds << " rounds\n";
-      // Batch-barrier baseline: the whole batch is the first result.
-      std::vector<double> batch_ms;
-      for (std::size_t r = 0; r < kStreamRounds; ++r) {
-        const std::vector<std::string> batch = {slow_line(++id),
-                                                fast_line(++id)};
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::vector<std::string> rs = svc.handle_batch(batch);
-        const auto t1 = std::chrono::steady_clock::now();
-        for (const std::string& r2 : rs) {
-          if (r2.find(R"("ok":true)") == std::string::npos) streaming.ok = false;
-        }
-        batch_ms.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-      }
-
       service::Listener listener = service::Listener::tcp("127.0.0.1", 0);
       const std::uint16_t port = listener.port();
       service::ServeOptions so;
@@ -380,6 +373,9 @@ int main() {
       so.scheduler_threads = 2;  // the fast request needs a free worker
       std::thread server([&] { service::serve_on(svc, listener, so); });
       std::vector<double> stream_ms;
+      // Batch-barrier baseline: a barrier delivers its first result only
+      // once the whole round is done, i.e. at the round's last response.
+      std::vector<double> batch_ms;
       for (std::size_t r = 0; r < kStreamRounds; ++r) {
         service::StreamClient client =
             service::StreamClient::connect_tcp("127.0.0.1", port);
@@ -389,17 +385,22 @@ int main() {
         client.send_line(fast_line(++id));
         const std::optional<std::string> first = client.read_line();
         const auto t1 = std::chrono::steady_clock::now();
+        const std::optional<std::string> last = client.read_line();
+        const auto t2 = std::chrono::steady_clock::now();
         client.shutdown_writes();
         while (client.read_line()) {
         }
         if (!first ||
             first->find(R"("id":)" + std::to_string(fast_id)) ==
                 std::string::npos ||
-            first->find(R"("ok":true)") == std::string::npos) {
+            first->find(R"("ok":true)") == std::string::npos ||
+            !last || last->find(R"("ok":true)") == std::string::npos) {
           streaming.ok = false;  // the fast request did not stream first
         }
         stream_ms.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
+        batch_ms.push_back(
+            std::chrono::duration<double, std::milli>(t2 - t0).count());
       }
       server.join();
       streaming.ran = true;

@@ -612,31 +612,16 @@ Request parse_request(const std::string& line) {
   return r;
 }
 
-namespace {
-
-bool kind_is(const std::string& line, std::initializer_list<const char*> any) {
+bool is_barrier_request(const std::string& line) {
   // omega-lint: allow(uncaught-escape): parse probe; malformed lines return false, non-Error escapes reach the handler catch-all
   try {
     const JsonValue root = JsonValue::parse(line);
     const JsonValue* kind = root.find("kind");
-    if (kind == nullptr || !kind->is_string()) return false;
-    for (const char* k : any) {
-      if (kind->as_string() == k) return true;
-    }
-    return false;
+    return kind != nullptr && kind->is_string() &&
+           (kind->as_string() == "stats" || kind->as_string() == "metrics");
   } catch (const Error&) {
     return false;  // malformed lines get their error response concurrently
   }
-}
-
-}  // namespace
-
-bool is_stats_request(const std::string& line) {
-  return kind_is(line, {"stats"});
-}
-
-bool is_barrier_request(const std::string& line) {
-  return kind_is(line, {"stats", "metrics"});
 }
 
 std::uint64_t peek_request_id(const std::string& line) {

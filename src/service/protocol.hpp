@@ -44,10 +44,8 @@
 //
 //   {"id":7,"version":2,"kind":"metrics"}
 //
-// and per-request scheduling fields on every kind (the streaming transports
-// feed these to the request scheduler; the stdio batch path accepts them so
-// one request file replays identically over every transport, but dispatches
-// batch-concurrently as before):
+// and per-request scheduling fields on every kind (every transport, stdio
+// included, feeds these to the request scheduler):
 //
 //   {"id":8,"version":2,"kind":"evaluate","priority":7,"deadline_ms":250,...}
 #pragma once
@@ -111,9 +109,8 @@ struct Request {
   WorkloadRef workload;
 
   // Scheduling (version >= 2, any kind). Absent means band 0 with no
-  // deadline — exactly today's behavior. The streaming transports hand
-  // these to the request scheduler; the stdio batch path parses and
-  // ignores them (batch-concurrent dispatch, documented above).
+  // deadline. Sessions read them off the raw line
+  // (peek_request_scheduling) and hand them to the request scheduler.
   std::uint64_t priority = 0;     // [0, kMaxRequestPriority], 7 = highest
   std::uint64_t deadline_ms = 0;  // relative deadline; 0 = none
 
@@ -178,15 +175,9 @@ struct RequestScheduling {
 [[nodiscard]] RequestScheduling peek_request_scheduling(
     const std::string& line);
 
-/// True when the line is a well-formed stats request. The server treats
-/// these as dispatch barriers so their registry counters deterministically
-/// reflect every request preceding them in the batch.
-[[nodiscard]] bool is_stats_request(const std::string& line);
-
-/// True for any request kind the server serializes against the surrounding
-/// parallel batch segments (stats and metrics): both read cumulative
-/// counters whose values must deterministically reflect every preceding
-/// request.
+/// True for any request kind a session dispatches as a barrier (stats and
+/// metrics): both read cumulative counters whose values must
+/// deterministically reflect every preceding request of the session.
 [[nodiscard]] bool is_barrier_request(const std::string& line);
 
 /// Structured error response: {"id":..,"ok":false,"error":{...}}. A

@@ -89,9 +89,9 @@ class WorkloadRegistry {
 
   /// Acquire-recency epoch. Starts at 1 and advances only at barrier
   /// requests (the service calls advance_epoch after serving a stats or
-  /// metrics request, which handle_batch serializes against the
-  /// surrounding parallel segments) — every acquire within a segment
-  /// stamps the same epoch regardless of thread schedule.
+  /// metrics request, which each session dispatches alone, after its
+  /// earlier requests emit) — every acquire between two barriers stamps
+  /// the same epoch regardless of thread schedule.
   [[nodiscard]] std::uint64_t epoch() const;
   void advance_epoch();
 

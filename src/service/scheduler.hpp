@@ -1,10 +1,9 @@
 // Priority/deadline request scheduler of the serving core (see DESIGN.md
 // "Serving core").
 //
-// The streaming transports (TCP and the Unix-socket path) do not dispatch
-// batch-concurrently like the stdio path; every request line is submitted
-// here instead. The scheduler is a bounded admission queue in front of the
-// request handler:
+// Every transport (stdio, TCP and Unix sockets) submits each request line
+// here; this is the service's one dispatch path. The scheduler is a bounded
+// admission queue in front of the request handler:
 //
 //  * requests carry a priority band (0 = lowest .. bands-1 = highest) and an
 //    optional relative deadline; dispatch picks the highest non-empty band
@@ -15,7 +14,7 @@
 //    newly submitted request is shed — unless it outranks a queued
 //    lower-band request, in which case that victim is shed instead (a
 //    low-priority flood can never push high-priority work out, and a full
-//    queue never blocks the transport's reader thread);
+//    queue never blocks the submitting thread);
 //  * sheds are structured responses, not closed connections: the completion
 //    callback fires with {"ok":false,"error":{"type":"overloaded",...}} so
 //    the client can tell load shedding from a crash;
@@ -29,8 +28,8 @@
 // dispatch threads are cheap waiters, not a second compute pool.
 //
 // Determinism: dispatch order between concurrent workers is scheduling-
-// dependent, but the transports re-order responses per (connection,
-// band) — see tcp.hpp — so client-visible bytes stay deterministic. The
+// dependent, but sessions re-order responses per (session, band) — see
+// tcp.hpp — so client-visible bytes stay deterministic. The
 // policy itself is exact and testable single-threaded through run_one(),
 // and the clock is injectable so deadline sheds are reproducible in tests.
 #pragma once

@@ -1,13 +1,9 @@
 #include "service/server.hpp"
 
 #include <chrono>
-#include <istream>
 #include <optional>
-#include <ostream>
 
 #include "obs/trace.hpp"
-#include "util/format.hpp"
-#include "util/parallel.hpp"
 
 namespace omega::service {
 
@@ -45,8 +41,8 @@ std::string MappingService::handle(const Request& request) {
     if (request.version >= 2) {
       // v2 extension: the acquire-recency epoch plus one signature-sorted
       // row per resident entry. Hit counts and epochs are deterministic for
-      // a given request sequence (the batch dispatcher serializes stats
-      // requests against the surrounding segments).
+      // a given request sequence (every session drains its other requests
+      // around a stats request).
       w.member("epoch", registry_.epoch());
       w.key("entries").begin_array();
       for (const RegistryEntryStats& entry : registry_.entry_stats()) {
@@ -251,67 +247,7 @@ std::string MappingService::handle_line(const std::string& line) {
   return response;
 }
 
-std::vector<std::string> MappingService::handle_batch(
-    const std::vector<std::string>& lines) {
-  std::vector<std::string> responses(lines.size());
-  // Concurrent dispatch, ordered emission: each response slot is written by
-  // exactly one participant, and every response is a deterministic function
-  // of its own request, so the emitted bytes do not depend on the thread
-  // count. Requests additionally parallelize internally on the same pool —
-  // the pool tolerates nested dispatch (a nested publication simply recruits
-  // whatever workers are idle).
-  const auto run_segment = [&](std::size_t from, std::size_t to) {
-    if (from >= to) return;
-    parallel_blocks(
-        to - from,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t j = begin; j < end; ++j) {
-            responses[from + j] = handle_line(lines[from + j]);
-          }
-        },
-        options_.threads, /*grain=*/1);
-  };
-  // Stats and metrics requests are dispatch barriers: their counters must
-  // reflect exactly the requests that precede them in the batch, which a
-  // free-for-all concurrent dispatch cannot guarantee (the tiny handler
-  // would race the workload acquires it is meant to observe).
-  std::size_t segment_start = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (!is_barrier_request(lines[i])) continue;
-    run_segment(segment_start, i);
-    responses[i] = handle_line(lines[i]);
-    segment_start = i + 1;
-  }
-  run_segment(segment_start, lines.size());
-  return responses;
-}
-
-std::size_t MappingService::serve(std::istream& in, std::ostream& out) {
-  std::size_t served = 0;
-  std::vector<std::string> batch;
-  const auto flush = [&] {
-    if (batch.empty()) return;
-    for (const std::string& response : handle_batch(batch)) {
-      out << response << '\n';
-    }
-    out.flush();
-    served += batch.size();
-    batch.clear();
-  };
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) {
-      flush();  // blank line = batch boundary
-      continue;
-    }
-    batch.push_back(line);
-  }
-  flush();
-  return served;
-}
-
-// The socket transports (streaming Unix-socket + TCP serve loops and their
-// clients) live in tcp.cpp; this translation unit is the service itself
-// plus the stdio batch transport.
+// serve() lives in tcp.cpp with the socket transports: stdio runs the same
+// session code on its own scheduler.
 
 }  // namespace omega::service

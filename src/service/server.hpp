@@ -1,13 +1,15 @@
-// Long-lived mapping service: answers batched NDJSON requests from the
-// warmed workload registry (see DESIGN.md "Mapping service").
+// Long-lived mapping service: answers NDJSON requests from the warmed
+// workload registry (see DESIGN.md "Mapping service").
 //
-// Dispatch model: requests accumulate until a batch boundary (a blank line,
-// or end of input / connection write-shutdown), then the whole batch is
-// dispatched concurrently on the persistent ThreadPool and the responses
-// are emitted strictly in request order. Every individual response is a
+// Dispatch model: every transport runs the same session (tcp.hpp). serve()
+// is one such session over a stream pair: request lines are submitted to a
+// RequestScheduler as they are read, and responses stream back in
+// per-band request order (all v1 requests share band 0, so their responses
+// come back in request order). Every individual response is a
 // deterministic function of its request (the underlying searches are
-// thread-count-invariant by construction), so a batch's output bytes are
-// identical across thread counts and across warm/cold registry states.
+// thread-count-invariant by construction), so the output bytes are
+// identical across scheduler thread counts, across warm/cold registry
+// states, and across transports.
 //
 // Errors never tear down the service: engine ResourceError, taxonomy
 // violations and malformed requests all map to {"ok":false,"error":{...}}
@@ -19,6 +21,7 @@
 
 #include "obs/metrics.hpp"
 #include "service/shard.hpp"
+#include "service/tcp.hpp"
 
 namespace omega::obs {
 class TraceCollector;
@@ -33,9 +36,6 @@ struct ServiceOptions {
   /// signature; see shard.hpp). 1 = the classic single registry, with
   /// byte-identical stats responses.
   std::size_t registry_shards = 1;
-  /// Concurrent in-flight requests per batch (0 = pool default). Each
-  /// request's internal sweep additionally parallelizes on the same pool.
-  std::size_t threads = 0;
   /// When non-null, every request emits parse / registry_lookup / evaluate /
   /// serialize spans (wall-clock, category "service") into this collector.
   /// Null = zero instrumentation cost.
@@ -50,14 +50,13 @@ class MappingService {
   /// (never throws — failures become structured error responses).
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// Handles a batch concurrently; responses are in request order.
-  [[nodiscard]] std::vector<std::string> handle_batch(
-      const std::vector<std::string>& lines);
-
-  /// NDJSON loop: reads request lines from `in`, flushes a batch of
-  /// responses at every blank line and at EOF. Returns the number of
-  /// requests served.
-  std::size_t serve(std::istream& in, std::ostream& out);
+  /// Runs one NDJSON session (tcp.hpp) over `in`/`out` on its own
+  /// RequestScheduler until `in` is exhausted: options' scheduler fields
+  /// apply (the connection fields do not). Each response is written and
+  /// flushed as soon as it is next in its band's request order. Blank
+  /// lines are no-ops. Returns the number of requests served.
+  std::size_t serve(std::istream& in, std::ostream& out,
+                    const ServeOptions& options = {});
 
   [[nodiscard]] const ShardedRegistry& registry() const { return registry_; }
 
@@ -80,22 +79,5 @@ class MappingService {
   ShardedRegistry registry_;
   obs::MetricsRegistry metrics_;
 };
-
-/// Serves streaming NDJSON over a Unix domain socket at `path` (a provably
-/// stale socket file is replaced; a live server there is an error).
-/// Connections are concurrent and responses stream incrementally in
-/// per-connection per-band request order — the full contract, and the
-/// tunable ServeOptions overload, live in tcp.hpp (this wrapper keeps the
-/// legacy signature: default options, accept `max_connections` then
-/// return, 0 = loop until the process is killed). Returns 0 on orderly
-/// shutdown; throws Error when the socket cannot be created.
-int serve_unix_socket(MappingService& service, const std::string& path,
-                      std::size_t max_connections = 0);
-
-/// Client half of the socket protocol: connects to a `serve --socket`
-/// daemon, sends `requests` (NDJSON), half-closes the write side, and
-/// returns every response byte the daemon sends back.
-[[nodiscard]] std::string send_to_unix_socket(const std::string& path,
-                                              const std::string& requests);
 
 }  // namespace omega::service

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
+#include <istream>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,120 +34,23 @@
 
 namespace omega::service {
 
-#if OMEGA_HAVE_SOCKETS
-
 namespace {
 
-/// Hard cap on one framed request line: a peer streaming garbage without a
-/// newline must exhaust this, not the heap (the legacy read_all path had no
-/// bound at all).
-constexpr std::size_t kMaxLineBytes = 64ull << 20;
+/// A session's response sink: writes one frame (the response plus its
+/// '\n'); throws when the peer is gone.
+using FrameSink = std::function<void(const std::string&)>;
 
-/// Disarms SIGPIPE for writes on this socket where MSG_NOSIGNAL does not
-/// exist (macOS): without it an early-disconnecting peer would kill the
-/// process instead of surfacing EPIPE to the per-connection handler.
-void disarm_sigpipe(int fd) {
-#ifdef SO_NOSIGPIPE
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
-#else
-  (void)fd;  // linux: write_all's MSG_NOSIGNAL covers it
-#endif
-}
-
-/// Reads everything the peer sends until write-shutdown/close (batch
-/// clients only; the server side frames incrementally).
-std::string read_all(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      return data;
-    } else if (errno != EINTR) {
-      throw Error(std::string("socket read failed: ") + std::strerror(errno));
-    }
-  }
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    // MSG_NOSIGNAL: a peer that disconnected before reading must surface
-    // as EPIPE (caught per-connection) — the default SIGPIPE disposition
-    // would kill the whole daemon.
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-    } else if (errno != EINTR) {
-      throw Error(std::string("socket write failed: ") + std::strerror(errno));
-    }
-  }
-}
-
-/// Incremental NDJSON framing over a socket fd: yields one line at a time
-/// as bytes arrive, so dispatch starts at the first newline instead of at
-/// connection close.
-class LineFramer {
- public:
-  explicit LineFramer(int fd) : fd_(fd) {}
-
-  /// Next complete line (newline stripped); a trailing unterminated line is
-  /// yielded at EOF; nullopt once the stream is exhausted.
-  std::optional<std::string> next_line() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n', scan_);
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        scan_ = 0;
-        return line;
-      }
-      scan_ = buf_.size();
-      if (eof_) {
-        if (buf_.empty()) return std::nullopt;
-        std::string line = std::move(buf_);
-        buf_.clear();
-        return line;
-      }
-      if (buf_.size() > kMaxLineBytes) {
-        throw Error("request line exceeds " +
-                    std::to_string(kMaxLineBytes) + " bytes");
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n > 0) {
-        buf_.append(chunk, static_cast<std::size_t>(n));
-      } else if (n == 0) {
-        eof_ = true;
-      } else if (errno != EINTR) {
-        throw Error(std::string("socket read failed: ") +
-                    std::strerror(errno));
-      }
-    }
-  }
-
- private:
-  int fd_;
-  std::string buf_;
-  std::size_t scan_ = 0;  // '\n' search resumes here (no rescan)
-  bool eof_ = false;
-};
-
-/// Per-connection emission state. Completions land here from scheduler
+/// Per-session emission state. Completions land here from scheduler
 /// threads; responses are written in per-band submission order (the
-/// transport's ordering contract — see tcp.hpp).
+/// transports' ordering contract — see tcp.hpp).
 struct Session {
-  Session(int fd_in, std::size_t bands)
-      : fd(fd_in), next_submit(bands, 0), next_emit(bands, 0),
+  Session(FrameSink sink, std::size_t bands)
+      : write(std::move(sink)), next_submit(bands, 0), next_emit(bands, 0),
         pending(bands) {}
 
-  const int fd;
+  const FrameSink write;
   std::mutex mu;
-  std::condition_variable drained;  // in_flight reached 0
+  std::condition_variable emitted;  // in_flight went down
   std::vector<std::uint64_t> next_submit;  // per band
   std::vector<std::uint64_t> next_emit;    // per band
   /// Out-of-order completions parked until their band's emission cursor
@@ -164,7 +70,7 @@ void emit_ready_locked(Session& s, std::size_t band) {
       try {
         std::string frame = std::move(slots.begin()->second);
         frame.push_back('\n');
-        write_all(s.fd, frame);
+        s.write(frame);
       } catch (const std::exception&) {
         s.write_failed = true;
       }
@@ -173,31 +79,40 @@ void emit_ready_locked(Session& s, std::size_t band) {
     ++s.next_emit[band];
     --s.in_flight;
   }
-  if (s.in_flight == 0) s.drained.notify_all();
+  s.emitted.notify_all();
 }
 
-void wait_drained(Session& s) {
+/// Blocks until the session holds at most `limit` unemitted requests.
+void wait_in_flight_at_most(Session& s, std::size_t limit) {
   std::unique_lock lock(s.mu);
-  s.drained.wait(lock, [&s] { return s.in_flight == 0; });
+  s.emitted.wait(lock, [&s, limit] { return s.in_flight <= limit; });
 }
 
-/// One connection: read lines, submit to the shared scheduler, stream
-/// completions back. Owns the fd; never throws (a dropped connection must
-/// not take down the accept loop).
-void run_session(RequestScheduler& scheduler, int fd) {
+/// One session: reads lines from `next_line` until it yields nullopt,
+/// submits each to the scheduler, and streams completions to `write`.
+/// Never throws (a dropped connection must not take down the accept loop);
+/// returns once every submitted request has been emitted, with the number
+/// of requests submitted.
+std::size_t run_session(
+    RequestScheduler& scheduler,
+    const std::function<std::optional<std::string>()>& next_line,
+    FrameSink write) {
   const std::size_t bands = scheduler.options().bands;
-  Session s(fd, bands);
+  // Per-session bound on unemitted requests: the reader waits at the cap
+  // instead of submitting, so one session alone never overruns the
+  // admission queue (the scheduler clamps the depth to at least 1).
+  const std::size_t cap = scheduler.options().max_queue_depth;
+  Session s(std::move(write), bands);
+  std::size_t submitted = 0;
   try {
-    LineFramer framer(fd);
     std::optional<std::string> line;
-    while ((line = framer.next_line()).has_value()) {
-      if (trim(*line).empty()) continue;  // batch separators: no-ops here
-      // Barriers (stats/metrics) keep their handle_batch determinism per
-      // connection: every prior request finishes and emits before the
-      // barrier dispatches, and the barrier emits before anything after it
-      // is submitted.
+    while ((line = next_line()).has_value()) {
+      if (trim(*line).empty()) continue;  // blank lines are no-ops
+      // Barriers (stats/metrics) stay deterministic per session: every
+      // prior request finishes and emits before the barrier dispatches,
+      // and the barrier emits before anything after it is submitted.
       const bool barrier = is_barrier_request(*line);
-      if (barrier) wait_drained(s);
+      wait_in_flight_at_most(s, barrier ? 0 : cap - 1);
       const RequestScheduling sched = peek_request_scheduling(*line);
       SubmitMeta meta;
       meta.id = sched.id;
@@ -212,6 +127,7 @@ void run_session(RequestScheduler& scheduler, int fd) {
         seq = s.next_submit[band]++;
         ++s.in_flight;
       }
+      ++submitted;
       // Shed completions flow through the same path as handled responses,
       // so they too respect per-band order and reach the client as
       // structured errors rather than a dropped connection.
@@ -222,15 +138,93 @@ void run_session(RequestScheduler& scheduler, int fd) {
             s.pending[band].emplace(seq, std::move(response));
             emit_ready_locked(s, band);
           });
-      if (barrier) wait_drained(s);
+      if (barrier) wait_in_flight_at_most(s, 0);
     }
   } catch (const std::exception&) {
-    // Connection-level failure (peer vanished, oversized line); fall
-    // through to the drain so no in-flight completion touches a dead
-    // session, then drop the connection. The daemon lives on.
+    // Session-level failure (peer vanished, oversized line); fall through
+    // to the drain so no in-flight completion touches a dead session, then
+    // end the session. The daemon lives on.
   }
-  wait_drained(s);
-  ::close(fd);
+  wait_in_flight_at_most(s, 0);
+  return submitted;
+}
+
+/// The request scheduler every transport dispatches through.
+RequestScheduler make_scheduler(MappingService& service,
+                                const ServeOptions& options) {
+  SchedulerOptions so;
+  so.workers = options.scheduler_threads;
+  so.max_queue_depth = options.queue_depth;
+  so.min_feasible_deadline_ms = options.min_feasible_deadline_ms;
+  so.metrics = &service.metrics_mut();
+  return RequestScheduler(
+      [&service](const std::string& line) { return service.handle_line(line); },
+      so);
+}
+
+}  // namespace
+
+std::size_t MappingService::serve(std::istream& in, std::ostream& out,
+                                  const ServeOptions& options) {
+  RequestScheduler scheduler = make_scheduler(*this, options);
+  scheduler.start();
+  const std::size_t served = run_session(
+      scheduler,
+      [&in]() -> std::optional<std::string> {
+        std::string line;
+        if (!std::getline(in, line)) return std::nullopt;
+        return line;
+      },
+      [&out](const std::string& frame) {
+        out << frame;
+        out.flush();  // stream each response as it is emitted
+      });
+  scheduler.stop();
+  return served;
+}
+
+#if OMEGA_HAVE_SOCKETS
+
+namespace {
+
+/// Hard cap on one framed line (see LineFramer::next_line).
+constexpr std::size_t kMaxLineBytes = 64ull << 20;
+
+/// Disarms SIGPIPE for writes on this socket where MSG_NOSIGNAL does not
+/// exist (macOS): without it an early-disconnecting peer would kill the
+/// process instead of surfacing EPIPE to the per-connection handler.
+void disarm_sigpipe(int fd) {
+#ifdef SO_NOSIGPIPE
+  const int one = 1;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
+#else
+  (void)fd;  // linux: write_all's MSG_NOSIGNAL covers it
+#endif
+}
+
+void write_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    // MSG_NOSIGNAL: a peer that disconnected before reading must surface
+    // as EPIPE (caught per-connection) — the default SIGPIPE disposition
+    // would kill the whole daemon.
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (errno != EINTR) {
+      throw Error(std::string("socket write failed: ") + std::strerror(errno));
+    }
+  }
+}
+
+/// One connection's session; owns and closes `conn`.
+void serve_connection(RequestScheduler& scheduler, int conn) {
+  LineFramer framer;
+  (void)run_session(
+      scheduler, [&framer, conn] { return framer.next_line(conn); },
+      [conn](const std::string& frame) { write_all(conn, frame); });
+  ::close(conn);
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -295,6 +289,38 @@ int connect_unix_fd(const std::string& path) {
 }
 
 }  // namespace
+
+std::optional<std::string> LineFramer::next_line(int fd) {
+  for (;;) {
+    const std::size_t nl = buf_.find('\n', scan_);
+    if (nl != std::string::npos) {
+      std::string line = buf_.substr(0, nl);
+      buf_.erase(0, nl + 1);
+      scan_ = 0;
+      return line;
+    }
+    scan_ = buf_.size();
+    if (eof_) {
+      if (buf_.empty()) return std::nullopt;
+      std::string line = std::move(buf_);
+      buf_.clear();
+      return line;
+    }
+    if (buf_.size() > kMaxLineBytes) {
+      throw Error("line exceeds " + std::to_string(kMaxLineBytes) +
+                  " bytes");
+    }
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      eof_ = true;
+    } else if (errno != EINTR) {
+      throw Error(std::string("socket read failed: ") + std::strerror(errno));
+    }
+  }
+}
 
 Listener::Listener(Listener&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
@@ -396,14 +422,7 @@ Listener Listener::unix_socket(const std::string& path, int backlog) {
 
 int serve_on(MappingService& service, Listener& listener,
              const ServeOptions& options) {
-  SchedulerOptions so;
-  so.workers = options.scheduler_threads;
-  so.max_queue_depth = options.queue_depth;
-  so.min_feasible_deadline_ms = options.min_feasible_deadline_ms;
-  so.metrics = &service.metrics_mut();
-  RequestScheduler scheduler(
-      [&service](const std::string& line) { return service.handle_line(line); },
-      so);
+  RequestScheduler scheduler = make_scheduler(service, options);
   scheduler.start();
 
   // Session threads are reaped as they finish (a long-lived daemon must not
@@ -449,7 +468,7 @@ int serve_on(MappingService& service, Listener& listener,
     reap(/*all=*/false);
     const std::uint64_t id = next_id++;
     active.emplace(id, std::thread([&scheduler, &reap_mu, &done, conn, id] {
-                     run_session(scheduler, conn);
+                     serve_connection(scheduler, conn);
                      const std::scoped_lock lock(reap_mu);
                      done.push_back(id);
                    }));
@@ -460,36 +479,21 @@ int serve_on(MappingService& service, Listener& listener,
   return 0;
 }
 
-int serve_tcp(MappingService& service, const std::string& bind_addr,
-              std::uint16_t port, const ServeOptions& options) {
-  Listener listener = Listener::tcp(bind_addr, port, options.backlog);
-  return serve_on(service, listener, options);
-}
-
 int serve_unix_socket(MappingService& service, const std::string& path,
                       const ServeOptions& options) {
   Listener listener = Listener::unix_socket(path, options.backlog);
   return serve_on(service, listener, options);
 }
 
-int serve_unix_socket(MappingService& service, const std::string& path,
-                      std::size_t max_connections) {
-  ServeOptions options;
-  options.max_connections = max_connections;
-  return serve_unix_socket(service, path, options);
-}
-
 StreamClient::StreamClient(StreamClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {
-  other.buffer_.clear();
-}
+    : fd_(std::exchange(other.fd_, -1)),
+      framer_(std::exchange(other.framer_, {})) {}
 
 StreamClient& StreamClient::operator=(StreamClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
-    other.buffer_.clear();
+    framer_ = std::exchange(other.framer_, {});
   }
   return *this;
 }
@@ -514,57 +518,7 @@ void StreamClient::send_line(const std::string& line) {
 void StreamClient::shutdown_writes() { (void)::shutdown(fd_, SHUT_WR); }
 
 std::optional<std::string> StreamClient::read_line() {
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      if (buffer_.empty()) return std::nullopt;
-      std::string line = std::move(buffer_);
-      buffer_.clear();
-      return line;
-    } else if (errno != EINTR) {
-      throw Error(std::string("socket read failed: ") +
-                  std::strerror(errno));
-    }
-  }
-}
-
-std::string send_to_tcp(const std::string& host, std::uint16_t port,
-                        const std::string& requests) {
-  const int fd = connect_tcp_fd(host, port);
-  try {
-    write_all(fd, requests);
-    (void)::shutdown(fd, SHUT_WR);  // signals end-of-stream to the daemon
-    std::string responses = read_all(fd);
-    ::close(fd);
-    return responses;
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-}
-
-std::string send_to_unix_socket(const std::string& path,
-                                const std::string& requests) {
-  const int fd = connect_unix_fd(path);
-  try {
-    write_all(fd, requests);
-    (void)::shutdown(fd, SHUT_WR);  // signals end-of-stream to the daemon
-    std::string responses = read_all(fd);
-    ::close(fd);
-    return responses;
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
+  return framer_.next_line(fd_);
 }
 
 #else  // !OMEGA_HAVE_SOCKETS
@@ -586,17 +540,12 @@ Listener Listener::unix_socket(const std::string&, int) { no_sockets(); }
 int serve_on(MappingService&, Listener&, const ServeOptions&) {
   no_sockets();
 }
-int serve_tcp(MappingService&, const std::string&, std::uint16_t,
-              const ServeOptions&) {
-  no_sockets();
-}
 int serve_unix_socket(MappingService&, const std::string&,
                       const ServeOptions&) {
   no_sockets();
 }
-int serve_unix_socket(MappingService&, const std::string&, std::size_t) {
-  no_sockets();
-}
+
+std::optional<std::string> LineFramer::next_line(int) { no_sockets(); }
 
 StreamClient::StreamClient(StreamClient&&) noexcept = default;
 StreamClient& StreamClient::operator=(StreamClient&&) noexcept = default;
@@ -608,14 +557,6 @@ StreamClient StreamClient::connect_unix(const std::string&) { no_sockets(); }
 void StreamClient::send_line(const std::string&) { no_sockets(); }
 void StreamClient::shutdown_writes() { no_sockets(); }
 std::optional<std::string> StreamClient::read_line() { no_sockets(); }
-
-std::string send_to_tcp(const std::string&, std::uint16_t,
-                        const std::string&) {
-  no_sockets();
-}
-std::string send_to_unix_socket(const std::string&, const std::string&) {
-  no_sockets();
-}
 
 #endif
 

@@ -1,38 +1,39 @@
-// Streaming socket transports of the serving core (see DESIGN.md "Serving
-// core").
+// Transports of the serving core (see DESIGN.md "Serving core"): stdio,
+// TCP and Unix sockets all run the same NDJSON session on a
+// RequestScheduler.
 //
-// Unlike the legacy Unix-socket exchange — which buffered a connection's
-// entire request stream before dispatching and wrote every response back in
-// one piece — these transports frame NDJSON incrementally: a connection
-// thread reads one line at a time, submits it to the shared request
-// scheduler, and completions stream back the moment each request finishes.
-// A fast request no longer waits behind a slow search at a batch barrier.
+// A session frames NDJSON incrementally: it reads one line at a time,
+// submits it to the request scheduler, and each response streams back the
+// moment its request finishes. A fast request never waits behind a slow
+// search. Blank lines are no-ops.
 //
 // Concurrency model:
 //
-//  * one accept loop per server; every accepted connection gets its own
-//    session thread (reads + submits), and the scheduler's dispatch threads
-//    execute requests and write responses back;
-//  * the server-wide scheduler spans connections, so priority bands and the
-//    admission bound apply to total load, not per-connection load.
+//  * stdio (MappingService::serve) is one session on its own scheduler;
+//  * a socket server runs one accept loop, and every accepted connection
+//    gets its own session thread (reads + submits);
+//  * the scheduler's dispatch threads execute requests and write
+//    responses back; on a socket server the scheduler spans connections,
+//    so priority bands and the admission bound apply to total load;
+//  * a session holds at most `queue_depth` unemitted requests: at the cap
+//    its reader waits instead of submitting, so one session (a long stdio
+//    batch, say) never sheds its own requests. Load spread across
+//    connections still sheds at the admission bound.
 //
-// Ordering contract (changed from the batch transports, pinned by tests):
-// responses stream in **per-connection request order within a priority
-// band**. Requests of one connection and band emit in submission order even
-// when they execute out of order or concurrently; requests in different
-// bands (or on different connections) may interleave freely. Since v1
-// requests carry no priority they all share band 0, so a v1 request stream
-// over one connection still yields byte-identical response order to the
-// stdio batch path. Barrier requests (stats/metrics) drain the connection's
-// in-flight requests before and after dispatch, keeping their counters
-// deterministic per connection exactly as handle_batch's segment barriers
-// do per batch.
+// Ordering contract (pinned by tests): responses stream in **per-session
+// request order within a priority band**. Requests of one session and band
+// emit in submission order even when they execute out of order or
+// concurrently; requests in different bands (or sessions) may interleave
+// freely. Since v1 requests carry no priority they all share band 0, so a
+// v1 request stream yields byte-identical response bytes on every
+// transport. Barrier requests (stats/metrics) drain the session's in-flight
+// requests before and after dispatch, which keeps their counters
+// deterministic per session.
 //
 // Backpressure caveat: responses are written under a per-session mutex from
 // scheduler threads; a peer that stops reading eventually blocks those
-// writes. Well-behaved streaming clients read concurrently with sending
-// (StreamClient does); the legacy send-all-then-read exchange stays safe
-// for batches that fit the socket buffers.
+// writes (and with them the session's reader). Clients that send a large
+// stream before reading should read concurrently with sending.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +44,16 @@ namespace omega::service {
 
 class MappingService;
 
-/// Transport + scheduling knobs of a streaming server (TCP or Unix socket).
+/// Transport + scheduling knobs of the serving core. Stdio
+/// (MappingService::serve) uses only the scheduler fields; max_connections
+/// and backlog apply to socket servers.
 struct ServeOptions {
   /// Accept this many connections then return (0 = serve until killed).
   std::size_t max_connections = 0;
   /// listen() backlog (pending-accept queue length).
   int backlog = 64;
-  /// Scheduler admission bound: requests waiting across all connections.
+  /// Scheduler admission bound: requests waiting across all sessions. Also
+  /// each session's cap on its own unemitted requests.
   std::size_t queue_depth = 256;
   /// Scheduler dispatch threads (0 = one per hardware thread).
   std::size_t scheduler_threads = 0;
@@ -100,20 +104,32 @@ class Listener {
 int serve_on(MappingService& service, Listener& listener,
              const ServeOptions& options = {});
 
-/// Binds `bind_addr:port` and runs serve_on. Convenience for the CLI.
-int serve_tcp(MappingService& service, const std::string& bind_addr,
-              std::uint16_t port, const ServeOptions& options = {});
-
-/// Streaming Unix-socket server with full options. The legacy
-/// `serve_unix_socket(service, path, max_connections)` signature in
-/// server.hpp wraps this with default options (no default argument here —
-/// it would make two-argument calls ambiguous against that overload).
+/// Binds a Unix-domain socket at `path` (Listener::unix_socket) and runs
+/// serve_on on it.
 int serve_unix_socket(MappingService& service, const std::string& path,
-                      const ServeOptions& options);
+                      const ServeOptions& options = {});
+
+/// Incremental NDJSON framing over a socket fd, shared by server sessions
+/// and StreamClient: yields one line at a time as bytes arrive.
+class LineFramer {
+ public:
+  /// Next complete line read from `fd` (newline stripped); a trailing
+  /// unterminated line is yielded at EOF; nullopt once the stream is
+  /// exhausted. Throws Error on a read failure or when a line grows past
+  /// 64 MiB (a peer streaming garbage without a newline must exhaust this
+  /// cap, not the heap).
+  [[nodiscard]] std::optional<std::string> next_line(int fd);
+
+ private:
+  std::string buf_;
+  std::size_t scan_ = 0;  // '\n' search resumes here (no rescan)
+  bool eof_ = false;
+};
 
 /// Streaming client: sends request lines and reads response lines
 /// incrementally on one connection — responses arrive as the server
-/// completes them, concurrently with further sends.
+/// completes them, concurrently with further sends. One thread may send
+/// while another reads.
 class StreamClient {
  public:
   static StreamClient connect_tcp(const std::string& host,
@@ -137,13 +153,7 @@ class StreamClient {
  private:
   explicit StreamClient(int fd) : fd_(fd) {}
   int fd_ = -1;
-  std::string buffer_;  // framing carry-over between read_line calls
+  LineFramer framer_;
 };
-
-/// Batch-exchange TCP client (mirrors send_to_unix_socket): connects, sends
-/// `requests`, half-closes, returns every response byte.
-[[nodiscard]] std::string send_to_tcp(const std::string& host,
-                                      std::uint16_t port,
-                                      const std::string& requests);
 
 }  // namespace omega::service

@@ -158,27 +158,4 @@ void ThreadPool::run_blocks(std::size_t n, BlockFn fn, void* ctx,
   }
 }
 
-void parallel_for_blocks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t threads) {
-  if (n == 0) return;
-  if (threads == 1) {
-    body(0, n);
-    return;
-  }
-  parallel_blocks(
-      n, [&](std::size_t begin, std::size_t end) { body(begin, end); },
-      threads);
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  parallel_for_blocks(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      },
-      threads);
-}
-
 }  // namespace omega

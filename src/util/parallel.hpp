@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <type_traits>
 
@@ -58,7 +57,8 @@ class ThreadPool {
 
 /// Dispatches body(begin, end) blocks of [0, n) on the global pool without
 /// allocating: the callable is passed by reference through a function
-/// pointer. Blocks together cover every index exactly once.
+/// pointer. Blocks together cover every index exactly once; n = 0 calls
+/// nothing. The first exception thrown by `body` is rethrown on the caller.
 template <typename Body>
 void parallel_blocks(std::size_t n, Body&& body, std::size_t threads = 0,
                      std::size_t grain = 0) {
@@ -71,17 +71,5 @@ void parallel_blocks(std::size_t n, Body&& body, std::size_t threads = 0,
       const_cast<std::remove_const_t<Fn>*>(std::addressof(body)), threads,
       grain);
 }
-
-/// Runs body(i) for i in [0, n) across up to `threads` participants of the
-/// global pool. Exceptions thrown by `body` are rethrown on the calling
-/// thread (first one wins). With threads <= 1 (or n small) runs inline.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
-
-/// Runs body(begin, end) over disjoint blocks covering [0, n); useful when
-/// per-iteration dispatch cost matters.
-void parallel_for_blocks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t threads = 0);
 
 }  // namespace omega

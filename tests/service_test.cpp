@@ -45,6 +45,27 @@ std::string line_model_pipelined(std::uint64_t id) {
          R"("options":{"budget":48,"compose":"pipelined"}})";
 }
 
+/// Splits NDJSON output into its lines.
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string l; std::getline(in, l);) lines.push_back(l);
+  return lines;
+}
+
+/// Replays `lines` through serve() as one stdio session and returns the
+/// response lines in emission order.
+std::vector<std::string> serve_lines(MappingService& svc,
+                                     const std::vector<std::string>& lines,
+                                     const ServeOptions& options = {}) {
+  std::string input;
+  for (const std::string& line : lines) input += line + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  EXPECT_EQ(svc.serve(in, out, options), lines.size());
+  return split_lines(out.str());
+}
+
 // ---- Request parsing --------------------------------------------------------
 
 TEST(ProtocolTest, ParsesEvaluateRequest) {
@@ -543,10 +564,10 @@ TEST(ServiceDeterminismTest, WarmAndColdResponsesAreByteIdentical) {
   MappingService cold(cold_opts);
   MappingService warm;  // default capacity
   const auto batch = mixed_batch();
-  const auto cold_responses = cold.handle_batch(batch);
-  const auto warm_responses = warm.handle_batch(batch);
+  const auto cold_responses = serve_lines(cold, batch);
+  const auto warm_responses = serve_lines(warm, batch);
   // Replay on the now-warm registry: still identical.
-  const auto warm_again = warm.handle_batch(batch);
+  const auto warm_again = serve_lines(warm, batch);
   EXPECT_EQ(cold_responses, warm_responses);
   EXPECT_EQ(warm_responses, warm_again);
   EXPECT_GT(warm.registry().stats().hits, 0u);
@@ -556,11 +577,12 @@ TEST(ServiceDeterminismTest, ResponsesAreByteIdenticalAcrossThreadCounts) {
   const auto batch = mixed_batch();
   std::vector<std::vector<std::string>> per_threads;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ServiceOptions opts;
-    opts.threads = threads;
-    MappingService svc(opts);
-    per_threads.push_back(svc.handle_batch(batch));
+    MappingService svc;
+    ServeOptions so;
+    so.scheduler_threads = threads;
+    per_threads.push_back(serve_lines(svc, batch, so));
   }
+  ASSERT_EQ(per_threads[0].size(), batch.size());
   EXPECT_EQ(per_threads[0], per_threads[1]);
 }
 
@@ -569,16 +591,14 @@ TEST(ServiceDeterminismTest, ResponsesAreByteIdenticalAcrossThreadCounts) {
 TEST(ServeStreamTest, BatchBoundariesAndOrderedResponses) {
   MappingService svc;
   std::istringstream in(line_evaluate(11) + "\n" + line_search(12) + "\n" +
-                        "\n" +  // first batch boundary
+                        "\n" +  // blank line: a no-op, not a flush
                         line_evaluate(13) + "\n" +
                         R"({"id":14,"kind":"stats"})" + "\n");
   std::ostringstream out;
   const std::size_t served = svc.serve(in, out);
   EXPECT_EQ(served, 4u);
 
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string l; std::getline(reread, l);) lines.push_back(l);
+  const std::vector<std::string> lines = split_lines(out.str());
   ASSERT_EQ(lines.size(), 4u);
   // Responses arrive in request order regardless of completion order.
   for (std::size_t i = 0; i < 4; ++i) {
@@ -591,31 +611,61 @@ TEST(ServeStreamTest, BatchBoundariesAndOrderedResponses) {
   EXPECT_EQ(stats.find("registry")->find("hits")->as_u64(), 2u);
 }
 
+TEST(ServeStreamTest, SessionCapKeepsLongStdioBatchFromShedding) {
+  // 20 requests against a 4-deep admission queue and one dispatch thread:
+  // the session's reader waits at 4 unanswered requests instead of
+  // overrunning the queue, so nothing sheds.
+  std::vector<std::string> batch;
+  for (std::uint64_t id = 1; id <= 20; ++id) batch.push_back(line_evaluate(id));
+  MappingService svc;
+  ServeOptions so;
+  so.queue_depth = 4;
+  so.scheduler_threads = 1;
+  const std::vector<std::string> responses = serve_lines(svc, batch, so);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (std::uint64_t id = 1; id <= responses.size(); ++id) {
+    const JsonValue v = JsonValue::parse(responses[id - 1]);
+    EXPECT_EQ(v.find("id")->as_u64(), id);
+    EXPECT_TRUE(v.find("ok")->as_bool()) << responses[id - 1];
+  }
+  const obs::MetricsSnapshot snap = svc.metrics().snapshot();
+  const auto shed = snap.counters.find("service.sched.shed");
+  EXPECT_EQ(shed == snap.counters.end() ? 0u : shed->second, 0u);
+  EXPECT_EQ(snap.counters.at("service.sched.dispatched"), batch.size());
+}
+
 TEST(ServeStreamTest, UnixSocketRoundTrip) {
   const std::string path = ::testing::TempDir() + "omega_service_test.sock";
   MappingService svc;
+  ServeOptions so;
+  so.max_connections = 1;
   std::thread server([&] {
     try {
-      serve_unix_socket(svc, path, /*max_connections=*/1);
+      serve_unix_socket(svc, path, so);
     } catch (const Error&) {
       // Surfaced through the client-side assertions below.
     }
   });
-  std::string responses;
+  std::optional<StreamClient> client;
   // The daemon needs a moment to bind; retry the connect briefly.
-  for (int attempt = 0; attempt < 100; ++attempt) {
+  for (int attempt = 0; attempt < 100 && !client; ++attempt) {
     try {
-      responses = send_to_unix_socket(
-          path, line_evaluate(21) + "\n" + line_search(22) + "\n");
-      break;
+      client.emplace(StreamClient::connect_unix(path));
     } catch (const Error&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  server.join();
   std::vector<std::string> lines;
-  std::istringstream reread(responses);
-  for (std::string l; std::getline(reread, l);) lines.push_back(l);
+  if (client) {
+    client->send_line(line_evaluate(21));
+    client->send_line(line_search(22));
+    client->shutdown_writes();
+    while (std::optional<std::string> r = client->read_line()) {
+      lines.push_back(std::move(*r));
+    }
+    client.reset();
+  }
+  server.join();
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(JsonValue::parse(lines[0]).find("id")->as_u64(), 21u);
   EXPECT_TRUE(JsonValue::parse(lines[0]).find("ok")->as_bool());
@@ -639,9 +689,9 @@ TEST(MetricsRequestTest, MetricsRequiresVersionTwo) {
 
 TEST(MetricsRequestTest, SnapshotReflectsPrecedingRequestsDeterministically) {
   MappingService svc;
-  const auto responses = svc.handle_batch(
-      {line_evaluate(1), line_evaluate(2),
-       R"({"id":3,"version":2,"kind":"metrics"})"});
+  const auto responses = serve_lines(
+      svc, {line_evaluate(1), line_evaluate(2),
+            R"({"id":3,"version":2,"kind":"metrics"})"});
   ASSERT_EQ(responses.size(), 3u);
   const JsonValue m = JsonValue::parse(responses[2]);
   EXPECT_EQ(m.find("id")->as_u64(), 3u);
@@ -685,9 +735,9 @@ TEST(MetricsRequestTest, ErrorResponsesCountAsErrors) {
 
 TEST(StatsV2Test, EntriesAndEpochAppearOnlyInVersionTwo) {
   MappingService svc;
-  const auto first = svc.handle_batch(
-      {line_evaluate(1), line_evaluate(2),
-       R"({"id":3,"version":2,"kind":"stats"})"});
+  const auto first = serve_lines(
+      svc, {line_evaluate(1), line_evaluate(2),
+            R"({"id":3,"version":2,"kind":"stats"})"});
   const JsonValue v2 = JsonValue::parse(first[2]);
   EXPECT_EQ(v2.find("epoch")->as_u64(), 1u);
   const JsonValue* entries = v2.find("entries");
@@ -701,8 +751,8 @@ TEST(StatsV2Test, EntriesAndEpochAppearOnlyInVersionTwo) {
   EXPECT_FALSE(entry.find("signature")->as_string().empty());
 
   // The stats barrier advanced the epoch; a later hit stamps epoch 2.
-  const auto second = svc.handle_batch(
-      {line_evaluate(4), R"({"id":5,"version":2,"kind":"stats"})"});
+  const auto second = serve_lines(
+      svc, {line_evaluate(4), R"({"id":5,"version":2,"kind":"stats"})"});
   const JsonValue again = JsonValue::parse(second[1]);
   EXPECT_EQ(again.find("epoch")->as_u64(), 2u);
   const JsonValue& e2 = again.find("entries")->items()[0];

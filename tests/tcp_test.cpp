@@ -1,5 +1,6 @@
-// Streaming TCP transport tests: round-trip byte-identity against the
-// stdio batch path for legacy (v1) requests at 1 and 4 scheduler threads,
+// Streaming TCP transport tests: TCP and stdio (serve()) round trips are
+// byte-identical to a single-threaded handle_line replay for legacy (v1)
+// requests at 1 and 4 scheduler threads,
 // per-connection response ordering, v2 priority requests over the wire,
 // structured shed/error responses, and the stale-socket-file recovery of
 // Listener::unix_socket.
@@ -7,6 +8,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,21 +66,41 @@ std::vector<std::string> tcp_exchange(const std::vector<std::string>& lines,
   return responses;
 }
 
+/// Replays `lines` through serve() (one stdio session) against a fresh
+/// service with `threads` scheduler threads.
+std::vector<std::string> stdio_exchange(const std::vector<std::string>& lines,
+                                        std::size_t threads) {
+  MappingService svc;
+  std::string input;
+  for (const std::string& line : lines) input += line + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  ServeOptions so;
+  so.scheduler_threads = threads;
+  (void)svc.serve(in, out, so);
+  std::vector<std::string> responses;
+  std::istringstream reread(out.str());
+  for (std::string l; std::getline(reread, l);) responses.push_back(l);
+  return responses;
+}
+
 TEST(TcpStreamTest, RoundTripIsByteIdenticalToStdioBatch) {
   const std::vector<std::string> lines = {
       line_evaluate(1), line_search(2), line_evaluate(3),
       R"({"id":4,"kind":"stats"})", line_evaluate(5)};
   MappingService reference;
-  const std::vector<std::string> expected = reference.handle_batch(lines);
-  // The streaming transport must not change a single byte for legacy
-  // requests, whether the scheduler runs serial or concurrent: v1 requests
-  // all share band 0 and per-band emission preserves submission order.
+  std::vector<std::string> expected;
+  for (const std::string& line : lines) {
+    expected.push_back(reference.handle_line(line));
+  }
+  // Neither transport may change a single byte for legacy requests, whether
+  // the scheduler runs serial or concurrent: v1 requests all share band 0,
+  // per-band emission preserves submission order, and the stats barrier
+  // sees exactly the requests before it.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::vector<std::string> got = tcp_exchange(lines, threads);
-    ASSERT_EQ(got.size(), expected.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(got[i], expected[i]) << "threads=" << threads << " i=" << i;
-    }
+    EXPECT_EQ(tcp_exchange(lines, threads), expected) << "threads=" << threads;
+    EXPECT_EQ(stdio_exchange(lines, threads), expected)
+        << "threads=" << threads;
   }
 }
 
@@ -124,21 +146,6 @@ TEST(TcpStreamTest, SchedulingFieldsOnV1LineYieldStructuredError) {
   EXPECT_EQ(err.find("error")->find("type")->as_string(),
             "InvalidArgumentError");
   EXPECT_TRUE(JsonValue::parse(got[1]).find("ok")->as_bool());
-}
-
-TEST(TcpStreamTest, BatchClientMatchesStreamingClient) {
-  MappingService svc;
-  Listener listener = Listener::tcp("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
-  ServeOptions so;
-  so.max_connections = 1;
-  so.scheduler_threads = 1;
-  std::thread server([&] { serve_on(svc, listener, so); });
-  const std::string responses =
-      send_to_tcp("127.0.0.1", port, line_evaluate(31) + "\n");
-  server.join();
-  MappingService reference;
-  EXPECT_EQ(responses, reference.handle_line(line_evaluate(31)) + "\n");
 }
 
 TEST(TcpStreamTest, StaleUnixSocketFileIsReplaced) {

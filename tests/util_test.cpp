@@ -146,33 +146,37 @@ TEST(TableTest, CsvEscaping) {
   EXPECT_NE(csv.find("\"q\"\"z\""), std::string::npos);
 }
 
-TEST(ParallelTest, CoversAllIndices) {
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ParallelTest, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100, [](std::size_t i) {
-        if (i == 57) throw InvalidArgumentError("boom");
-      }, 4),
-      Error);
+  EXPECT_THROW(parallel_blocks(
+                   100,
+                   [](std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       if (i == 57) throw InvalidArgumentError("boom");
+                     }
+                   },
+                   4, /*grain=*/1),
+               Error);
 }
 
 TEST(ParallelTest, BlocksPartitionExactly) {
   std::atomic<std::size_t> total{0};
-  parallel_for_blocks(
+  parallel_blocks(
       1000, [&](std::size_t b, std::size_t e) { total += e - b; }, 8);
   EXPECT_EQ(total.load(), 1000u);
 }
 
 TEST(ParallelTest, ZeroAndOneElement) {
   int calls = 0;
-  parallel_for(0, [&](std::size_t) { calls++; });
+  std::size_t covered = 0;
+  const auto body = [&](std::size_t begin, std::size_t end) {
+    ++calls;
+    covered += end - begin;
+  };
+  parallel_blocks(0, body);
   EXPECT_EQ(calls, 0);
-  parallel_for(1, [&](std::size_t) { calls++; });
+  parallel_blocks(1, body);  // one block: runs inline on the caller
   EXPECT_EQ(calls, 1);
+  EXPECT_EQ(covered, 1u);
 }
 
 TEST(ParallelTest, ParallelBlocksCoversEveryIndexOnce) {

@@ -21,17 +21,17 @@
 //                  [--compose sequential|pipelined]
 //       Replays one Table V pattern over every model layer and prints the
 //       composed timeline (cross-layer overlap under --compose pipelined).
-//   omega_cli serve [--registry N] [--threads N] [--socket PATH]
-//                  [--max-connections N]
+//   omega_cli serve [--registry N] [--sched-threads N] [--queue N]
+//                  [--socket PATH | --tcp PORT] [--max-connections N]
 //       Long-lived mapping service. Default: NDJSON on stdin/stdout — one
-//       JSON request per line, a blank line (or EOF) flushes the batch and
-//       emits responses in request order. --socket serves the same protocol
-//       over a Unix domain socket (one connection = one session).
-//   omega_cli batch <file|->  [--registry N] [--threads N]
+//       JSON request per line, each response streamed as soon as it is
+//       ready (v1 responses in request order). --socket/--tcp serve the
+//       same protocol over sockets (one connection = one session).
+//   omega_cli batch <file|->  [--registry N] [--sched-threads N]
 //       One-shot: replay a request file through an in-process service.
-//   omega_cli client --socket PATH [file|-]
-//       Send a request file to a running `serve --socket` daemon.
-//   omega_cli metrics --socket PATH
+//   omega_cli client (--socket PATH | --connect HOST:PORT) [file|-]
+//       Send a request file to a running `serve --socket/--tcp` daemon.
+//   omega_cli metrics (--socket PATH | --connect HOST:PORT)
 //       Fetch a v2 metrics snapshot from a running daemon.
 //
 // Observability: run-pipeline / search-pipeline / serve / batch accept
@@ -188,23 +188,25 @@ constexpr CommandHelp kCommands[] = {
      "  --compose sequential|pipelined --pes N --scale X\n"},
     {"serve", "long-lived NDJSON mapping service",
      "usage: omega_cli serve [flags]\n"
-     "  Default: NDJSON on stdin/stdout — one JSON request per line, a\n"
-     "  blank line (or EOF) flushes the batch. --socket/--tcp serve the\n"
-     "  streaming transports instead: concurrent connections, responses\n"
-     "  stream per request in per-connection priority-band order, and a\n"
-     "  bounded priority/deadline scheduler sheds overload as structured\n"
+     "  Default: NDJSON on stdin/stdout — one JSON request per line (blank\n"
+     "  lines are ignored), each response streamed as soon as it is ready.\n"
+     "  --socket/--tcp serve the same session per connection instead.\n"
+     "  Every transport dispatches through one bounded priority/deadline\n"
+     "  scheduler: responses stream in per-session priority-band order\n"
+     "  (v1 requests: request order), and overload sheds as structured\n"
      "  {\"error\":{\"type\":\"overloaded\"}} responses. See DESIGN.md\n"
      "  \"Serving core\".\n"
      "flags:\n"
      "  --registry N         workload registry capacity\n"
      "  --shards N           registry partitions (consistent-hash router)\n"
-     "  --threads N          stdio batch worker threads (default hardware)\n"
      "  --socket PATH        serve a Unix domain socket (streaming)\n"
      "  --tcp PORT           serve TCP on --bind:PORT (streaming; port 0\n"
      "                       picks a free port, printed on stderr)\n"
      "  --bind ADDR          TCP bind address (default 127.0.0.1)\n"
      "  --backlog N          listen() backlog (default 64)\n"
-     "  --queue N            scheduler admission queue depth (default 256)\n"
+     "  --queue N            scheduler admission queue depth, also each\n"
+     "                       session's cap on unanswered requests\n"
+     "                       (default 256)\n"
      "  --sched-threads N    scheduler dispatch threads (default hardware)\n"
      "  --min-deadline MS    shed requests whose deadline_ms is below MS\n"
      "                       at admission (0 = disabled)\n"
@@ -214,7 +216,11 @@ constexpr CommandHelp kCommands[] = {
      "                       JSON when the service exits\n"},
     {"batch", "replay a request file through an in-process service",
      "usage: omega_cli batch <file|-> [--registry N] [--shards N] "
-     "[--threads N] [--trace PATH]\n"},
+     "[--trace PATH]\n"
+     "                       [--sched-threads N] [--queue N] "
+     "[--min-deadline MS]\n"
+     "  Runs the file as one stdio session (same output as\n"
+     "  `omega_cli serve < file`); the scheduler flags are serve's.\n"},
     {"client", "send requests to a running serve daemon",
      "usage: omega_cli client (--socket PATH | --connect HOST:PORT) "
      "[file|-]\n"
@@ -1036,8 +1042,6 @@ ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
       if (f.service.registry_shards == 0) {
         throw InvalidArgumentError("--shards must be >= 1");
       }
-    } else if (a == "--threads" && server_flags) {
-      f.service.threads = static_cast<std::size_t>(std::stoul(next()));
     } else if (a == "--trace" && server_flags) {
       f.trace_path = next();
     } else if (a == "--socket") {
@@ -1137,7 +1141,7 @@ int cmd_serve(int argc, char** argv) {
     std::cerr << "mapping service listening on " << f.socket_path << "\n";
     rc = service::serve_unix_socket(svc, f.socket_path, f.serve);
   } else {
-    svc.serve(std::cin, std::cout);
+    svc.serve(std::cin, std::cout, f.serve);
   }
   if (!f.trace_path.empty()) {
     tc.name_process(0, "omega.service");
@@ -1159,11 +1163,11 @@ int cmd_batch(int argc, char** argv) {
   if (!f.trace_path.empty()) f.service.trace = &tc;
   service::MappingService svc(f.service);
   if (f.input_path == "-") {
-    svc.serve(std::cin, std::cout);
+    svc.serve(std::cin, std::cout, f.serve);
   } else {
     std::ifstream in(f.input_path);
     if (!in) throw InvalidArgumentError("cannot open " + f.input_path);
-    svc.serve(in, std::cout);
+    svc.serve(in, std::cout, f.serve);
   }
   if (!f.trace_path.empty()) {
     tc.name_process(0, "omega.service");
@@ -1174,61 +1178,56 @@ int cmd_batch(int argc, char** argv) {
   return 0;
 }
 
-int cmd_metrics(int argc, char** argv) {
-  const ServiceCliFlags f =
-      parse_service_flags(argc, argv, 2, /*server_flags=*/false,
-                          /*client_flags=*/true, /*with_input=*/false);
-  const std::string request = "{\"id\":1,\"version\":2,\"kind\":\"metrics\"}\n";
-  if (!f.connect.empty()) {
-    const auto [host, port] = parse_host_port(f.connect);
-    std::cout << service::send_to_tcp(host, port, request);
-    return 0;
-  }
-  if (f.socket_path.empty()) {
-    throw InvalidArgumentError("metrics needs --socket PATH or "
+/// Connects to the daemon named by --socket PATH or --connect HOST:PORT.
+service::StreamClient connect_client(const ServiceCliFlags& f,
+                                     const char* command) {
+  if (f.connect.empty() == f.socket_path.empty()) {
+    throw InvalidArgumentError(std::string(command) +
+                               " needs exactly one of --socket PATH or "
                                "--connect HOST:PORT");
   }
-  std::cout << service::send_to_unix_socket(f.socket_path, request);
-  return 0;
+  if (!f.connect.empty()) {
+    const auto [host, port] = parse_host_port(f.connect);
+    return service::StreamClient::connect_tcp(host, port);
+  }
+  return service::StreamClient::connect_unix(f.socket_path);
 }
 
-int cmd_client(int argc, char** argv) {
-  ServiceCliFlags f = parse_service_flags(argc, argv, 2, /*server_flags=*/false,
-                                          /*client_flags=*/true,
-                                          /*with_input=*/true);
-  if (f.connect.empty() == f.socket_path.empty()) {
-    throw InvalidArgumentError(
-        "client needs exactly one of --socket PATH or --connect HOST:PORT");
-  }
-  std::string requests = read_input_or_stdin(f.input_path);
-  if (f.inject_scheduling) {
-    std::istringstream in(requests);
-    std::string rewritten;
-    std::string line;
-    while (std::getline(in, line)) {
-      rewritten += with_scheduling(line, f.priority, f.deadline_ms);
-      rewritten += '\n';
-    }
-    requests = std::move(rewritten);
-  }
-  // Stream: send everything, half-close, then print responses as the
-  // daemon emits them (per-connection per-band request order).
-  service::StreamClient client =
-      f.connect.empty()
-          ? service::StreamClient::connect_unix(f.socket_path)
-          : [&] {
-              const auto [host, port] = parse_host_port(f.connect);
-              return service::StreamClient::connect_tcp(host, port);
-            }();
-  if (!requests.empty() && requests.back() != '\n') requests += '\n';
-  std::istringstream in(requests);
-  std::string line;
-  while (std::getline(in, line)) client.send_line(line);
+/// Half-closes `client` and prints every response line until the daemon
+/// closes the connection.
+void print_responses(service::StreamClient& client) {
   client.shutdown_writes();
   std::optional<std::string> response;
   while ((response = client.read_line()).has_value()) {
     std::cout << *response << '\n';
   }
+}
+
+int cmd_metrics(int argc, char** argv) {
+  const ServiceCliFlags f =
+      parse_service_flags(argc, argv, 2, /*server_flags=*/false,
+                          /*client_flags=*/true, /*with_input=*/false);
+  service::StreamClient client = connect_client(f, "metrics");
+  client.send_line(R"({"id":1,"version":2,"kind":"metrics"})");
+  print_responses(client);
+  return 0;
+}
+
+int cmd_client(int argc, char** argv) {
+  const ServiceCliFlags f =
+      parse_service_flags(argc, argv, 2, /*server_flags=*/false,
+                          /*client_flags=*/true, /*with_input=*/true);
+  std::istringstream in(read_input_or_stdin(f.input_path));
+  service::StreamClient client = connect_client(f, "client");
+  // Stream: send everything, half-close, then print responses as the
+  // daemon emits them (per-connection per-band request order).
+  std::string line;
+  while (std::getline(in, line)) {
+    client.send_line(f.inject_scheduling
+                         ? with_scheduling(line, f.priority, f.deadline_ms)
+                         : line);
+  }
+  print_responses(client);
   return 0;
 }
 
