@@ -99,16 +99,35 @@ EvalTermKey key_of(const GemmPhaseConfig& cfg) {
   return k;
 }
 
-// Estimated timeline footprint a term would pin in the shared map: zero for
-// small grids (admitted unconditionally, matching the context phase memo's
-// policy), else the two per-chunk u64 vectors a PhaseResult carries.
+/// A chunked term past kPhaseMemoMaxChunks: the context's phase memo refuses
+/// it, so only the TermStore holds it, and it is stored stripped (see
+/// resolve_phase).
+bool big_grid(ChunkTarget target, const ChunkSpec& chunks) {
+  return target != ChunkTarget::kNone &&
+         chunks.num_chunks() > kPhaseMemoMaxChunks;
+}
+
+/// Timeline bytes a term pins in the store: zero for small grids (admitted
+/// unconditionally, matching the context phase memo's policy), else one u64
+/// per chunk for each timeline compose_pipeline reads — a PP producer's
+/// chunk_completion, a PP consumer's chunk_cycles, none at an SP-generic
+/// boundary.
 std::size_t term_timeline_footprint(ChunkTarget target,
-                                    const ChunkSpec& chunks) {
-  if (target == ChunkTarget::kNone ||
-      chunks.num_chunks() <= kPhaseMemoMaxChunks) {
-    return 0;
-  }
-  return chunks.num_chunks() * 2 * sizeof(std::uint64_t);
+                                    const ChunkSpec& chunks, bool pp_producer,
+                                    bool pp_consumer) {
+  if (!big_grid(target, chunks)) return 0;
+  const std::size_t kept = (pp_producer ? 1 : 0) + (pp_consumer ? 1 : 0);
+  return kept * chunks.num_chunks() * sizeof(std::uint64_t);
+}
+
+/// Frees the timelines compose_pipeline never reads from a big-grid term,
+/// so the term holds exactly what term_timeline_footprint charges.
+std::shared_ptr<const PhaseResult> keep_read_timelines(PhaseResult r,
+                                                       bool pp_producer,
+                                                       bool pp_consumer) {
+  if (!pp_producer) std::vector<std::uint64_t>().swap(r.chunk_completion);
+  if (!pp_consumer) std::vector<std::uint64_t>().swap(r.chunk_cycles);
+  return std::make_shared<const PhaseResult>(std::move(r));
 }
 
 }  // namespace
@@ -161,6 +180,11 @@ const PhaseResult* TermStore::resolve(
         // the candidates on which run_pipeline throws. Anything else
         // (bad_alloc, logic bugs) is memoized by call_once_caching and
         // rethrown to every caller.
+      }
+      if (entry->result == nullptr && timeline_bytes > 0) {
+        // An infeasible term holds no timelines: refund its admission.
+        const std::scoped_lock lock(mutex_);
+        timeline_bytes_ -= timeline_bytes;
       }
     });
     term = entry->result;
@@ -315,23 +339,44 @@ bool PipelineEvalPlan::feasible(const PipelineBindingView& b) const {
 const PhaseResult* PipelineEvalPlan::resolve_phase(
     std::size_t phase, PipelineDeltaState& state) const {
   const PhaseEngineConfig& cfg = state.configs[phase];
+  // A big-grid term is built by value and keeps only the timeline its role
+  // at the boundary needs; the via-partition flags that fix the role are in
+  // the key, so terms of different roles never share an entry. Small grids
+  // stay shared, whole, with the context's phase memo.
   if (cfg.is_gemm) {
+    const GemmPhaseConfig& g = cfg.gemm;
+    const bool big = big_grid(g.chunk_target, g.chunks);
     return store_.resolve(
-        key_of(cfg.gemm), state.slots[phase],
-        [&] { return run_gemm_phase_shared(cfg.gemm); },
-        term_timeline_footprint(cfg.gemm.chunk_target, cfg.gemm.chunks),
+        key_of(g), state.slots[phase],
+        [&] {
+          return big ? keep_read_timelines(run_gemm_phase(g),
+                                           g.out_via_partition,
+                                           g.a_via_partition)
+                     : run_gemm_phase_shared(g);
+        },
+        term_timeline_footprint(g.chunk_target, g.chunks, g.out_via_partition,
+                                g.a_via_partition),
         state.delta_hits);
   }
+  const SpmmPhaseConfig& s = cfg.spmm;
   // Which graph a sparse term walks: 0 = the workload adjacency, 1 + i =
   // phase i's W^T. Two sparse-weight phases can share every keyed config
   // field while walking different weight patterns.
-  EvalTermKey key = key_of(cfg.spmm);
+  EvalTermKey key = key_of(s);
   key.w[19] = shapes_[phase].engine == PhaseEngine::kSparseSparse
                   ? 1 + static_cast<std::uint64_t>(phase)
                   : 0;
+  const bool big = big_grid(s.chunk_target, s.chunks);
   return store_.resolve(
-      key, state.slots[phase], [&] { return run_spmm_phase_shared(cfg.spmm); },
-      term_timeline_footprint(cfg.spmm.chunk_target, cfg.spmm.chunks),
+      key, state.slots[phase],
+      [&] {
+        return big ? keep_read_timelines(run_spmm_phase(s),
+                                         s.out_via_partition,
+                                         s.b_via_partition)
+                   : run_spmm_phase_shared(s);
+      },
+      term_timeline_footprint(s.chunk_target, s.chunks, s.out_via_partition,
+                              s.b_via_partition),
       state.delta_hits);
 }
 

@@ -70,10 +70,12 @@ struct EvalTermKey {
 /// assumption that giant timelines are near-unique; sweep profiles show the
 /// opposite — candidates that differ only in fields outside a phase's key
 /// share its grid, and re-simulating those terms dominates the hot path.
-/// The store therefore admits big-chunk terms until their estimated
-/// timeline footprint (two u64 vectors per term) reaches this budget; past
-/// it, new big terms build uncached (results identical, the delta slot is
-/// then their only cache).
+/// The store therefore admits big-chunk terms until their timeline bytes
+/// reach this budget; past it, new big terms build uncached (results
+/// identical, the delta slot is then their only cache). A big-chunk term
+/// holds only the timeline composition reads — one u64 per chunk for a PP
+/// producer (chunk_completion) or consumer (chunk_cycles), none at an
+/// SP-generic boundary — and is charged exactly that.
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
 
 struct EvalTermKeyHash {
@@ -118,10 +120,11 @@ class TermStore {
   /// Resolves a term through (delta slot -> map -> build) and returns it,
   /// pinned by `slot` until the slot's next resolve; null means the engines
   /// reject the config. `timeline_bytes == 0` marks a small-grid term
-  /// (always admitted, like the context's phase memo); nonzero is the
-  /// estimated footprint of a chunked term's timelines, admitted against
-  /// kTermTimelineBudgetBytes. `delta_hits` counts the requests the slot
-  /// served.
+  /// (always admitted, like the context's phase memo); otherwise it is the
+  /// exact size of the timelines the built term keeps, admitted against
+  /// kTermTimelineBudgetBytes (0 for a big-grid SP-generic term, which
+  /// keeps none; refunded if the build proves the config infeasible).
+  /// `delta_hits` counts the requests the slot served.
   [[nodiscard]] const PhaseResult* resolve(
       const EvalTermKey& key, PipelineDeltaState::Slot& slot,
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
@@ -134,7 +137,7 @@ class TermStore {
   [[nodiscard]] std::uint64_t builds() const {
     return builds_.load(std::memory_order_relaxed);
   }
-  /// Estimated bytes of chunked-term timelines admitted against
+  /// Bytes of big-grid timelines the admitted terms hold, charged against
   /// kTermTimelineBudgetBytes (small-grid terms are not counted).
   [[nodiscard]] std::size_t timeline_bytes() const;
 

@@ -53,7 +53,10 @@ struct ChunkSpec {
   }
 };
 
-/// Per-phase simulation output.
+/// Per-phase simulation output. The engines fill both chunk timelines; a
+/// big-grid term in a PipelineEvalPlan's TermStore keeps only the one
+/// compose_pipeline reads (a PP producer's chunk_completion, a PP consumer's
+/// chunk_cycles) and neither at an SP-generic boundary.
 struct PhaseResult {
   std::uint64_t cycles = 0;         // total, including every stall/load
   std::uint64_t issue_steps = 0;    // MAC-issue steps (ideal cycle count)

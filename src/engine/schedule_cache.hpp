@@ -93,10 +93,11 @@ class EvalPlanBase {
   [[nodiscard]] virtual std::uint64_t term_requests() const = 0;
   /// Term lookups that had to run a phase simulation (memo misses).
   [[nodiscard]] virtual std::uint64_t term_builds() const = 0;
-  /// Estimated bytes of chunked-term timelines resident in the plan's term
-  /// store. NOT deterministic near the admission budget (which candidate's
-  /// timeline wins admission at saturation depends on thread schedule), so
-  /// this feeds metrics/CLI output only — never goldened responses.
+  /// Bytes of big-grid term timelines resident in the plan's term store
+  /// (only the vectors composition reads). NOT deterministic near the
+  /// admission budget (which candidate's timeline wins admission at
+  /// saturation depends on thread schedule), so this feeds metrics/CLI
+  /// output only — never goldened responses.
   [[nodiscard]] virtual std::size_t term_timeline_bytes() const = 0;
 };
 
@@ -106,8 +107,9 @@ struct ContextEvalStats {
   std::uint64_t terms = 0;          // resident terms across all plans
   std::uint64_t term_requests = 0;
   std::uint64_t term_builds = 0;
-  /// Sum of term_timeline_bytes; deterministic only below the timeline
-  /// admission budget — excluded from goldened stats responses.
+  /// Sum of term_timeline_bytes (resident big-grid timeline bytes);
+  /// deterministic only below the timeline admission budget — excluded from
+  /// goldened stats responses.
   std::uint64_t term_bytes = 0;
 };
 

@@ -198,6 +198,116 @@ TEST(EvalCoreFuzz, BindingMutationsMatchUncachedRunPipeline) {
   EXPECT_GT(state.delta_hits, 0u);
 }
 
+/// Big-grid terms (past kPhaseMemoMaxChunks) keep only the timeline their
+/// boundary role composes from: a PP producer's chunk_completion, a PP
+/// consumer's chunk_cycles, none at SP-generic. The SP-generic and PP
+/// variants of one binding share their dataflows and chunk grid, so a key
+/// collision between them would hand a stripped SP-generic term to PP
+/// composition and break parity.
+TEST(EvalCoreTerms, BigGridTermsKeepOnlyTheTimelineCompositionReads) {
+  Rng graph_rng(31);
+  GnnWorkload w;
+  w.name = "big-grid";
+  w.adjacency =
+      rmat(12, 12000, graph_rng).with_self_loops().gcn_normalized();
+  w.in_features = 16;
+  const Omega omega(small_hw());
+  const PipelineChainSpec chain = classic_chain(PhaseOrder::kAC);
+
+  PipelineSearchOptions pp_only;
+  pp_only.include_seq = false;
+  pp_only.include_sp_generic = false;
+  pp_only.include_sp_optimized = false;
+  const std::vector<PipelineCandidate> pp_space = enumerate_pipeline_candidates(
+      chain, 0, w, omega.config().num_pes, pp_only);
+
+  // Feasible PP bindings whose grid is past the memo bound, all on one grid
+  // size so the expected byte count is terms x chunks x 8, each paired with
+  // its SP-generic variant.
+  std::size_t grid = 0;
+  std::vector<PipelineCandidate> pp;
+  std::vector<PipelineCandidate> spg;
+  std::vector<EvalOutcome> pp_want;
+  std::vector<EvalOutcome> spg_want;
+  for (std::size_t i = 0; i < pp_space.size() && pp.size() < 24; i += 7) {
+    const PipelineCandidate& c = pp_space[i];
+    if (c.boundaries.at(0) != InterPhase::kParallelPipeline) continue;
+    std::size_t chunks = 0;
+    try {
+      chunks = omega.run_pipeline(w, chain.bind(c.view()))
+                   .boundaries.at(0)
+                   .pipeline_chunks;
+    } catch (const Error&) {
+      continue;
+    }
+    if (chunks <= kPhaseMemoMaxChunks || (grid != 0 && chunks != grid)) {
+      continue;
+    }
+    PipelineCandidate g = c;
+    g.boundaries[0] = InterPhase::kSPGeneric;
+    const EvalOutcome g_want = oracle(omega, w, chain, g);
+    if (!g_want.ok) continue;
+    grid = chunks;
+    pp_want.push_back(oracle(omega, w, chain, c));
+    spg_want.push_back(g_want);
+    pp.push_back(c);
+    spg.push_back(std::move(g));
+  }
+  ASSERT_GE(pp.size(), 8u);
+
+  const auto evaluate = [&](const PipelineEvalPlan& plan,
+                            const PipelineCandidate& c,
+                            PipelineDeltaState& state) {
+    const PipelineBindingView view = c.view();
+    EvalOutcome got;
+    plan.evaluate_batch({&view, 1}, &got, state);
+    return got;
+  };
+
+  // One plan, one delta state, SP-generic and PP variants alternating —
+  // twice, so the second pass reads every term back from the store.
+  const WorkloadContext mixed_ctx(w.adjacency);
+  const auto mixed = PipelineEvalPlan::obtain(omega, w, chain, mixed_ctx);
+  PipelineDeltaState state;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < pp.size(); ++i) {
+      expect_same(evaluate(*mixed, spg[i], state), spg_want[i],
+                  chain.bind(spg[i].view()).to_string());
+      expect_same(evaluate(*mixed, pp[i], state), pp_want[i],
+                  chain.bind(pp[i].view()).to_string());
+    }
+  }
+
+  // SP-generic terms compose by sat-add over `cycles`: no timeline bytes.
+  const WorkloadContext spg_ctx(w.adjacency);
+  const auto spg_plan = PipelineEvalPlan::obtain(omega, w, chain, spg_ctx);
+  PipelineDeltaState spg_state;
+  for (std::size_t i = 0; i < spg.size(); ++i) {
+    expect_same(evaluate(*spg_plan, spg[i], spg_state), spg_want[i],
+                chain.bind(spg[i].view()).to_string());
+  }
+  EXPECT_GT(spg_plan->term_count(), 0u);
+  EXPECT_EQ(spg_plan->term_timeline_bytes(), 0u);
+
+  // Every PP term is big-grid and keeps one u64 per chunk.
+  const WorkloadContext pp_ctx(w.adjacency);
+  const auto pp_plan = PipelineEvalPlan::obtain(omega, w, chain, pp_ctx);
+  PipelineDeltaState pp_state;
+  for (std::size_t i = 0; i < pp.size(); ++i) {
+    expect_same(evaluate(*pp_plan, pp[i], pp_state), pp_want[i],
+                chain.bind(pp[i].view()).to_string());
+  }
+  EXPECT_GT(pp_plan->term_count(), 0u);
+  EXPECT_EQ(pp_plan->term_timeline_bytes(),
+            pp_plan->term_count() * grid * sizeof(std::uint64_t));
+
+  // The mixed plan holds both sets of terms side by side, none shared, and
+  // pays only for the PP ones.
+  EXPECT_EQ(mixed->term_count(),
+            spg_plan->term_count() + pp_plan->term_count());
+  EXPECT_EQ(mixed->term_timeline_bytes(), pp_plan->term_timeline_bytes());
+}
+
 TEST(EvalCoreFuzz, PlanIsCachedPerContextSignature) {
   const GnnWorkload w = fuzz_workload();
   const Omega omega(small_hw());
