@@ -8,8 +8,7 @@
 namespace omega::service {
 
 MappingService::MappingService(ServiceOptions options)
-    : options_(options),
-      registry_(options.registry_capacity, options.registry_shards) {}
+    : options_(options), registry_(options.registry_capacity) {}
 
 std::string MappingService::handle(const Request& request) {
   if (request.kind == RequestKind::kStats) {

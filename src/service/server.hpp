@@ -20,7 +20,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "service/shard.hpp"
+#include "service/registry.hpp"
 #include "service/tcp.hpp"
 
 namespace omega::obs {
@@ -32,10 +32,6 @@ namespace omega::service {
 struct ServiceOptions {
   /// Workloads kept warm; 0 disables caching (cold per-request builds).
   std::size_t registry_capacity = 8;
-  /// Independent registry partitions (consistent-hash on the workload
-  /// signature; see shard.hpp). 1 = the classic single registry, with
-  /// byte-identical stats responses.
-  std::size_t registry_shards = 1;
   /// When non-null, every request emits parse / registry_lookup / evaluate /
   /// serialize spans (wall-clock, category "service") into this collector.
   /// Null = zero instrumentation cost.
@@ -58,7 +54,7 @@ class MappingService {
   std::size_t serve(std::istream& in, std::ostream& out,
                     const ServeOptions& options = {});
 
-  [[nodiscard]] const ShardedRegistry& registry() const { return registry_; }
+  [[nodiscard]] const WorkloadRegistry& registry() const { return registry_; }
 
   /// Service-level metrics (request/response counters, latency histograms;
   /// naming convention in DESIGN.md "Observability"). The v2 `metrics`
@@ -76,7 +72,7 @@ class MappingService {
   [[nodiscard]] std::string metrics_response(const Request& request);
 
   ServiceOptions options_;
-  ShardedRegistry registry_;
+  WorkloadRegistry registry_;
   obs::MetricsRegistry metrics_;
 };
 

@@ -1,11 +1,13 @@
 // Mapping-service tests: protocol round-trips for all three request kinds,
 // structured errors for malformed requests and engine failures, registry
-// LRU eviction + hit/miss accounting, and byte-identical responses across
+// LRU eviction + hit/miss accounting, entry rows and epochs, one build per
+// signature under concurrent misses, and byte-identical responses across
 // thread counts and across warm/cold registry states.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <sstream>
 #include <thread>
 
@@ -549,6 +551,79 @@ TEST(RegistryTest, CapacityZeroDisablesCaching) {
   EXPECT_EQ(reg.stats().hits, 0u);
   EXPECT_EQ(reg.stats().misses, 2u);
   EXPECT_EQ(reg.stats().resident, 0u);
+}
+
+TEST(RegistryTest, EntryStatsAreSignatureSorted) {
+  WorkloadRegistry reg(8);
+  std::vector<WorkloadRef> refs(4);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    refs[i].dataset = i == 0 ? "Cora" : "Mutag";
+    refs[i].scale = 0.1;
+    refs[i].seed = 9 - i;  // acquisition order differs from signature order
+  }
+  std::vector<std::string> expected;
+  for (const WorkloadRef& r : refs) {
+    (void)reg.acquire(r);
+    expected.push_back(r.signature());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> got;
+  for (const RegistryEntryStats& row : reg.entry_stats()) {
+    got.push_back(row.signature);
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(RegistryTest, EpochStartsAtOneAndAdvancesByOne) {
+  WorkloadRegistry reg(2);
+  EXPECT_EQ(reg.epoch(), 1u);
+  reg.advance_epoch();
+  EXPECT_EQ(reg.epoch(), 2u);
+  reg.advance_epoch();
+  EXPECT_EQ(reg.epoch(), 3u);
+}
+
+TEST(RegistryTest, AcquireStampsTheCurrentEpoch) {
+  WorkloadRegistry reg(4);
+  WorkloadRef a, b;
+  a.dataset = "Mutag";
+  a.scale = 0.1;
+  b = a;
+  b.seed = 8;
+  (void)reg.acquire(a);  // miss at epoch 1
+  (void)reg.acquire(b);  // miss at epoch 1
+  reg.advance_epoch();
+  reg.advance_epoch();
+  (void)reg.acquire(a);  // hit at epoch 3
+  const std::vector<RegistryEntryStats> rows = reg.entry_stats();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const RegistryEntryStats& row : rows) {
+    const bool is_a = row.signature == a.signature();
+    EXPECT_EQ(row.last_hit_epoch, is_a ? 3u : 1u) << row.signature;
+    EXPECT_EQ(row.hits, is_a ? 1u : 0u) << row.signature;
+  }
+}
+
+TEST(RegistryTest, ConcurrentMissesOnOneSignatureBuildOnce) {
+  constexpr std::size_t kThreads = 8;
+  WorkloadRegistry reg(4);
+  WorkloadRef cold;
+  cold.dataset = "Mutag";
+  cold.scale = 0.1;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const WorkloadEntry>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = reg.acquire(cold);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& entry : got) EXPECT_EQ(entry.get(), got[0].get());
+  EXPECT_EQ(reg.stats().misses, 1u);
+  EXPECT_EQ(reg.stats().hits, kThreads - 1);
 }
 
 // ---- Determinism ------------------------------------------------------------

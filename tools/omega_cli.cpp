@@ -198,7 +198,6 @@ constexpr CommandHelp kCommands[] = {
      "  \"Serving core\".\n"
      "flags:\n"
      "  --registry N         workload registry capacity\n"
-     "  --shards N           registry partitions (consistent-hash router)\n"
      "  --socket PATH        serve a Unix domain socket (streaming)\n"
      "  --tcp PORT           serve TCP on --bind:PORT (streaming; port 0\n"
      "                       picks a free port, printed on stderr)\n"
@@ -215,8 +214,7 @@ constexpr CommandHelp kCommands[] = {
      "                       evaluate / serialize) as Chrome trace-event\n"
      "                       JSON when the service exits\n"},
     {"batch", "replay a request file through an in-process service",
-     "usage: omega_cli batch <file|-> [--registry N] [--shards N] "
-     "[--trace PATH]\n"
+     "usage: omega_cli batch <file|-> [--registry N] [--trace PATH]\n"
      "                       [--sched-threads N] [--queue N] "
      "[--min-deadline MS]\n"
      "  Runs the file as one stdio session (same output as\n"
@@ -1024,6 +1022,20 @@ struct ServiceCliFlags {
   bool inject_scheduling = false;
 };
 
+/// Parses a TCP port for `flag`: decimal digits only, in [0, 65535].
+std::uint16_t parse_port(const std::string& text, const std::string& flag) {
+  const bool digits =
+      !text.empty() && text.size() <= 5 &&
+      std::all_of(text.begin(), text.end(),
+                  [](char c) { return c >= '0' && c <= '9'; });
+  const unsigned long port = digits ? std::stoul(text) : 0;
+  if (!digits || port > 65535) {
+    throw InvalidArgumentError(flag + " wants a port in 0-65535, got: " +
+                               text);
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
 ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
                                     bool server_flags, bool client_flags,
                                     bool with_input) {
@@ -1037,18 +1049,13 @@ ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
     if (a == "--registry" && server_flags) {
       f.service.registry_capacity =
           static_cast<std::size_t>(std::stoul(next()));
-    } else if (a == "--shards" && server_flags) {
-      f.service.registry_shards = static_cast<std::size_t>(std::stoul(next()));
-      if (f.service.registry_shards == 0) {
-        throw InvalidArgumentError("--shards must be >= 1");
-      }
     } else if (a == "--trace" && server_flags) {
       f.trace_path = next();
     } else if (a == "--socket") {
       f.socket_path = next();
     } else if (a == "--tcp" && server_flags) {
       f.tcp = true;
-      f.tcp_port = static_cast<std::uint16_t>(std::stoul(next()));
+      f.tcp_port = parse_port(next(), "--tcp");
     } else if (a == "--bind" && server_flags) {
       f.bind_addr = next();
     } else if (a == "--backlog" && server_flags) {
@@ -1086,8 +1093,7 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& s) {
   if (colon == std::string::npos || colon + 1 >= s.size()) {
     throw InvalidArgumentError("--connect wants HOST:PORT, got: " + s);
   }
-  return {s.substr(0, colon),
-          static_cast<std::uint16_t>(std::stoul(s.substr(colon + 1)))};
+  return {s.substr(0, colon), parse_port(s.substr(colon + 1), "--connect")};
 }
 
 /// Injects the client's --priority/--deadline-ms as leading members of a
