@@ -417,7 +417,7 @@ int run_model_sweep() {
   const Omega omega(default_accelerator());
   ModelSearchOptions opt;
   opt.layer.max_candidates = per_layer_cap;
-  opt.prune = false;
+  opt.layer.prune = false;
 
   const auto timed = [&](const ModelSearchOptions& o,
                          const WorkloadContext* ctx) {
@@ -433,7 +433,7 @@ int run_model_sweep() {
   const WorkloadContext full_context(w.adjacency);
   const WorkloadContext pruned_context(w.adjacency);
   const auto [full, full_s] = timed(opt, &full_context);
-  opt.prune = true;
+  opt.layer.prune = true;
   const auto [pruned, pruned_s] = timed(opt, &pruned_context);
 
   // Cross-layer composition over the general design space: the pipelined
@@ -522,7 +522,6 @@ int run_model_sweep() {
   band_spec.feature_widths = {64, 64, 8};
   ModelSearchOptions band_opt;
   band_opt.layer.max_candidates = std::min<std::size_t>(per_layer_cap, 800);
-  band_opt.prune = true;
   band_opt.layer.include_seq = false;
   band_opt.layer.include_sp_generic = false;
   band_opt.layer.include_sp_optimized = false;

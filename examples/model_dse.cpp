@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
 
     ModelSearchOptions opt;
     opt.layer.max_candidates = budget;
-    opt.prune = true;
     // One warmed context serves both composition modes: the pipelined
     // pass re-sweeps the same candidates, so its evaluations are memo hits.
     const WorkloadContext context(w.adjacency);

@@ -176,7 +176,6 @@ ModelSearchResult search_model_mappings(const Omega& omega,
     const LayerSpec layer_shape{layer.out_features, layer.in_features};
 
     SearchOptions so = options.layer;
-    so.prune = options.prune;
     if (!layer.allows_phase_order(PhaseOrder::kCA)) so.include_ca = false;
     if (options.seed_table5) {
       // A budgeted subsample can miss the exact binding a fixed pattern

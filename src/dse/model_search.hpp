@@ -31,13 +31,16 @@ enum class BudgetAllocation : std::uint8_t {
 
 struct ModelSearchOptions {
   /// Per-layer search knobs (objective, strategy filters, max_candidates,
-  /// threads, top_k). `layer.prune` is overridden by `prune` below;
-  /// `layer.include_ca` is additionally masked per layer by the model's
-  /// allowed phase orders (GraphSAGE pins AC).
-  SearchOptions layer;
-  /// Ideal-MAC lower-bound pruning inside every layer sweep (runtime
-  /// objective only; lossless for the best candidate — see SearchOptions).
-  bool prune = true;
+  /// threads, top_k, prune). `layer.include_ca` is additionally masked per
+  /// layer by the model's allowed phase orders (GraphSAGE pins AC).
+  /// Ideal-MAC lower-bound pruning is on by default for model search
+  /// (runtime objective only; lossless for the best candidate — see
+  /// SearchOptions).
+  SearchOptions layer = [] {
+    SearchOptions o;
+    o.prune = true;
+    return o;
+  }();
   /// Model-wide cap on fully evaluated candidates, split over the remaining
   /// layers as the sweep proceeds (0 = unlimited). Every layer is guaranteed
   /// at least `fallback_candidates` so it always has a winner.

@@ -7,6 +7,7 @@
 #include "dataflow/enumerate.hpp"
 #include "dse/pipeline_search.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace omega {
 
@@ -17,6 +18,14 @@ const char* to_string(Objective o) {
     case Objective::kEnergyDelayProduct: return "EDP";
   }
   return "?";
+}
+
+Objective objective_from_string(const std::string& s) {
+  const std::string o = to_lower(s);
+  if (o == "runtime") return Objective::kRuntime;
+  if (o == "energy") return Objective::kEnergy;
+  if (o == "edp") return Objective::kEnergyDelayProduct;
+  throw InvalidArgumentError("unknown objective: " + s);
 }
 
 void EvalStats::merge(const EvalStats& other) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "omega/omega.hpp"
@@ -26,6 +27,9 @@ enum class Objective : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Objective o);
+/// Case-insensitive "runtime", "energy" or "edp"; throws
+/// InvalidArgumentError otherwise.
+[[nodiscard]] Objective objective_from_string(const std::string& s);
 
 /// Evaluation-core observability for one sweep (SearchResult::eval). Every
 /// sweep evaluates through the context-cached PipelineEvalPlan

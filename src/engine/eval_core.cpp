@@ -16,106 +16,11 @@ bool chunked_inter(InterPhase ip) {
   return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
 }
 
-std::uint64_t pack_order(const LoopOrder& order) {
-  return static_cast<std::uint64_t>(order.at(0)) << 8 |
-         static_cast<std::uint64_t>(order.at(1)) << 4 |
-         static_cast<std::uint64_t>(order.at(2));
-}
-
-std::uint64_t pack_chunk_kind(ChunkTarget target, const ChunkSpec& chunks) {
-  return static_cast<std::uint64_t>(target) << 8 |
-         static_cast<std::uint64_t>(chunks.major);
-}
-
-/// Field->term dependency map, spmm side. Mirrors the spmm engine's string
-/// memo key field-for-field (everything that determines the PhaseResult
-/// besides the graph, which the caller tags in w[19]); see DESIGN.md
-/// "Cached evaluation".
-EvalTermKey key_of(const SpmmPhaseConfig& cfg) {
-  EvalTermKey k;
-  k.w = {1ull,  // engine tag
-         pack_order(cfg.order),
-         cfg.feat,
-         cfg.tiles.v,
-         cfg.tiles.n,
-         cfg.tiles.f,
-         cfg.pes,
-         cfg.bw_dist,
-         cfg.bw_red,
-         cfg.rf_elements,
-         cfg.b_stream_bw,
-         cfg.out_drain_bw,
-         static_cast<std::uint64_t>(cfg.out_to_rf) << 5 |
-             static_cast<std::uint64_t>(cfg.b_from_rf) << 4 |
-             static_cast<std::uint64_t>(cfg.b_in_dram) << 3 |
-             static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
-             static_cast<std::uint64_t>(cfg.b_via_partition) << 1 |
-             static_cast<std::uint64_t>(cfg.out_via_partition),
-         static_cast<std::uint64_t>(cfg.b_category) << 8 |
-             static_cast<std::uint64_t>(cfg.out_category),
-         pack_chunk_kind(cfg.chunk_target, cfg.chunks),
-         cfg.chunks.rows,
-         cfg.chunks.cols,
-         cfg.chunks.row_block,
-         cfg.chunks.col_block,
-         0,
-         0,
-         0};
-  return k;
-}
-
-/// Field->term dependency map, gemm side.
-EvalTermKey key_of(const GemmPhaseConfig& cfg) {
-  EvalTermKey k;
-  k.w = {2ull,  // engine tag
-         pack_order(cfg.order),
-         cfg.rows,
-         cfg.inner,
-         cfg.cols,
-         cfg.tiles.v,
-         cfg.tiles.f,
-         cfg.tiles.g,
-         cfg.pes,
-         cfg.bw_dist,
-         cfg.bw_red,
-         cfg.rf_elements,
-         cfg.a_stream_bw,
-         cfg.out_drain_bw,
-         static_cast<std::uint64_t>(cfg.a_from_rf) << 5 |
-             static_cast<std::uint64_t>(cfg.out_to_rf) << 4 |
-             static_cast<std::uint64_t>(cfg.a_in_dram) << 3 |
-             static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
-             static_cast<std::uint64_t>(cfg.a_via_partition) << 1 |
-             static_cast<std::uint64_t>(cfg.out_via_partition),
-         static_cast<std::uint64_t>(cfg.a_category) << 16 |
-             static_cast<std::uint64_t>(cfg.b_category) << 8 |
-             static_cast<std::uint64_t>(cfg.out_category),
-         pack_chunk_kind(cfg.chunk_target, cfg.chunks),
-         cfg.chunks.rows,
-         cfg.chunks.cols,
-         cfg.chunks.row_block,
-         cfg.chunks.col_block,
-         0};
-  return k;
-}
-
-/// A chunked term past kPhaseMemoMaxChunks: the context's phase memo refuses
-/// it, so only the TermStore holds it, and it is stored stripped (see
-/// resolve_phase).
-bool big_grid(ChunkTarget target, const ChunkSpec& chunks) {
-  return target != ChunkTarget::kNone &&
-         chunks.num_chunks() > kPhaseMemoMaxChunks;
-}
-
-/// Timeline bytes a term pins in the store: zero for small grids (admitted
-/// unconditionally, matching the context phase memo's policy), else one u64
-/// per chunk for each timeline compose_pipeline reads — a PP producer's
-/// chunk_completion, a PP consumer's chunk_cycles, none at an SP-generic
-/// boundary.
-std::size_t term_timeline_footprint(ChunkTarget target,
-                                    const ChunkSpec& chunks, bool pp_producer,
+/// Timeline bytes a big-grid term pins in the store: one u64 per chunk for
+/// each timeline compose_pipeline reads — a PP producer's chunk_completion,
+/// a PP consumer's chunk_cycles, none at an SP-generic boundary.
+std::size_t term_timeline_footprint(const ChunkSpec& chunks, bool pp_producer,
                                     bool pp_consumer) {
-  if (!big_grid(target, chunks)) return 0;
   const std::size_t kept = (pp_producer ? 1 : 0) + (pp_consumer ? 1 : 0);
   return kept * chunks.num_chunks() * sizeof(std::uint64_t);
 }
@@ -339,44 +244,35 @@ bool PipelineEvalPlan::feasible(const PipelineBindingView& b) const {
 const PhaseResult* PipelineEvalPlan::resolve_phase(
     std::size_t phase, PipelineDeltaState& state) const {
   const PhaseEngineConfig& cfg = state.configs[phase];
-  // A big-grid term is built by value and keeps only the timeline its role
-  // at the boundary needs; the via-partition flags that fix the role are in
-  // the key, so terms of different roles never share an entry. Small grids
-  // stay shared, whole, with the context's phase memo.
-  if (cfg.is_gemm) {
-    const GemmPhaseConfig& g = cfg.gemm;
-    const bool big = big_grid(g.chunk_target, g.chunks);
-    return store_.resolve(
-        key_of(g), state.slots[phase],
-        [&] {
-          return big ? keep_read_timelines(run_gemm_phase(g),
-                                           g.out_via_partition,
-                                           g.a_via_partition)
-                     : run_gemm_phase_shared(g);
-        },
-        term_timeline_footprint(g.chunk_target, g.chunks, g.out_via_partition,
-                                g.a_via_partition),
-        state.delta_hits);
-  }
-  const SpmmPhaseConfig& s = cfg.spmm;
+  EvalTermKey key = cfg.is_gemm ? term_key(cfg.gemm) : term_key(cfg.spmm);
   // Which graph a sparse term walks: 0 = the workload adjacency, 1 + i =
   // phase i's W^T. Two sparse-weight phases can share every keyed config
   // field while walking different weight patterns.
-  EvalTermKey key = key_of(s);
-  key.w[19] = shapes_[phase].engine == PhaseEngine::kSparseSparse
-                  ? 1 + static_cast<std::uint64_t>(phase)
-                  : 0;
-  const bool big = big_grid(s.chunk_target, s.chunks);
+  if (shapes_[phase].engine == PhaseEngine::kSparseSparse) {
+    key.w[19] = 1 + static_cast<std::uint64_t>(phase);
+  }
+  // Small grids are shared, whole, with the context's phase memo. A big-grid
+  // term is built by value and keeps only the timeline its role at the
+  // boundary needs; the via-partition flags that fix the role are in the
+  // key, so terms of different roles never share an entry.
+  if (!big_grid(cfg)) {
+    return store_.resolve(
+        key, state.slots[phase], [&] { return simulate_phase(cfg, context_); },
+        0, state.delta_hits);
+  }
+  const bool producer =
+      cfg.is_gemm ? cfg.gemm.out_via_partition : cfg.spmm.out_via_partition;
+  const bool consumer =
+      cfg.is_gemm ? cfg.gemm.a_via_partition : cfg.spmm.b_via_partition;
   return store_.resolve(
       key, state.slots[phase],
       [&] {
-        return big ? keep_read_timelines(run_spmm_phase(s),
-                                         s.out_via_partition,
-                                         s.b_via_partition)
-                   : run_spmm_phase_shared(s);
+        return keep_read_timelines(cfg.is_gemm ? run_gemm_phase(cfg.gemm)
+                                               : run_spmm_phase(cfg.spmm),
+                                   producer, consumer);
       },
-      term_timeline_footprint(s.chunk_target, s.chunks, s.out_via_partition,
-                              s.b_via_partition),
+      term_timeline_footprint(cfg.is_gemm ? cfg.gemm.chunks : cfg.spmm.chunks,
+                              producer, consumer),
       state.delta_hits);
 }
 

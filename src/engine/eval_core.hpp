@@ -7,15 +7,16 @@
 // composition:
 //
 //   configs = derive_pipeline(substrate, chain shapes, binding)
-//   term_i  = PhaseResult of configs[i]          (cached by EvalTermKey)
+//   term_i  = simulate_phase(configs[i])         (cached by EvalTermKey)
 //   cycles, traffic, energy = compose_pipeline(terms, boundaries)
 //
-// derive_pipeline and compose_pipeline (omega/pipeline.hpp) are the same
-// functions run_pipeline calls, so the plan differs from the uncached path
-// only in where the terms come from. Each term is keyed by the fields its
-// engine config actually depends on (see key_of in eval_core.cpp) and held
-// in a POD-keyed TermStore on the plan, so a single-field mutation
-// re-simulates at most the terms whose key embeds that field. The plan
+// derive_pipeline, simulate_phase and compose_pipeline (omega/pipeline.hpp)
+// are the same functions run_pipeline calls, so the plan differs from the
+// uncached path only in where the terms come from. Each term is keyed by
+// the engine config's term_key — the same key the context's phase memo
+// uses, plus a graph tag for sparse-weight phases — and held in a TermStore
+// on the plan, so a single-field mutation re-simulates at most the terms
+// whose key embeds that field. The plan
 // itself is cached in the WorkloadContext keyed by everything outside the
 // binding (substrate + energy model + chain), so repeated searches over one
 // workload reuse all terms across calls.
@@ -31,7 +32,6 @@
 // mutations against it.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -57,14 +57,6 @@ struct EvalOutcome {
   bool ok = false;
 };
 
-/// POD signature of one phase term — the numeric mirror of the engines'
-/// string memo keys (same fields, no formatting/hashing of digits per
-/// candidate). w[0] tags the engine so spmm/gemm keys can never collide.
-struct EvalTermKey {
-  std::array<std::uint64_t, 22> w{};
-  [[nodiscard]] bool operator==(const EvalTermKey&) const = default;
-};
-
 /// Byte budget for *chunked* phase-term timelines held by one plan. The
 /// context's phase memo refuses chunk grids past kPhaseMemoMaxChunks on the
 /// assumption that giant timelines are near-unique; sweep profiles show the
@@ -77,19 +69,6 @@ struct EvalTermKey {
 /// producer (chunk_completion) or consumer (chunk_cycles), none at an
 /// SP-generic boundary — and is charged exactly that.
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
-
-struct EvalTermKeyHash {
-  [[nodiscard]] std::size_t operator()(const EvalTermKey& k) const noexcept {
-    // FNV-1a over the words; the fields are small integers, so the byte-wise
-    // avalanche matters more than speed here (the map is behind the L1).
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint64_t w : k.w) {
-      h ^= w;
-      h *= 0x100000001b3ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Per-evaluation-block working state: one delta slot per phase POSITION
 /// (consecutive candidates that leave phase i untouched hit slot i without

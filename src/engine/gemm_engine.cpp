@@ -4,58 +4,13 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <string>
 
-#include "engine/schedule_cache.hpp"
 #include "util/error.hpp"
 #include "util/saturate.hpp"
 
 namespace omega {
 
 namespace {
-
-/// Everything that determines the PhaseResult; see
-/// WorkloadContext::phase_result.
-std::string memo_key(const GemmPhaseConfig& cfg) {
-  std::string k;
-  k.reserve(160);
-  k += "gemm|";
-  k += cfg.order.letters();
-  const auto add = [&k](std::uint64_t v) {
-    k += '|';
-    k += std::to_string(v);
-  };
-  add(cfg.rows);
-  add(cfg.inner);
-  add(cfg.cols);
-  add(cfg.tiles.v);
-  add(cfg.tiles.f);
-  add(cfg.tiles.g);
-  add(cfg.pes);
-  add(cfg.bw_dist);
-  add(cfg.bw_red);
-  add(cfg.rf_elements);
-  add(cfg.a_stream_bw);
-  add(cfg.out_drain_bw);
-  add(static_cast<std::uint64_t>(cfg.a_from_rf) << 5 |
-      static_cast<std::uint64_t>(cfg.out_to_rf) << 4 |
-      static_cast<std::uint64_t>(cfg.a_in_dram) << 3 |
-      static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
-      static_cast<std::uint64_t>(cfg.a_via_partition) << 1 |
-      static_cast<std::uint64_t>(cfg.out_via_partition));
-  add(static_cast<std::uint64_t>(cfg.a_category));
-  add(static_cast<std::uint64_t>(cfg.b_category));
-  add(static_cast<std::uint64_t>(cfg.out_category));
-  add(static_cast<std::uint64_t>(cfg.chunk_target));
-  add(cfg.chunks.rows);
-  add(cfg.chunks.cols);
-  add(cfg.chunks.row_block);
-  add(cfg.chunks.col_block);
-  add(static_cast<std::uint64_t>(cfg.chunks.major));
-  return k;
-}
-
-PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg);
 
 struct LoopInfo {
   Dim dim;
@@ -96,32 +51,42 @@ void GemmPhaseConfig::validate() const {
               "spatial tile footprint exceeds the PEs allocated to the phase");
 }
 
+EvalTermKey term_key(const GemmPhaseConfig& cfg) {
+  EvalTermKey k;
+  k.w = {2ull,  // engine tag
+         pack_order(cfg.order),
+         cfg.rows,
+         cfg.inner,
+         cfg.cols,
+         cfg.tiles.v,
+         cfg.tiles.f,
+         cfg.tiles.g,
+         cfg.pes,
+         cfg.bw_dist,
+         cfg.bw_red,
+         cfg.rf_elements,
+         cfg.a_stream_bw,
+         cfg.out_drain_bw,
+         static_cast<std::uint64_t>(cfg.a_from_rf) << 5 |
+             static_cast<std::uint64_t>(cfg.out_to_rf) << 4 |
+             static_cast<std::uint64_t>(cfg.a_in_dram) << 3 |
+             static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
+             static_cast<std::uint64_t>(cfg.a_via_partition) << 1 |
+             static_cast<std::uint64_t>(cfg.out_via_partition),
+         static_cast<std::uint64_t>(cfg.a_category) << 16 |
+             static_cast<std::uint64_t>(cfg.b_category) << 8 |
+             static_cast<std::uint64_t>(cfg.out_category),
+         static_cast<std::uint64_t>(cfg.chunk_target) << 8 |
+             static_cast<std::uint64_t>(cfg.chunks.major),
+         cfg.chunks.rows,
+         cfg.chunks.cols,
+         cfg.chunks.row_block,
+         cfg.chunks.col_block,
+         0};
+  return k;
+}
+
 PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
-  const bool memoizable =
-      cfg.chunk_target == ChunkTarget::kNone ||
-      cfg.chunks.num_chunks() <= kPhaseMemoMaxChunks;
-  if (cfg.context != nullptr && memoizable) {
-    return *cfg.context->phase_result(memo_key(cfg),
-                                      [&] { return run_gemm_phase_impl(cfg); });
-  }
-  return run_gemm_phase_impl(cfg);
-}
-
-std::shared_ptr<const PhaseResult> run_gemm_phase_shared(
-    const GemmPhaseConfig& cfg) {
-  const bool memoizable =
-      cfg.chunk_target == ChunkTarget::kNone ||
-      cfg.chunks.num_chunks() <= kPhaseMemoMaxChunks;
-  if (cfg.context != nullptr && memoizable) {
-    return cfg.context->phase_result(memo_key(cfg),
-                                     [&] { return run_gemm_phase_impl(cfg); });
-  }
-  return std::make_shared<const PhaseResult>(run_gemm_phase_impl(cfg));
-}
-
-namespace {
-
-PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
   cfg.validate();
 
   // Clamp tiles to extents so degenerate dims do not inflate the footprint.
@@ -564,7 +529,5 @@ PhaseResult run_gemm_phase_impl(const GemmPhaseConfig& cfg) {
   }
   return r;
 }
-
-}  // namespace
 
 }  // namespace omega

@@ -9,15 +9,11 @@
 // cycle accounting (see DESIGN.md "Cost-model semantics").
 #pragma once
 
-#include <memory>
-
 #include "arch/accelerator.hpp"
 #include "dataflow/intra.hpp"
 #include "engine/phase_result.hpp"
 
 namespace omega {
-
-class WorkloadContext;  // engine/schedule_cache.hpp
 
 /// Which matrix the pipeline chunk grid tracks.
 enum class ChunkTarget : std::uint8_t {
@@ -34,12 +30,6 @@ struct GemmPhaseConfig {
 
   LoopOrder order;  // permutation of {V, F, G}
   TileSizes tiles;  // t_n ignored
-
-  /// Optional per-workload memo (engine/schedule_cache.hpp): identical
-  /// configs skip the tile-step simulation and return the memoized
-  /// PhaseResult. The search's agg x cmb cross product makes such repeats
-  /// the common case. Null simulates fresh (identical results).
-  const WorkloadContext* context = nullptr;
 
   // Hardware binding.
   std::size_t pes = 512;
@@ -81,16 +71,13 @@ struct GemmPhaseConfig {
   void validate() const;
 };
 
+/// Simulates one dense phase. A pure function of `cfg`: the memoized path
+/// is simulate_phase (omega/pipeline.hpp).
 [[nodiscard]] PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg);
 
-/// Like run_gemm_phase, but hands back the memo's shared entry instead of
-/// copying the PhaseResult out of it. The copy is what the by-value path
-/// pays per candidate (chunked results carry O(chunks) timeline vectors);
-/// the cached evaluation core (engine/eval_core.hpp) holds terms by pointer,
-/// so it must not pay it. Uncached configs build a fresh shared result —
-/// bit-identical either way.
-[[nodiscard]] std::shared_ptr<const PhaseResult> run_gemm_phase_shared(
-    const GemmPhaseConfig& cfg);
+/// The config's memo key: every field above, one word each (flags and
+/// traffic categories packed).
+[[nodiscard]] EvalTermKey term_key(const GemmPhaseConfig& cfg);
 
 /// ceil(a / b) with b >= 1.
 [[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {

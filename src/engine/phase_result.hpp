@@ -2,6 +2,7 @@
 // two phases into a pipeline.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -52,6 +53,37 @@ struct ChunkSpec {
     return s;
   }
 };
+
+/// POD signature of one phase config: every field that determines its
+/// PhaseResult except the graph an spmm phase walks. Built by the engines'
+/// `term_key` (gemm_engine.hpp, spmm_engine.hpp); it keys both the
+/// WorkloadContext phase memo and a PipelineEvalPlan's TermStore. w[0] tags
+/// the engine so spmm and gemm keys never collide; an spmm key leaves w[19]
+/// zero for the caller's graph tag (see PipelineEvalPlan::resolve_phase).
+struct EvalTermKey {
+  std::array<std::uint64_t, 22> w{};
+  [[nodiscard]] bool operator==(const EvalTermKey&) const = default;
+};
+
+struct EvalTermKeyHash {
+  [[nodiscard]] std::size_t operator()(const EvalTermKey& k) const noexcept {
+    // FNV-1a over the words; the fields are small integers, so the byte-wise
+    // avalanche matters more than speed here (the map is behind the L1).
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t w : k.w) {
+      h ^= w;
+      h *= 0x100000001b3ull;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// One key word for a loop order (term_key).
+[[nodiscard]] inline std::uint64_t pack_order(const LoopOrder& order) {
+  return static_cast<std::uint64_t>(order.at(0)) << 8 |
+         static_cast<std::uint64_t>(order.at(1)) << 4 |
+         static_cast<std::uint64_t>(order.at(2));
+}
 
 /// Per-phase simulation output. The engines fill both chunk timelines; a
 /// big-grid term in a PipelineEvalPlan's TermStore keeps only the one

@@ -71,7 +71,7 @@ std::size_t WorkloadContext::schedule_cache_size() const {
 }
 
 std::shared_ptr<const PhaseResult> WorkloadContext::phase_result(
-    const std::string& key, const std::function<PhaseResult()>& build) const {
+    const EvalTermKey& key, const std::function<PhaseResult()>& build) const {
   std::shared_ptr<PhaseEntry> entry;
   {
     const std::scoped_lock lock(mutex_);

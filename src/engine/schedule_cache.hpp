@@ -15,10 +15,12 @@
 //  * each schedule stores the prefix max of per-row finish steps, so the
 //    row-major pipeline chunk timeline reads one value per row block
 //    instead of rescanning all V rows per candidate;
-//  * complete PhaseResults are memoized by the engine config signature —
-//    the search's agg x cmb tiling cross product re-simulates the same
-//    phase config once per partner tiling, so a sweep of C candidates runs
-//    far fewer than 2C phase simulations.
+//  * complete PhaseResults are memoized by the config's EvalTermKey
+//    (engine/phase_result.hpp, built by the engines' term_key) — the
+//    search's agg x cmb tiling cross product re-simulates the same phase
+//    config once per partner tiling, so a sweep of C candidates runs far
+//    fewer than 2C phase simulations. simulate_phase (omega/pipeline.hpp)
+//    is the memo's one caller.
 //
 // All methods are const and thread-safe; one context is shared by every
 // thread of a sweep. See DESIGN.md "WorkloadContext caching contract".
@@ -39,7 +41,7 @@
 namespace omega {
 
 /// Phase results with chunk grids beyond this size are evaluated without
-/// the memo (see WorkloadContext::phase_result).
+/// the memo (see big_grid in omega/pipeline.hpp).
 inline constexpr std::size_t kPhaseMemoMaxChunks = 2048;
 
 /// Ceiling on distinct phase-result memo entries per context. A sweep's
@@ -134,20 +136,21 @@ class WorkloadContext {
   /// Number of distinct schedules built so far (observability / tests).
   [[nodiscard]] std::size_t schedule_cache_size() const;
 
-  /// Memoized full phase simulation. `key` is the engine's config signature
+  /// Memoized full phase simulation. `key` is the config's term_key
   /// (everything that determines the PhaseResult except the graph, which is
   /// this context's); `build` runs at most once per key. Concurrent misses
   /// on different keys build in parallel; a throwing build memoizes the
   /// exception and rethrows it on every call — same observable Error as the
   /// uncached path (builds are deterministic per key), built only once.
-  /// Callers must bypass the memo for results whose chunk grid
-  /// exceeds kPhaseMemoMaxChunks: giant grids are near-unique across
-  /// candidates, and caching their multi-megabyte timelines trades memory
-  /// (gigabytes over a long sweep) for hits that never come. Small-grid
-  /// terms an eval plan builds land here too, besides the plan's TermStore
-  /// (folding the two memos into one is a deferred step).
+  /// simulate_phase (omega/pipeline.hpp) is the only caller: it keeps
+  /// big-grid configs (past kPhaseMemoMaxChunks) and sparse-weight phases
+  /// out — giant grids are near-unique across candidates, and caching their
+  /// multi-megabyte timelines trades memory (gigabytes over a long sweep)
+  /// for hits that never come. Small-grid terms an eval plan builds land
+  /// here too, besides the plan's TermStore (folding the two memos into one
+  /// is a deferred step).
   [[nodiscard]] std::shared_ptr<const PhaseResult> phase_result(
-      const std::string& key, const std::function<PhaseResult()>& build) const;
+      const EvalTermKey& key, const std::function<PhaseResult()>& build) const;
 
   /// Number of distinct phase simulations memoized so far.
   [[nodiscard]] std::size_t phase_cache_size() const;
@@ -211,7 +214,8 @@ class WorkloadContext {
   mutable std::exception_ptr reverse_error_;
   mutable std::mutex mutex_;
   mutable std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> schedules_;
-  mutable std::unordered_map<std::string, std::shared_ptr<PhaseEntry>>
+  mutable std::unordered_map<EvalTermKey, std::shared_ptr<PhaseEntry>,
+                             EvalTermKeyHash>
       phase_results_;
   mutable std::unordered_map<std::string, std::shared_ptr<PlanEntry>>
       eval_plans_;

@@ -39,78 +39,38 @@ std::vector<std::uint64_t> scale_chunks(
 
 }  // namespace
 
-namespace {
-
-/// Everything that determines the PhaseResult besides the graph (which is
-/// the context's own); see WorkloadContext::phase_result.
-std::string memo_key(const SpmmPhaseConfig& cfg) {
-  std::string k;
-  k.reserve(160);
-  k += "spmm|";
-  k += cfg.order.letters();
-  const auto add = [&k](std::uint64_t v) {
-    k += '|';
-    k += std::to_string(v);
-  };
-  add(cfg.feat);
-  add(cfg.tiles.v);
-  add(cfg.tiles.n);
-  add(cfg.tiles.f);
-  add(cfg.pes);
-  add(cfg.bw_dist);
-  add(cfg.bw_red);
-  add(cfg.rf_elements);
-  add(cfg.b_stream_bw);
-  add(cfg.out_drain_bw);
-  add(static_cast<std::uint64_t>(cfg.out_to_rf) << 5 |
-      static_cast<std::uint64_t>(cfg.b_from_rf) << 4 |
-      static_cast<std::uint64_t>(cfg.b_in_dram) << 3 |
-      static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
-      static_cast<std::uint64_t>(cfg.b_via_partition) << 1 |
-      static_cast<std::uint64_t>(cfg.out_via_partition));
-  add(static_cast<std::uint64_t>(cfg.b_category));
-  add(static_cast<std::uint64_t>(cfg.out_category));
-  add(static_cast<std::uint64_t>(cfg.chunk_target));
-  add(cfg.chunks.rows);
-  add(cfg.chunks.cols);
-  add(cfg.chunks.row_block);
-  add(cfg.chunks.col_block);
-  add(static_cast<std::uint64_t>(cfg.chunks.major));
+EvalTermKey term_key(const SpmmPhaseConfig& cfg) {
+  EvalTermKey k;
+  k.w = {1ull,  // engine tag
+         pack_order(cfg.order),
+         cfg.feat,
+         cfg.tiles.v,
+         cfg.tiles.n,
+         cfg.tiles.f,
+         cfg.pes,
+         cfg.bw_dist,
+         cfg.bw_red,
+         cfg.rf_elements,
+         cfg.b_stream_bw,
+         cfg.out_drain_bw,
+         static_cast<std::uint64_t>(cfg.out_to_rf) << 5 |
+             static_cast<std::uint64_t>(cfg.b_from_rf) << 4 |
+             static_cast<std::uint64_t>(cfg.b_in_dram) << 3 |
+             static_cast<std::uint64_t>(cfg.out_in_dram) << 2 |
+             static_cast<std::uint64_t>(cfg.b_via_partition) << 1 |
+             static_cast<std::uint64_t>(cfg.out_via_partition),
+         static_cast<std::uint64_t>(cfg.b_category) << 8 |
+             static_cast<std::uint64_t>(cfg.out_category),
+         static_cast<std::uint64_t>(cfg.chunk_target) << 8 |
+             static_cast<std::uint64_t>(cfg.chunks.major),
+         cfg.chunks.rows,
+         cfg.chunks.cols,
+         cfg.chunks.row_block,
+         cfg.chunks.col_block,
+         0,  // graph tag (see EvalTermKey)
+         0,
+         0};
   return k;
-}
-
-PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg);
-
-}  // namespace
-
-PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
-  // Checked before the memo lookup: the key carries no graph identity, so a
-  // mis-bound context must fail loudly rather than return another graph's
-  // cached result.
-  OMEGA_CHECK(cfg.context == nullptr || &cfg.context->graph() == cfg.graph,
-              "WorkloadContext is bound to a different graph");
-  const bool memoizable =
-      cfg.chunk_target == ChunkTarget::kNone ||
-      cfg.chunks.num_chunks() <= kPhaseMemoMaxChunks;
-  if (cfg.context != nullptr && memoizable) {
-    return *cfg.context->phase_result(memo_key(cfg),
-                                      [&] { return run_spmm_phase_impl(cfg); });
-  }
-  return run_spmm_phase_impl(cfg);
-}
-
-std::shared_ptr<const PhaseResult> run_spmm_phase_shared(
-    const SpmmPhaseConfig& cfg) {
-  OMEGA_CHECK(cfg.context == nullptr || &cfg.context->graph() == cfg.graph,
-              "WorkloadContext is bound to a different graph");
-  const bool memoizable =
-      cfg.chunk_target == ChunkTarget::kNone ||
-      cfg.chunks.num_chunks() <= kPhaseMemoMaxChunks;
-  if (cfg.context != nullptr && memoizable) {
-    return cfg.context->phase_result(memo_key(cfg),
-                                     [&] { return run_spmm_phase_impl(cfg); });
-  }
-  return std::make_shared<const PhaseResult>(run_spmm_phase_impl(cfg));
 }
 
 void SpmmPhaseConfig::validate() const {
@@ -126,9 +86,7 @@ void SpmmPhaseConfig::validate() const {
               "spatial tile footprint exceeds the PEs allocated to the phase");
 }
 
-namespace {
-
-PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
+PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
   cfg.validate();
   const CSRGraph& g = *cfg.graph;
   const std::size_t v_extent = g.num_vertices();
@@ -359,7 +317,5 @@ PhaseResult run_spmm_phase_impl(const SpmmPhaseConfig& cfg) {
   }
   return finish();
 }
-
-}  // namespace
 
 }  // namespace omega

@@ -27,7 +27,7 @@ struct SpmmPhaseConfig {
   const CSRGraph* graph = nullptr;  // adjacency (rows = output vertices)
   std::size_t feat = 1;             // feature width: F for AC, G for CA
 
-  /// Optional per-workload memo (see schedule_cache.hpp): reuses the cached
+  /// Optional per-workload cache (see schedule_cache.hpp): reuses the cached
   /// adjacency transpose and lane schedules across candidates of a sweep.
   /// Must be bound to `graph`; null recomputes both fresh (identical
   /// results, just slower — the parity is covered by schedule_cache_test).
@@ -71,10 +71,13 @@ struct SpmmPhaseConfig {
   void validate() const;
 };
 
+/// Simulates one sparse phase. A pure function of `cfg` and its graph
+/// (`context` only supplies the transpose and lane schedules); the memoized
+/// path is simulate_phase (omega/pipeline.hpp).
 [[nodiscard]] PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg);
 
-/// Shared-entry variant of run_spmm_phase; see run_gemm_phase_shared.
-[[nodiscard]] std::shared_ptr<const PhaseResult> run_spmm_phase_shared(
-    const SpmmPhaseConfig& cfg);
+/// The config's memo key: every field above except `graph` and `context`
+/// (w[19], the graph tag, is left 0).
+[[nodiscard]] EvalTermKey term_key(const SpmmPhaseConfig& cfg);
 
 }  // namespace omega

@@ -3,6 +3,7 @@
 #include "graph/spmm.hpp"
 #include "tensor/gemm.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace omega {
 
@@ -13,6 +14,14 @@ const char* to_string(GnnModel m) {
     case GnnModel::kGIN: return "GIN";
   }
   return "?";
+}
+
+GnnModel gnn_model_from_string(const std::string& s) {
+  const std::string m = to_lower(s);
+  if (m == "gcn") return GnnModel::kGCN;
+  if (m == "sage" || m == "graphsage") return GnnModel::kGraphSAGE;
+  if (m == "gin") return GnnModel::kGIN;
+  throw InvalidArgumentError("unknown model arch: " + s);
 }
 
 GnnLayerSpec GnnModelSpec::layer_spec(std::size_t i) const {

@@ -16,6 +16,9 @@ namespace omega {
 enum class GnnModel : std::uint8_t { kGCN = 0, kGraphSAGE = 1, kGIN = 2 };
 
 [[nodiscard]] const char* to_string(GnnModel m);
+/// Case-insensitive "gcn", "sage" (or "graphsage") or "gin"; throws
+/// InvalidArgumentError otherwise.
+[[nodiscard]] GnnModel gnn_model_from_string(const std::string& s);
 
 /// One layer of a GNN: feature widths plus the aggregation semantics.
 struct GnnLayerSpec {

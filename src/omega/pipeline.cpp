@@ -697,7 +697,6 @@ std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
     if (shape.engine == PhaseEngine::kDenseDense) {
       pc.is_gemm = true;
       GemmPhaseConfig& cfg = pc.gemm;
-      cfg.context = context;
       cfg.rows = v;
       cfg.inner = shape.in_features;
       cfg.cols = shape.out_features;
@@ -783,6 +782,35 @@ std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
     }
   }
   return partition_bytes;
+}
+
+bool big_grid(const PhaseEngineConfig& cfg) {
+  const ChunkTarget target =
+      cfg.is_gemm ? cfg.gemm.chunk_target : cfg.spmm.chunk_target;
+  const ChunkSpec& chunks = cfg.is_gemm ? cfg.gemm.chunks : cfg.spmm.chunks;
+  return target != ChunkTarget::kNone &&
+         chunks.num_chunks() > kPhaseMemoMaxChunks;
+}
+
+std::shared_ptr<const PhaseResult> simulate_phase(
+    const PhaseEngineConfig& cfg, const WorkloadContext* context) {
+  if (!cfg.is_gemm) {
+    // Checked before the memo lookup: the key carries no graph identity, so
+    // a mis-bound context must fail loudly rather than return another
+    // graph's cached result.
+    OMEGA_CHECK(cfg.spmm.context == nullptr ||
+                    &cfg.spmm.context->graph() == cfg.spmm.graph,
+                "WorkloadContext is bound to a different graph");
+    if (cfg.spmm.context == nullptr) context = nullptr;  // sparse weights
+  }
+  const auto build = [&cfg] {
+    return cfg.is_gemm ? run_gemm_phase(cfg.gemm) : run_spmm_phase(cfg.spmm);
+  };
+  if (context == nullptr || big_grid(cfg)) {
+    return std::make_shared<const PhaseResult>(build());
+  }
+  return context->phase_result(
+      cfg.is_gemm ? term_key(cfg.gemm) : term_key(cfg.spmm), build);
 }
 
 PipelineCost compose_pipeline(std::span<const PhaseResult* const> phases,
@@ -906,8 +934,7 @@ PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
     po.in_features = shapes[i].in_features;
     po.out_features = shapes[i].out_features;
     po.static_utilization = static_utilization(p.dataflow, po.pes);
-    po.result = configs[i].is_gemm ? run_gemm_phase(configs[i].gemm)
-                                   : run_spmm_phase(configs[i].spmm);
+    po.result = *simulate_phase(configs[i], context);
     results[i] = &po.result;
   }
 

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -263,12 +264,27 @@ struct PhaseEngineConfig {
 /// PipelineSpec validation for these shapes, and every PP boundary has
 /// hw.num_pes >= 2 and a first-phase share strictly inside (0, 1).
 /// `graph` is the workload adjacency; `context`, when non-null, is bound to
-/// it and feeds the sparse-dense and dense configs.
+/// it and feeds the sparse-dense configs.
 [[nodiscard]] std::size_t derive_pipeline(
     const AcceleratorConfig& hw, const CSRGraph& graph,
     const WorkloadContext* context, std::span<const PipelinePhaseShape> shapes,
     const PipelineBindingView& binding, std::span<PhaseEngineConfig> configs,
     std::span<BoundaryOutcome> boundaries);
+
+/// True when `cfg` stages a chunk grid larger than kPhaseMemoMaxChunks: the
+/// phase memo refuses such configs (giant grids are near-unique across
+/// candidates), and an eval plan stores their terms stripped.
+[[nodiscard]] bool big_grid(const PhaseEngineConfig& cfg);
+
+/// Simulates one derived phase config through `context`'s phase memo (see
+/// WorkloadContext::phase_result), keyed by the config's term_key. Big-grid
+/// configs, sparse-weight phases (whose spmm config carries no context: the
+/// workload context is bound to the adjacency, not to W^T) and a null
+/// `context` simulate fresh — bit-identical either way. Throws Error when
+/// the engines reject the config, or when an spmm config's context is bound
+/// to a different graph than the one it walks. The memo's only caller.
+[[nodiscard]] std::shared_ptr<const PhaseResult> simulate_phase(
+    const PhaseEngineConfig& cfg, const WorkloadContext* context);
 
 /// A composed pipeline: makespan, summed traffic and its energy.
 struct PipelineCost {

@@ -92,20 +92,13 @@ WorkloadRef parse_workload(const JsonValue& v) {
   return w;
 }
 
-Objective parse_objective(const std::string& s) {
-  const std::string o = to_lower(s);
-  if (o == "runtime") return Objective::kRuntime;
-  if (o == "energy") return Objective::kEnergy;
-  if (o == "edp") return Objective::kEnergyDelayProduct;
-  throw InvalidArgumentError("unknown objective: " + s);
-}
-
 /// Shared knobs of search_mappings and the per-layer half of search_model.
 void parse_search_option(const std::string& key, const JsonValue& value,
                          SearchOptions& so, bool* known) {
   *known = true;
   if (key == "objective") {
-    so.objective = parse_objective(string_field(value, "options.objective"));
+    so.objective =
+        objective_from_string(string_field(value, "options.objective"));
   } else if (key == "max_candidates") {
     so.max_candidates =
         static_cast<std::size_t>(u64_field(value, "options.max_candidates"));
@@ -138,12 +131,6 @@ void parse_model_options(const JsonValue& v, ModelSearchOptions& mo) {
     throw InvalidArgumentError("options must be an object");
   }
   for (const auto& [key, value] : v.members()) {
-    if (key == "prune") {
-      // One switch for the model-level search: ModelSearchOptions::prune
-      // overrides the per-layer flag inside search_model_mappings.
-      mo.prune = bool_field(value, "options.prune");
-      continue;
-    }
     bool known = false;
     parse_search_option(key, value, mo.layer, &known);
     if (known) continue;
@@ -324,7 +311,8 @@ void parse_pipeline_search_options(const JsonValue& v,
   }
   for (const auto& [key, value] : v.members()) {
     if (key == "objective") {
-      po.objective = parse_objective(string_field(value, "options.objective"));
+      po.objective =
+          objective_from_string(string_field(value, "options.objective"));
     } else if (key == "max_candidates") {
       po.max_candidates =
           static_cast<std::size_t>(u64_field(value, "options.max_candidates"));
@@ -343,14 +331,6 @@ void parse_pipeline_search_options(const JsonValue& v,
       throw InvalidArgumentError("unknown options key: " + key);
     }
   }
-}
-
-GnnModel parse_model_arch(const std::string& s) {
-  const std::string m = to_lower(s);
-  if (m == "gcn") return GnnModel::kGCN;
-  if (m == "sage" || m == "graphsage") return GnnModel::kGraphSAGE;
-  if (m == "gin") return GnnModel::kGIN;
-  throw InvalidArgumentError("unknown model arch: " + s);
 }
 
 void write_workload_summary(JsonWriter& w, const GnnWorkload& workload) {
@@ -532,7 +512,7 @@ Request parse_request(const std::string& line) {
       }
       for (const auto& [mk, mv] : value.members()) {
         if (mk == "arch") {
-          r.model = parse_model_arch(string_field(mv, "model.arch"));
+          r.model = gnn_model_from_string(string_field(mv, "model.arch"));
         } else if (mk == "widths") {
           for (const auto& width : mv.items()) {
             r.widths.push_back(
@@ -612,79 +592,42 @@ Request parse_request(const std::string& line) {
   return r;
 }
 
-bool is_barrier_request(const std::string& line) {
-  // omega-lint: allow(uncaught-escape): parse probe; malformed lines return false, non-Error escapes reach the handler catch-all
-  try {
-    const JsonValue root = JsonValue::parse(line);
-    const JsonValue* kind = root.find("kind");
-    return kind != nullptr && kind->is_string() &&
-           (kind->as_string() == "stats" || kind->as_string() == "metrics");
-  } catch (const Error&) {
-    return false;  // malformed lines get their error response concurrently
-  }
-}
-
-std::uint64_t peek_request_id(const std::string& line) {
-  // omega-lint: allow(uncaught-escape): parse probe; only Error means "no id to recover"
-  try {
-    const JsonValue root = JsonValue::parse(line);
-    if (const JsonValue* id = root.find("id");
-        id != nullptr && id->is_number()) {
-      return id->as_u64();
-    }
-  } catch (const Error&) {
-    // Malformed JSON: no id to recover.
-  }
-  return 0;
-}
-
 RequestScheduling peek_request_scheduling(const std::string& line) {
   RequestScheduling s;
-  // omega-lint: allow(uncaught-escape): parse probe; malformed lines schedule at band 0 and fail properly at parse_request
+  JsonValue root;
+  // omega-lint: allow(uncaught-escape): parse probe; malformed lines keep the defaults and fail properly at parse_request
   try {
-    const JsonValue root = JsonValue::parse(line);
-    if (!root.is_object()) return s;
-    if (const JsonValue* id = root.find("id");
-        id != nullptr && id->is_number()) {
-      s.id = id->as_u64();
-    }
-    if (const JsonValue* v = root.find("version");
-        v != nullptr && v->is_number()) {
-      const std::uint64_t version = v->as_u64();
-      if (version >= 1 && version <= 2) s.version = version;
-    }
-    // Scheduling fields are a v2 addition; on v1 lines they are a protocol
-    // error that parse_request reports, so the probe leaves them unset.
-    if (s.version >= 2) {
-      if (const JsonValue* p = root.find("priority");
-          p != nullptr && p->is_number()) {
-        const std::uint64_t priority = p->as_u64();
-        if (priority <= kMaxRequestPriority) s.priority = priority;
-      }
-      if (const JsonValue* d = root.find("deadline_ms");
-          d != nullptr && d->is_number()) {
-        s.deadline_ms = d->as_u64();
-      }
-    }
+    root = JsonValue::parse(line);
   } catch (const Error&) {
-    // Malformed JSON: band 0, no deadline; parse_request reports the error.
+    return s;
   }
+  // A member that is absent or not an unsigned integer reads as 0.
+  const auto u64 = [&root](const char* key) -> std::uint64_t {
+    const JsonValue* v = root.find(key);
+    if (v == nullptr || !v->is_number()) return 0;
+    // omega-lint: allow(uncaught-escape): parse probe; only Error means "not an unsigned integer"
+    try {
+      return v->as_u64();
+    } catch (const Error&) {
+      return 0;
+    }
+  };
+  s.id = u64("id");
+  if (const std::uint64_t version = u64("version");
+      version >= 1 && version <= 2) {
+    s.version = version;
+  }
+  if (s.version >= 2) {
+    if (const std::uint64_t priority = u64("priority");
+        priority <= kMaxRequestPriority) {
+      s.priority = priority;
+    }
+    s.deadline_ms = u64("deadline_ms");
+  }
+  const JsonValue* kind = root.find("kind");
+  s.barrier = kind != nullptr && kind->is_string() &&
+              (kind->as_string() == "stats" || kind->as_string() == "metrics");
   return s;
-}
-
-std::uint64_t peek_request_version(const std::string& line) {
-  // omega-lint: allow(uncaught-escape): parse probe; only Error means "no version to recover"
-  try {
-    const JsonValue root = JsonValue::parse(line);
-    if (const JsonValue* v = root.find("version");
-        v != nullptr && v->is_number()) {
-      const std::uint64_t version = v->as_u64();
-      if (version >= 1 && version <= 2) return version;
-    }
-  } catch (const Error&) {
-    // Malformed JSON: no version to recover.
-  }
-  return 0;
 }
 
 std::string error_response(std::uint64_t id, const std::string& type,

@@ -152,33 +152,26 @@ struct Request {
 /// JSON, unknown keys, or invalid field values.
 [[nodiscard]] Request parse_request(const std::string& line);
 
-/// Extracts just the "id" member from a (possibly malformed) request line so
-/// error responses can still be correlated; 0 when unavailable.
-[[nodiscard]] std::uint64_t peek_request_id(const std::string& line);
-
-/// Likewise for the "version" member, so parse-time errors on versioned
-/// requests still echo the version; 0 when absent, malformed, or not a
-/// version this server speaks.
-[[nodiscard]] std::uint64_t peek_request_version(const std::string& line);
-
-/// Scheduling metadata recovered from a request line without full parsing.
-/// The transports admit every line through the scheduler — including lines
-/// that will fail parse_request — so this probe must never throw: malformed
-/// or v1 lines yield band 0 / no deadline (id and version still recovered
-/// when present, for shaping a shed response).
+/// The request head, recovered from a line without full parsing: the
+/// transports probe every line once for scheduling, and MappingService
+/// probes again only to shape an error response. Lines that will fail
+/// parse_request are admitted too, so this probe never throws: each member
+/// is read on its own, and a missing or malformed one stays at its default
+/// (id 0, version 0 unless 1 or 2, band 0, no deadline, not a barrier).
+/// Scheduling fields are a v2 addition: on v1 lines they are a protocol
+/// error that parse_request reports, so the probe leaves them unset.
 struct RequestScheduling {
   std::uint64_t id = 0;
   std::uint64_t version = 0;
   std::uint64_t priority = 0;
   std::uint64_t deadline_ms = 0;
+  /// Stats and metrics dispatch as session barriers: both read cumulative
+  /// counters whose values must deterministically reflect every preceding
+  /// request of the session.
+  bool barrier = false;
 };
 [[nodiscard]] RequestScheduling peek_request_scheduling(
     const std::string& line);
-
-/// True for any request kind a session dispatches as a barrier (stats and
-/// metrics): both read cumulative counters whose values must
-/// deterministically reflect every preceding request of the session.
-[[nodiscard]] bool is_barrier_request(const std::string& line);
 
 /// Structured error response: {"id":..,"ok":false,"error":{...}}. A
 /// non-zero `version` (the request carried one and parsed far enough to

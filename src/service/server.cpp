@@ -195,10 +195,6 @@ std::string MappingService::handle_line(const std::string& line) {
   // omega-lint: allow(wall-clock): latency histograms are metrics-only, never goldened
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t id = 0;
-  // parse_request is all-or-nothing, so a parse-time error leaves no
-  // Request to read the version from; peek it straight off the line (like
-  // the id) so versioned clients get a consistent error shape.
-  const std::uint64_t version = peek_request_version(line);
   // Counter labels: the request kind once parsed, "error" for responses
   // that became structured errors. Counters are deterministic per request
   // sequence; the latency histograms are wall-clock (metrics-only, never
@@ -206,6 +202,14 @@ std::string MappingService::handle_line(const std::string& line) {
   const char* kind = nullptr;
   bool ok = false;
   std::string response;
+  // parse_request is all-or-nothing, so a parse-time error leaves no
+  // Request to read the version from; probe it (and the id) straight off
+  // the line so versioned clients get a consistent error shape.
+  const auto fail = [&](const char* type, const char* message) {
+    const RequestScheduling head = peek_request_scheduling(line);
+    response = error_response(id > 0 ? id : head.id, type, message,
+                              head.version);
+  };
   try {
     std::optional<obs::ScopedSpan> span;
     span.emplace(options_.trace, "parse", "service");
@@ -216,20 +220,15 @@ std::string MappingService::handle_line(const std::string& line) {
     response = handle(request);
     ok = true;
   } catch (const InvalidDataflowError& e) {
-    response = error_response(id > 0 ? id : peek_request_id(line),
-                              "InvalidDataflowError", e.what(), version);
+    fail("InvalidDataflowError", e.what());
   } catch (const ResourceError& e) {
-    response = error_response(id > 0 ? id : peek_request_id(line),
-                              "ResourceError", e.what(), version);
+    fail("ResourceError", e.what());
   } catch (const InvalidArgumentError& e) {
-    response = error_response(id > 0 ? id : peek_request_id(line),
-                              "InvalidArgumentError", e.what(), version);
+    fail("InvalidArgumentError", e.what());
   } catch (const Error& e) {
-    response = error_response(id > 0 ? id : peek_request_id(line), "Error",
-                              e.what(), version);
+    fail("Error", e.what());
   } catch (const std::exception& e) {
-    response = error_response(id > 0 ? id : peek_request_id(line), "Internal",
-                              e.what(), version);
+    fail("Internal", e.what());
   }
   const auto us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

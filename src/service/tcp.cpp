@@ -111,9 +111,9 @@ std::size_t run_session(
       // Barriers (stats/metrics) stay deterministic per session: every
       // prior request finishes and emits before the barrier dispatches,
       // and the barrier emits before anything after it is submitted.
-      const bool barrier = is_barrier_request(*line);
-      wait_in_flight_at_most(s, barrier ? 0 : cap - 1);
       const RequestScheduling sched = peek_request_scheduling(*line);
+      const bool barrier = sched.barrier;
+      wait_in_flight_at_most(s, barrier ? 0 : cap - 1);
       SubmitMeta meta;
       meta.id = sched.id;
       meta.version = sched.version;

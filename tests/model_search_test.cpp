@@ -30,7 +30,7 @@ ModelSearchOptions base_options() {
   ModelSearchOptions opt;
   opt.layer.max_candidates = 300;
   opt.layer.top_k = 8;
-  opt.prune = false;
+  opt.layer.prune = false;
   // Off for the bit-parity tests: a standalone search_mappings call has no
   // Table V seed candidates to compare against.
   opt.seed_table5 = false;
@@ -96,7 +96,7 @@ TEST(ModelSearchTest, PruningReturnsSameBestCandidate) {
   const GnnModelSpec spec = gcn_two_layer(24, 16, 8);
   ModelSearchOptions opt = base_options();
   const ModelSearchResult full = search_model_mappings(omega, w, spec, opt);
-  opt.prune = true;
+  opt.layer.prune = true;
   opt.layer.prune_seed = 16;
   const ModelSearchResult pruned = search_model_mappings(omega, w, spec, opt);
   EXPECT_GT(pruned.pruned, 0u);
@@ -158,7 +158,7 @@ TEST(ModelSearchTest, RankedOutputIdenticalAcrossThreadCounts) {
   const GnnWorkload w = toy_workload();
   const GnnModelSpec spec = gcn_two_layer(24, 16, 8);
   ModelSearchOptions opt = base_options();
-  opt.prune = true;  // pruning decisions must also be thread-invariant
+  opt.layer.prune = true;  // pruning decisions must also be thread-invariant
   opt.layer.threads = 1;
   const ModelSearchResult serial = search_model_mappings(omega, w, spec, opt);
   opt.layer.threads = 8;
@@ -273,7 +273,7 @@ TEST(ModelSearchTest, PipelinedPpOnlyStudyBeatsSequentialStrictly) {
   opt.layer.include_sp_generic = false;
   opt.layer.include_sp_optimized = false;
   opt.seed_table5 = false;  // Table V seeds include non-PP patterns
-  opt.prune = true;
+  opt.layer.prune = true;
   const ModelSearchResult seq = search_model_mappings(omega, w, spec, opt);
   opt.compose = ModelCompose::kPipelined;
   const ModelSearchResult pipe = search_model_mappings(omega, w, spec, opt);
@@ -289,7 +289,7 @@ TEST(ModelSearchTest, PipelinedRankedIdenticalAcrossThreadCounts) {
   const GnnWorkload w = toy_workload();
   const GnnModelSpec spec = gcn_two_layer(24, 16, 8);
   ModelSearchOptions opt = base_options();
-  opt.prune = true;
+  opt.layer.prune = true;
   opt.compose = ModelCompose::kPipelined;
   opt.layer.threads = 1;
   const ModelSearchResult serial = search_model_mappings(omega, w, spec, opt);
@@ -313,7 +313,7 @@ TEST(ModelSearchTest, SharedContextMatchesOwnContext) {
   const GnnWorkload w = toy_workload();
   const GnnModelSpec spec = gcn_two_layer(24, 16, 8);
   ModelSearchOptions opt = base_options();
-  opt.prune = true;
+  opt.layer.prune = true;
   const ModelSearchResult own = search_model_mappings(omega, w, spec, opt);
   const WorkloadContext context(w.adjacency);
   const ModelSearchResult shared =

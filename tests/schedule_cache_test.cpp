@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "dse/search.hpp"
+#include <functional>
+#include <utility>
+
 #include "engine/schedule_cache.hpp"
 #include "graph/generators.hpp"
 #include "omega/omega.hpp"
+#include "omega/pipeline.hpp"
 
 namespace omega {
 namespace {
@@ -207,6 +211,214 @@ TEST(WorkloadContextTest, SchedulesAreMemoized) {
   const auto c = context.lane_schedule(false, 8, 2);  // reverse walk differs
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(context.schedule_cache_size(), 2u);
+}
+
+/// Applies each mutation to a copy of `base` and expects a key different
+/// from `base`'s; an unmutated copy must give an equal key.
+template <typename Config>
+void expect_every_field_keyed(
+    const Config& base,
+    const std::vector<std::pair<const char*, std::function<void(Config&)>>>&
+        mutations) {
+  const Config copy = base;
+  EXPECT_EQ(term_key(copy), term_key(base));
+  EXPECT_EQ(EvalTermKeyHash{}(term_key(copy)),
+            EvalTermKeyHash{}(term_key(base)));
+  for (const auto& [field, mutate] : mutations) {
+    Config m = base;
+    mutate(m);
+    EXPECT_FALSE(term_key(m) == term_key(base)) << field;
+  }
+}
+
+/// A chunked, flag-free config so every boolean and every chunk field has a
+/// value to flip away from.
+ChunkSpec keyed_chunks() {
+  ChunkSpec c;
+  c.rows = 64;
+  c.cols = 16;
+  c.row_block = 8;
+  c.col_block = 4;
+  c.major = TraversalMajor::kRowMajor;
+  return c;
+}
+
+TEST(TermKeyTest, EveryGemmFieldChangesTheKey) {
+  GemmPhaseConfig g;
+  g.rows = 64;
+  g.inner = 32;
+  g.cols = 16;
+  g.order = LoopOrder::parse("VGF", GnnPhase::kCombination);
+  g.tiles = {.v = 4, .n = 1, .f = 2, .g = 2};
+  g.pes = 64;
+  g.bw_dist = 32;
+  g.bw_red = 16;
+  g.chunks = keyed_chunks();
+  g.chunk_target = ChunkTarget::kMatrixA;
+  using M = std::function<void(GemmPhaseConfig&)>;
+  expect_every_field_keyed<GemmPhaseConfig>(
+      g, {
+             {"order", M([](auto& c) {
+                c.order = LoopOrder::parse("GVF", GnnPhase::kCombination);
+              })},
+             {"rows", M([](auto& c) { c.rows = 65; })},
+             {"inner", M([](auto& c) { c.inner = 33; })},
+             {"cols", M([](auto& c) { c.cols = 17; })},
+             {"tiles.v", M([](auto& c) { c.tiles.v = 8; })},
+             {"tiles.f", M([](auto& c) { c.tiles.f = 4; })},
+             {"tiles.g", M([](auto& c) { c.tiles.g = 4; })},
+             {"pes", M([](auto& c) { c.pes = 128; })},
+             {"bw_dist", M([](auto& c) { c.bw_dist = 33; })},
+             {"bw_red", M([](auto& c) { c.bw_red = 17; })},
+             {"rf_elements", M([](auto& c) { c.rf_elements = 32; })},
+             {"a_from_rf", M([](auto& c) { c.a_from_rf = true; })},
+             {"out_to_rf", M([](auto& c) { c.out_to_rf = true; })},
+             {"a_stream_bw", M([](auto& c) { c.a_stream_bw = 8; })},
+             {"out_drain_bw", M([](auto& c) { c.out_drain_bw = 8; })},
+             {"a_in_dram", M([](auto& c) { c.a_in_dram = true; })},
+             {"out_in_dram", M([](auto& c) { c.out_in_dram = true; })},
+             {"a_category",
+              M([](auto& c) { c.a_category = TrafficCategory::kInput; })},
+             {"b_category",
+              M([](auto& c) { c.b_category = TrafficCategory::kInput; })},
+             {"out_category",
+              M([](auto& c) {
+                c.out_category = TrafficCategory::kIntermediate;
+              })},
+             {"a_via_partition", M([](auto& c) { c.a_via_partition = true; })},
+             {"out_via_partition",
+              M([](auto& c) { c.out_via_partition = true; })},
+             {"chunks.rows", M([](auto& c) { c.chunks.rows = 65; })},
+             {"chunks.cols", M([](auto& c) { c.chunks.cols = 17; })},
+             {"chunks.row_block", M([](auto& c) { c.chunks.row_block = 16; })},
+             {"chunks.col_block", M([](auto& c) { c.chunks.col_block = 8; })},
+             {"chunks.major",
+              M([](auto& c) {
+                c.chunks.major = TraversalMajor::kColumnMajor;
+              })},
+             {"chunk_target",
+              M([](auto& c) { c.chunk_target = ChunkTarget::kMatrixOut; })},
+         });
+}
+
+TEST(TermKeyTest, EverySpmmFieldChangesTheKey) {
+  const GnnWorkload w = uniform_workload();
+  SpmmPhaseConfig s;
+  s.graph = &w.adjacency;
+  s.feat = 32;
+  s.order = LoopOrder::parse("VFN", GnnPhase::kAggregation);
+  s.tiles = {.v = 4, .n = 2, .f = 2, .g = 1};
+  s.pes = 64;
+  s.bw_dist = 32;
+  s.bw_red = 16;
+  s.chunks = keyed_chunks();
+  s.chunk_target = ChunkTarget::kMatrixOut;
+  using M = std::function<void(SpmmPhaseConfig&)>;
+  expect_every_field_keyed<SpmmPhaseConfig>(
+      s, {
+             {"order", M([](auto& c) {
+                c.order = LoopOrder::parse("NVF", GnnPhase::kAggregation);
+              })},
+             {"feat", M([](auto& c) { c.feat = 33; })},
+             {"tiles.v", M([](auto& c) { c.tiles.v = 8; })},
+             {"tiles.n", M([](auto& c) { c.tiles.n = 4; })},
+             {"tiles.f", M([](auto& c) { c.tiles.f = 4; })},
+             {"pes", M([](auto& c) { c.pes = 128; })},
+             {"bw_dist", M([](auto& c) { c.bw_dist = 33; })},
+             {"bw_red", M([](auto& c) { c.bw_red = 17; })},
+             {"rf_elements", M([](auto& c) { c.rf_elements = 32; })},
+             {"out_to_rf", M([](auto& c) { c.out_to_rf = true; })},
+             {"b_from_rf", M([](auto& c) { c.b_from_rf = true; })},
+             {"b_stream_bw", M([](auto& c) { c.b_stream_bw = 8; })},
+             {"out_drain_bw", M([](auto& c) { c.out_drain_bw = 8; })},
+             {"b_in_dram", M([](auto& c) { c.b_in_dram = true; })},
+             {"out_in_dram", M([](auto& c) { c.out_in_dram = true; })},
+             {"b_category",
+              M([](auto& c) {
+                c.b_category = TrafficCategory::kIntermediate;
+              })},
+             {"out_category",
+              M([](auto& c) { c.out_category = TrafficCategory::kOutput; })},
+             {"b_via_partition", M([](auto& c) { c.b_via_partition = true; })},
+             {"out_via_partition",
+              M([](auto& c) { c.out_via_partition = true; })},
+             {"chunks.rows", M([](auto& c) { c.chunks.rows = 65; })},
+             {"chunks.cols", M([](auto& c) { c.chunks.cols = 17; })},
+             {"chunks.row_block", M([](auto& c) { c.chunks.row_block = 16; })},
+             {"chunks.col_block", M([](auto& c) { c.chunks.col_block = 8; })},
+             {"chunks.major",
+              M([](auto& c) {
+                c.chunks.major = TraversalMajor::kColumnMajor;
+              })},
+             {"chunk_target",
+              M([](auto& c) { c.chunk_target = ChunkTarget::kMatrixA; })},
+         });
+}
+
+TEST(TermKeyTest, SpmmAndGemmKeysNeverCollide) {
+  // Zero-extent configs make every shared word equal; the engine tag alone
+  // must still separate them.
+  GemmPhaseConfig g;
+  SpmmPhaseConfig s;
+  EXPECT_NE(term_key(g).w[0], term_key(s).w[0]);
+}
+
+TEST(SimulatePhaseTest, MisBoundSpmmContextThrows) {
+  const GnnWorkload w = uniform_workload();
+  const GnnWorkload other = skewed_workload();
+  const WorkloadContext wrong(other.adjacency);
+  PhaseEngineConfig cfg;
+  cfg.spmm.graph = &w.adjacency;
+  cfg.spmm.context = &wrong;
+  cfg.spmm.feat = 16;
+  cfg.spmm.order = LoopOrder::parse("VFN", GnnPhase::kAggregation);
+  cfg.spmm.tiles = {.v = 4, .n = 1, .f = 4, .g = 1};
+  cfg.spmm.pes = 64;
+  EXPECT_THROW((void)simulate_phase(cfg, &wrong), Error);
+  EXPECT_EQ(wrong.phase_cache_size(), 0u);  // nothing memoized for it
+
+  // The same binding through run_pipeline: the classic chain's spmm phase
+  // gets the mis-bound context and fails before touching the memo.
+  const Omega omega(small_hw());
+  const PipelineSpec spec = two_phase_pipeline(
+      DataflowDescriptor::parse("Seq_AC(VsFsNt, VsGsFt)"), LayerSpec{16},
+      omega.config().num_pes);
+  EXPECT_THROW((void)omega.run_pipeline(w, spec, &wrong), Error);
+  EXPECT_EQ(wrong.phase_cache_size(), 0u);
+
+  // Correctly bound, both paths memoize.
+  const WorkloadContext right(w.adjacency);
+  cfg.spmm.context = &right;
+  EXPECT_NO_THROW((void)simulate_phase(cfg, &right));
+  EXPECT_EQ(right.phase_cache_size(), 1u);
+}
+
+TEST(SimulatePhaseTest, PhaseMemoSizeAfterAFixedSearchIsPinned) {
+  // A fixed classic-chain search plus a stride of cached Omega::run calls on
+  // one context. The count is the number of distinct memo keys the memo
+  // admitted; it changes only if the key's equivalence classes (or the
+  // big-grid refusal) change.
+  const GnnWorkload w = skewed_workload();
+  const Omega omega(small_hw());
+  const LayerSpec layer{16};
+  SearchOptions opt;
+  opt.include_ca = true;
+  opt.max_candidates = 400;
+  opt.threads = 1;
+  const WorkloadContext context(w.adjacency);
+  (void)search_mappings(omega, w, layer, opt, &context);
+  EXPECT_EQ(context.phase_cache_size(), 689u);
+
+  const auto candidates = enumerate_search_candidates(
+      opt, dims_of(w, layer), omega.config().num_pes);
+  for (std::size_t i = 0; i < candidates.size(); i += 11) {
+    try {
+      (void)omega.run(w, layer, candidates[i], context);
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_EQ(context.phase_cache_size(), 4004u);
+  EXPECT_EQ(context.phase_memo_overflow(), 0u);
 }
 
 TEST(RmatGeneratorTest, DeterministicAndSkewed) {

@@ -113,7 +113,9 @@ TEST(ProtocolTest, ParsesSearchModelRequest) {
   EXPECT_EQ(r.model_options.layer.max_candidates, 64u);
   EXPECT_EQ(r.model_options.max_total_candidates, 500u);
   EXPECT_EQ(r.model_options.budget_allocation, BudgetAllocation::kEven);
-  EXPECT_FALSE(r.model_options.prune);
+  EXPECT_FALSE(r.model_options.layer.prune);
+  // Without the key, model search prunes every layer sweep by default.
+  EXPECT_TRUE(parse_request(line_model_pipelined(4)).model_options.layer.prune);
 }
 
 TEST(ProtocolTest, ParsesComposeOptionAndDefaultsToSequential) {
@@ -391,6 +393,15 @@ TEST(ProtocolTest, PeekRequestSchedulingNeverThrows) {
   const RequestScheduling junk = peek_request_scheduling("{nonsense");
   EXPECT_EQ(junk.id, 0u);
   EXPECT_EQ(junk.priority, 0u);
+  EXPECT_FALSE(junk.barrier);
+  // Each member is probed on its own: a malformed id hides neither the
+  // version (error responses echo it) nor the scheduling fields.
+  const RequestScheduling bad_id = peek_request_scheduling(
+      R"({"id":-1,"version":2,"priority":3,"kind":"stats"})");
+  EXPECT_EQ(bad_id.id, 0u);
+  EXPECT_EQ(bad_id.version, 2u);
+  EXPECT_EQ(bad_id.priority, 3u);
+  EXPECT_TRUE(bad_id.barrier);
 }
 
 TEST(ServiceTest, PipelineEvaluateRoundTrip) {
@@ -757,9 +768,11 @@ TEST(MetricsRequestTest, MetricsRequiresVersionTwo) {
   const Request r =
       parse_request(R"({"id":1,"version":2,"kind":"metrics"})");
   EXPECT_EQ(r.kind, RequestKind::kMetrics);
-  EXPECT_TRUE(is_barrier_request(R"({"id":1,"version":2,"kind":"metrics"})"));
-  EXPECT_TRUE(is_barrier_request(R"({"id":1,"kind":"stats"})"));
-  EXPECT_FALSE(is_barrier_request(line_evaluate(1)));
+  EXPECT_TRUE(
+      peek_request_scheduling(R"({"id":1,"version":2,"kind":"metrics"})")
+          .barrier);
+  EXPECT_TRUE(peek_request_scheduling(R"({"id":1,"kind":"stats"})").barrier);
+  EXPECT_FALSE(peek_request_scheduling(line_evaluate(1)).barrier);
 }
 
 TEST(MetricsRequestTest, SnapshotReflectsPrecedingRequestsDeterministically) {

@@ -55,9 +55,12 @@
 //   omega_cli search-model Cora --widths 16,7 --budget 2000 --json model.json
 //   printf '%s\n' '{"id":1,"kind":"stats"}' | omega_cli serve
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,6 +82,40 @@
 namespace {
 
 using namespace omega;
+
+// ---- Flag values ------------------------------------------------------------
+
+/// Parses `flag`'s value as a count: decimal digits only (no sign, no
+/// suffix), at most `max`. Throws InvalidArgumentError naming the flag.
+std::uint64_t parse_count(
+    const std::string& text, const std::string& flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+    throw InvalidArgumentError(
+        flag +
+        (max == std::numeric_limits<std::uint64_t>::max()
+             ? std::string(" wants a non-negative integer")
+             : " wants an integer in 0-" + std::to_string(max)) +
+        ", got: " + text);
+  }
+  return value;
+}
+
+/// Parses `flag`'s value as a finite decimal number; the whole value must
+/// parse. Throws InvalidArgumentError naming the flag.
+double parse_number(const std::string& text, const std::string& flag) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(value)) {
+    throw InvalidArgumentError(flag + " wants a finite number, got: " + text);
+  }
+  return value;
+}
 
 // ---- Per-subcommand usage ---------------------------------------------------
 
@@ -284,14 +321,14 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       if (i + 1 >= argc) throw InvalidArgumentError("missing value for " + a);
       return argv[++i];
     };
-    if (a == "--pes") o.pes = static_cast<std::size_t>(std::stoul(next()));
-    else if (a == "--g") o.g = static_cast<std::size_t>(std::stoul(next()));
-    else if (a == "--frac") o.frac = std::stod(next());
-    else if (a == "--bw") o.bw = static_cast<std::size_t>(std::stoul(next()));
-    else if (a == "--scale") o.scale = std::stod(next());
+    if (a == "--pes") o.pes = parse_count(next(), a);
+    else if (a == "--g") o.g = parse_count(next(), a);
+    else if (a == "--frac") o.frac = parse_number(next(), a);
+    else if (a == "--bw") o.bw = parse_count(next(), a);
+    else if (a == "--scale") o.scale = parse_number(next(), a);
     else if (a == "--tiles") {
       for (const auto& part : split(next(), ',')) {
-        o.tiles.push_back(static_cast<std::size_t>(std::stoul(part)));
+        o.tiles.push_back(parse_count(part, a));
       }
       if (o.tiles.size() != 6) {
         throw InvalidArgumentError(
@@ -404,12 +441,12 @@ PhaseSpec parse_phase_arg(const std::string& text, std::size_t index) {
       order_text = val;
     } else if (key == "tiles") {
       for (const std::string& t : split(val, 'x')) {
-        tiles.push_back(static_cast<std::size_t>(std::stoul(t)));
+        tiles.push_back(parse_count(t, "--phase tiles"));
       }
     } else if (key == "out") {
-      out_features = static_cast<std::size_t>(std::stoul(val));
+      out_features = parse_count(val, "--phase out");
     } else if (key == "density") {
-      density = std::stod(val);
+      density = parse_number(val, "--phase density");
     } else {
       throw InvalidArgumentError("unknown --phase key: " + key);
     }
@@ -447,16 +484,16 @@ int cmd_run_pipeline(int argc, char** argv) {
       }
     } else if (a == "--pe-fractions") {
       for (const std::string& f : split(next(), ',')) {
-        spec.pe_fractions.push_back(std::stod(f));
+        spec.pe_fractions.push_back(parse_number(f, a));
       }
     } else if (a == "--in-features") {
-      spec.in_features = static_cast<std::size_t>(std::stoul(next()));
+      spec.in_features = parse_count(next(), a);
     } else if (a == "--pes") {
-      pes = static_cast<std::size_t>(std::stoul(next()));
+      pes = parse_count(next(), a);
     } else if (a == "--bw") {
-      bw = static_cast<std::size_t>(std::stoul(next()));
+      bw = parse_count(next(), a);
     } else if (a == "--scale") {
-      scale = std::stod(next());
+      scale = parse_number(next(), a);
     } else if (a == "--trace") {
       trace_path = next();
     } else {
@@ -560,9 +597,9 @@ PhaseChainSpec parse_chain_phase_arg(const std::string& text) {
       p.engine = phase_engine_from_string(val);
       saw_engine = true;
     } else if (key == "out") {
-      p.out_features = static_cast<std::size_t>(std::stoul(val));
+      p.out_features = parse_count(val, "--phase out");
     } else if (key == "density") {
-      p.weight_density = std::stod(val);
+      p.weight_density = parse_number(val, "--phase density");
     } else {
       throw InvalidArgumentError(
           "unknown --phase key for search-pipeline: " + key +
@@ -596,29 +633,25 @@ int cmd_search_pipeline(int argc, char** argv) {
     if (a == "--phase") {
       chain.phases.push_back(parse_chain_phase_arg(next()));
     } else if (a == "--objective") {
-      const std::string o = to_lower(next());
-      if (o == "runtime") pso.objective = Objective::kRuntime;
-      else if (o == "energy") pso.objective = Objective::kEnergy;
-      else if (o == "edp") pso.objective = Objective::kEnergyDelayProduct;
-      else throw InvalidArgumentError("unknown objective: " + o);
+      pso.objective = objective_from_string(next());
     } else if (a == "--budget") {
-      pso.max_candidates = static_cast<std::size_t>(std::stoul(next()));
+      pso.max_candidates = parse_count(next(), a);
     } else if (a == "--top-k") {
-      pso.top_k = static_cast<std::size_t>(std::stoul(next()));
+      pso.top_k = parse_count(next(), a);
     } else if (a == "--prune") {
       pso.prune = true;
     } else if (a == "--no-seeds") {
       pso.seed_table5 = false;
     } else if (a == "--threads") {
-      pso.threads = static_cast<std::size_t>(std::stoul(next()));
+      pso.threads = parse_count(next(), a);
     } else if (a == "--in-features") {
-      chain.in_features = static_cast<std::size_t>(std::stoul(next()));
+      chain.in_features = parse_count(next(), a);
     } else if (a == "--pes") {
-      pes = static_cast<std::size_t>(std::stoul(next()));
+      pes = parse_count(next(), a);
     } else if (a == "--bw") {
-      bw = static_cast<std::size_t>(std::stoul(next()));
+      bw = parse_count(next(), a);
     } else if (a == "--scale") {
-      scale = std::stod(next());
+      scale = parse_number(next(), a);
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--trace") {
@@ -741,38 +774,30 @@ int cmd_search_model(int argc, char** argv) {
     if (a == "--widths") {
       widths.clear();
       for (const auto& part : split(next(), ',')) {
-        widths.push_back(static_cast<std::size_t>(std::stoul(part)));
+        widths.push_back(parse_count(part, a));
       }
       if (widths.empty()) {
         throw InvalidArgumentError("--widths wants e.g. 16,8");
       }
     } else if (a == "--model") {
-      const std::string m = to_lower(next());
-      if (m == "gcn") model = GnnModel::kGCN;
-      else if (m == "sage" || m == "graphsage") model = GnnModel::kGraphSAGE;
-      else if (m == "gin") model = GnnModel::kGIN;
-      else throw InvalidArgumentError("unknown model: " + m);
+      model = gnn_model_from_string(next());
     } else if (a == "--objective") {
-      const std::string o = to_lower(next());
-      if (o == "runtime") mso.layer.objective = Objective::kRuntime;
-      else if (o == "energy") mso.layer.objective = Objective::kEnergy;
-      else if (o == "edp") mso.layer.objective = Objective::kEnergyDelayProduct;
-      else throw InvalidArgumentError("unknown objective: " + o);
+      mso.layer.objective = objective_from_string(next());
     } else if (a == "--pes") {
-      pes = static_cast<std::size_t>(std::stoul(next()));
+      pes = parse_count(next(), a);
     } else if (a == "--scale") {
-      scale = std::stod(next());
+      scale = parse_number(next(), a);
     } else if (a == "--budget") {
-      mso.layer.max_candidates = static_cast<std::size_t>(std::stoul(next()));
+      mso.layer.max_candidates = parse_count(next(), a);
     } else if (a == "--total-budget") {
-      mso.max_total_candidates = static_cast<std::size_t>(std::stoul(next()));
+      mso.max_total_candidates = parse_count(next(), a);
     } else if (a == "--allocation") {
       const std::string al = to_lower(next());
       if (al == "mac") mso.budget_allocation = BudgetAllocation::kMacWeighted;
       else if (al == "even") mso.budget_allocation = BudgetAllocation::kEven;
       else throw InvalidArgumentError("unknown allocation: " + al);
     } else if (a == "--no-prune") {
-      mso.prune = false;
+      mso.layer.prune = false;
     } else if (a == "--compose") {
       mso.compose = compose_from_string(to_lower(next()));
     } else if (a == "--json") {
@@ -803,7 +828,7 @@ int cmd_search_model(int argc, char** argv) {
   }
   std::cout << ", objective " << to_string(mso.layer.objective)
             << ", compose " << to_string(mso.compose)
-            << (mso.prune ? ", pruned" : "") << "\n\n";
+            << (mso.layer.prune ? ", pruned" : "") << "\n\n";
 
   const ModelSearchResult r = search_model_mappings(omega, w, spec, mso);
 
@@ -930,23 +955,19 @@ int cmd_run_model(int argc, char** argv) {
     if (a == "--widths") {
       widths.clear();
       for (const auto& part : split(next(), ',')) {
-        widths.push_back(static_cast<std::size_t>(std::stoul(part)));
+        widths.push_back(parse_count(part, a));
       }
       if (widths.empty()) {
         throw InvalidArgumentError("--widths wants e.g. 16,8");
       }
     } else if (a == "--model") {
-      const std::string m = to_lower(next());
-      if (m == "gcn") model = GnnModel::kGCN;
-      else if (m == "sage" || m == "graphsage") model = GnnModel::kGraphSAGE;
-      else if (m == "gin") model = GnnModel::kGIN;
-      else throw InvalidArgumentError("unknown model: " + m);
+      model = gnn_model_from_string(next());
     } else if (a == "--compose") {
       compose = compose_from_string(to_lower(next()));
     } else if (a == "--pes") {
-      pes = static_cast<std::size_t>(std::stoul(next()));
+      pes = parse_count(next(), a);
     } else if (a == "--scale") {
-      scale = std::stod(next());
+      scale = parse_number(next(), a);
     } else {
       throw InvalidArgumentError("unknown flag: " + a);
     }
@@ -1022,20 +1043,6 @@ struct ServiceCliFlags {
   bool inject_scheduling = false;
 };
 
-/// Parses a TCP port for `flag`: decimal digits only, in [0, 65535].
-std::uint16_t parse_port(const std::string& text, const std::string& flag) {
-  const bool digits =
-      !text.empty() && text.size() <= 5 &&
-      std::all_of(text.begin(), text.end(),
-                  [](char c) { return c >= '0' && c <= '9'; });
-  const unsigned long port = digits ? std::stoul(text) : 0;
-  if (!digits || port > 65535) {
-    throw InvalidArgumentError(flag + " wants a port in 0-65535, got: " +
-                               text);
-  }
-  return static_cast<std::uint16_t>(port);
-}
-
 ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
                                     bool server_flags, bool client_flags,
                                     bool with_input) {
@@ -1048,34 +1055,35 @@ ServiceCliFlags parse_service_flags(int argc, char** argv, int first,
     };
     if (a == "--registry" && server_flags) {
       f.service.registry_capacity =
-          static_cast<std::size_t>(std::stoul(next()));
+          parse_count(next(), a);
     } else if (a == "--trace" && server_flags) {
       f.trace_path = next();
     } else if (a == "--socket") {
       f.socket_path = next();
     } else if (a == "--tcp" && server_flags) {
       f.tcp = true;
-      f.tcp_port = parse_port(next(), "--tcp");
+      f.tcp_port = static_cast<std::uint16_t>(parse_count(next(), a, 65535));
     } else if (a == "--bind" && server_flags) {
       f.bind_addr = next();
     } else if (a == "--backlog" && server_flags) {
-      f.serve.backlog = static_cast<int>(std::stoul(next()));
+      f.serve.backlog = static_cast<int>(
+          parse_count(next(), a, std::numeric_limits<int>::max()));
     } else if (a == "--queue" && server_flags) {
-      f.serve.queue_depth = static_cast<std::size_t>(std::stoul(next()));
+      f.serve.queue_depth = parse_count(next(), a);
     } else if (a == "--sched-threads" && server_flags) {
       f.serve.scheduler_threads =
-          static_cast<std::size_t>(std::stoul(next()));
+          parse_count(next(), a);
     } else if (a == "--min-deadline" && server_flags) {
-      f.serve.min_feasible_deadline_ms = std::stoull(next());
+      f.serve.min_feasible_deadline_ms = parse_count(next(), a);
     } else if (a == "--max-connections" && server_flags) {
-      f.serve.max_connections = static_cast<std::size_t>(std::stoul(next()));
+      f.serve.max_connections = parse_count(next(), a);
     } else if (a == "--connect" && client_flags) {
       f.connect = next();
     } else if (a == "--priority" && client_flags) {
-      f.priority = std::stoull(next());
+      f.priority = parse_count(next(), a);
       f.inject_scheduling = true;
     } else if (a == "--deadline-ms" && client_flags) {
-      f.deadline_ms = std::stoull(next());
+      f.deadline_ms = parse_count(next(), a);
       f.inject_scheduling = true;
     } else if (with_input && !starts_with(a, "--")) {
       f.input_path = a;
@@ -1093,7 +1101,9 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& s) {
   if (colon == std::string::npos || colon + 1 >= s.size()) {
     throw InvalidArgumentError("--connect wants HOST:PORT, got: " + s);
   }
-  return {s.substr(0, colon), parse_port(s.substr(colon + 1), "--connect")};
+  const auto port = static_cast<std::uint16_t>(
+      parse_count(s.substr(colon + 1), "--connect", 65535));
+  return {s.substr(0, colon), port};
 }
 
 /// Injects the client's --priority/--deadline-ms as leading members of a
