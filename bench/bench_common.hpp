@@ -8,6 +8,8 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -17,26 +19,55 @@
 #include "graph/stats.hpp"
 #include "obs/quantile.hpp"
 #include "omega/omega.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace omega::bench {
 
-inline double bench_scale() {
-  if (const char* s = std::getenv("OMEGA_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
+/// Strict knob values, as omega_cli parses its flags: a count is decimal
+/// digits only (no sign, no suffix), a number must parse whole and be
+/// finite. Throws InvalidArgumentError naming `what`.
+inline std::size_t parse_count(const std::string& text,
+                               const std::string& what) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    throw InvalidArgumentError(what + " wants a non-negative integer, got: " +
+                               text);
   }
-  return 1.0;
+  return value;
 }
 
-/// Positive-integer environment knob with a fallback (0 or unset = default).
-inline std::size_t env_or(const char* name, std::size_t fallback) {
-  if (const char* s = std::getenv(name)) {
-    const long long v = std::atoll(s);
-    if (v > 0) return static_cast<std::size_t>(v);
+inline double parse_number(const std::string& text, const std::string& what) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(value)) {
+    throw InvalidArgumentError(what + " wants a finite number, got: " + text);
   }
-  return fallback;
+  return value;
+}
+
+/// Environment knobs: unset or empty is `fallback`, anything else must
+/// parse strictly (parse_count / parse_number), so a malformed value stops
+/// the binary instead of silently changing or disabling what it sets.
+inline std::size_t env_count(const char* name, std::size_t fallback) {
+  const char* s = std::getenv(name);
+  return s == nullptr || *s == '\0' ? fallback : parse_count(s, name);
+}
+
+inline double env_number(const char* name, double fallback) {
+  const char* s = std::getenv(name);
+  return s == nullptr || *s == '\0' ? fallback : parse_number(s, name);
+}
+
+/// OMEGA_BENCH_SCALE; a non-positive value means the default 1.0.
+inline double bench_scale() {
+  const double v = env_number("OMEGA_BENCH_SCALE", 1.0);
+  return v > 0.0 ? v : 1.0;
 }
 
 inline std::string out_dir() {

@@ -2,27 +2,25 @@
 // throughput is what makes design-space exploration practical (trillions of
 // mappings exist; a mapper needs fast evaluations).
 //
-// Besides the google-benchmark micro benches, this binary runs a DSE sweep
-// benchmark on an R-MAT graph: the classic two-phase layer (AC + CA chains)
-// is searched through search_pipeline_mappings on one WorkloadContext — the
+// Besides the google-benchmark micro benches, this binary runs a DSE parity
+// sweep on an R-MAT graph: the classic two-phase layer (AC + CA chains) is
+// searched through search_pipeline_mappings on one WorkloadContext — the
 // cached production path, PipelineEvalPlan per chain — and a stride sample
 // of the same candidates runs through uncached Omega::run_pipeline (every
-// candidate re-transposes, re-schedules and re-simulates), the oracle.
-// Reports candidates/sec for both, checks bit-parity (the sample through
-// the warm plans against the oracle, and every ranked and Pareto entry
-// re-evaluated uncached), and writes BENCH_dse.json.
+// candidate re-transposes, re-schedules and re-simulates), the oracle. The
+// exit code enforces bit-parity: the sample through the warm plans against
+// the oracle (infeasible candidates included), and every ranked and Pareto
+// entry re-evaluated uncached. The sweep is untimed: search speed is the
+// committed benchmark's dse-sweep-rmat16 workload (perfbench/), which
+// tools/bench_ab.py gates against the parent commit.
 //
 // Knobs: OMEGA_DSE_SCALE (R-MAT scale, default 16 => 65536 vertices),
 //        OMEGA_DSE_EDGES (edge budget, default 524288),
 //        OMEGA_DSE_CANDIDATES (search cap, default 16384),
-//        OMEGA_DSE_BASELINE (uncached-baseline sample size, default 1024),
-//        OMEGA_DSE_JSON (output path, default BENCH_dse.json),
+//        OMEGA_DSE_BASELINE (uncached parity sample size, default 1024),
 //        --dse-only (DSE + model sweeps only; skip the micro benches),
-//        --dse-skip (micro benches only; skip both sweeps),
-//        --repeat N (timed repeats per sweep path, median-of-N after one
-//        warmup run; default 1),
-//        OMEGA_DSE_GATE_MIN_SPEEDUP (fail unless the cached search beats
-//        uncached run_pipeline by this factor; 0/unset = report only).
+//        --dse-skip (micro benches only; skip both sweeps).
+// A malformed knob value fails its sweep before the sweep starts.
 //
 // The model sweep (run_model_sweep) measures model-level DSE: a multi-layer
 // GCN searched with a per-layer mapping (one shared WorkloadContext,
@@ -120,43 +118,7 @@ void BM_MappingSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingSearch)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// ---- DSE sweep: cached search vs uncached run_pipeline ----------------------
-
-struct SweepTiming {
-  double seconds = 0.0;      // median over the timed repeats
-  double p99_seconds = 0.0;  // tail repeat (== median when repeat is small)
-  double candidates_per_sec = 0.0;
-};
-
-/// Runs `pass` once as warmup (filling *fingerprint), then `repeat` timed
-/// times, reporting the median over `n` candidates per pass. The warmup run
-/// warms whatever memo layer the pass uses, and every timed repeat must
-/// reproduce the warmup fingerprint bit-for-bit (caching may change timing,
-/// never results).
-template <typename Pass>
-SweepTiming time_sweep(std::size_t n, std::size_t repeat,
-                       std::vector<std::uint64_t>* fingerprint, Pass&& pass) {
-  pass(*fingerprint);
-  std::vector<double> secs;
-  secs.reserve(repeat);
-  std::vector<std::uint64_t> again;
-  for (std::size_t r = 0; r < repeat; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    pass(again);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (again != *fingerprint) {
-      throw Error("sweep repeat diverged from its warmup results");
-    }
-    secs.push_back(std::chrono::duration<double>(t1 - t0).count());
-  }
-  const bench::RepeatSummary summary = bench::summarize_samples(secs);
-  SweepTiming t;
-  t.seconds = summary.median;
-  t.p99_seconds = summary.p99;
-  t.candidates_per_sec =
-      t.seconds > 0.0 ? static_cast<double>(n) / t.seconds : 0.0;
-  return t;
-}
+// ---- DSE parity sweep: cached search vs uncached run_pipeline -------------
 
 /// (cycles, energy bits) per outcome; infeasible outcomes stay (0, 0).
 void append_outcome(std::vector<std::uint64_t>& fp, const EvalOutcome& o) {
@@ -194,15 +156,14 @@ bool entries_match_uncached(const Omega& omega, const GnnWorkload& w,
   return true;
 }
 
-int run_dse_sweep(std::size_t repeat) {
-  const std::size_t scale = env_or("OMEGA_DSE_SCALE", 16);
-  const std::size_t edge_budget = env_or("OMEGA_DSE_EDGES", 524288);
-  const std::size_t max_candidates = env_or("OMEGA_DSE_CANDIDATES", 16384);
-  const std::size_t baseline_n = env_or("OMEGA_DSE_BASELINE", 1024);
-  const char* json_path = std::getenv("OMEGA_DSE_JSON");
-  if (json_path == nullptr) json_path = "BENCH_dse.json";
+int run_dse_sweep() {
+  const std::size_t scale = env_count("OMEGA_DSE_SCALE", 16);
+  const std::size_t edge_budget = env_count("OMEGA_DSE_EDGES", 524288);
+  const std::size_t max_candidates = env_count("OMEGA_DSE_CANDIDATES", 16384);
+  const std::size_t baseline_n = env_count("OMEGA_DSE_BASELINE", 1024);
 
-  std::cout << "\n== DSE sweep: cached search vs uncached run_pipeline ==\n";
+  std::cout << "\n== DSE parity sweep: cached search vs uncached "
+               "run_pipeline ==\n";
   Rng rng(42);
   GnnWorkload w;
   w.name = "rmat-s" + std::to_string(scale);
@@ -226,7 +187,8 @@ int run_dse_sweep(std::size_t repeat) {
   opt.seed_table5 = false;
 
   // The population the search samples from: the per-chain populations
-  // concatenated, then the deterministic stride subsample.
+  // concatenated, then the deterministic stride subsample. The uncached
+  // oracle runs on a stride subsample of the searched candidates.
   std::vector<PipelineCandidate> population;
   for (std::size_t c = 0; c < chains.size(); ++c) {
     std::vector<PipelineCandidate> pop = enumerate_pipeline_candidates(
@@ -234,10 +196,6 @@ int run_dse_sweep(std::size_t repeat) {
     std::move(pop.begin(), pop.end(), std::back_inserter(population));
   }
   const std::size_t selected = std::min(population.size(), max_candidates);
-  // The uncached path pays a fixed cost per candidate, so its rate is
-  // estimated on a stride subsample of the searched candidates; the cached
-  // rate is measured over the full search, where its memo reuse actually
-  // operates (a real sweep is dense by definition).
   const std::size_t baseline_count = std::min(baseline_n, selected);
   std::vector<const PipelineCandidate*> baseline;
   for (std::size_t i = 0; i < baseline_count; ++i) {
@@ -246,58 +204,31 @@ int run_dse_sweep(std::size_t repeat) {
         &population[stride_sample_index(k, population.size(), selected)]);
   }
   std::cout << "candidates: " << selected << " (of " << population.size()
-            << " generated; uncached baseline on " << baseline.size()
-            << "; median of " << repeat << " after warmup)\n";
+            << " generated; uncached parity sample " << baseline.size()
+            << ")\n";
 
   // Uncached: every candidate pays its own transpose, schedules and full
   // phase simulations.
+  std::vector<EvalOutcome> uncached(baseline.size());
+  parallel_blocks(baseline.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      uncached[i] = run_uncached(omega, w, chains[baseline[i]->chain_index],
+                                 *baseline[i]);
+    }
+  });
   std::vector<std::uint64_t> uncached_fp;
-  const SweepTiming uncached = time_sweep(
-      baseline.size(), repeat, &uncached_fp,
-      [&](std::vector<std::uint64_t>& fp) {
-        std::vector<EvalOutcome> outs(baseline.size());
-        parallel_blocks(baseline.size(),
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            outs[i] = run_uncached(
-                                omega, w, chains[baseline[i]->chain_index],
-                                *baseline[i]);
-                          }
-                        });
-        fp.clear();
-        for (const EvalOutcome& o : outs) append_outcome(fp, o);
-      });
+  for (const EvalOutcome& o : uncached) append_outcome(uncached_fp, o);
 
   // Cached: the production path, search_pipeline_mappings through one
-  // context. The warmup search fills the plans' term stores, so the timed
-  // repeats measure warm searches.
+  // context, which leaves the plans' term stores warm.
   const WorkloadContext context(w.adjacency);
-  PipelineSearchResult searched;
-  std::vector<std::uint64_t> cached_fp;
-  const SweepTiming cached =
-      time_sweep(selected, repeat, &cached_fp,
-                 [&](std::vector<std::uint64_t>& fp) {
-                   searched = search_pipeline_mappings(omega, w, chains, opt,
-                                                       &context);
-                   fp.clear();
-                   for (const auto* list : {&searched.ranked, &searched.pareto}) {
-                     for (const RankedPipelineCandidate& rc : *list) {
-                       append_outcome(fp, {rc.cycles, rc.on_chip_pj, true});
-                     }
-                   }
-                 });
+  const PipelineSearchResult searched =
+      search_pipeline_mappings(omega, w, chains, opt, &context);
 
-  // Parity gates: the baseline candidates through the warm plans must match
-  // the uncached outcomes bit-for-bit (infeasible ones included), and every
+  // Parity gates: the sample through the warm plans must match the
+  // uncached outcomes bit-for-bit (infeasible ones included), and every
   // ranked and Pareto entry must re-evaluate identically uncached.
   std::vector<std::uint64_t> plan_fp;
-  std::size_t terms = 0;
-  std::size_t timeline_bytes = 0;
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    const auto plan = PipelineEvalPlan::obtain(omega, w, chains[c], context);
-    terms += plan->term_count();
-    timeline_bytes += plan->term_timeline_bytes();
-  }
   PipelineDeltaState state;
   for (const PipelineCandidate* c : baseline) {
     const auto plan =
@@ -309,74 +240,9 @@ int run_dse_sweep(std::size_t repeat) {
   }
   const bool identical = plan_fp == uncached_fp &&
                          entries_match_uncached(omega, w, chains, searched);
-  const double speedup = uncached.candidates_per_sec > 0.0
-                             ? cached.candidates_per_sec /
-                                   uncached.candidates_per_sec
-                             : 0.0;
-  const auto report = [](const char* name, const SweepTiming& t,
-                         std::size_t n) {
-    std::cout << name << fixed(t.candidates_per_sec, 1)
-              << " candidates/sec (" << n << " in " << fixed(t.seconds, 3)
-              << " s median, " << fixed(t.p99_seconds, 3) << " s p99)\n";
-  };
-  report("uncached: ", uncached, baseline.size());
-  report("cached:   ", cached, selected);
-  std::cout << "  (" << context.phase_cache_size() << " phase sims, " << terms
-            << " terms (" << timeline_bytes / (1024 * 1024)
-            << " MiB chunked timelines), " << context.schedule_cache_size()
-            << " schedules)\n"
-            << "speedup:  " << fixed(speedup, 2) << "x cached vs uncached\n"
-            << "parity:   " << (identical ? "bit-identical" : "MISMATCH")
+  std::cout << "parity:   " << (identical ? "bit-identical" : "MISMATCH")
             << "\n";
-
-  // CI perf gate: the cached search must beat uncached run_pipeline by at
-  // least this factor (unset/0 = report only).
-  const std::size_t gate = env_or("OMEGA_DSE_GATE_MIN_SPEEDUP", 0);
-  bool gate_ok = true;
-  if (gate > 0 && speedup < static_cast<double>(gate)) {
-    std::cout << "PERF GATE FAILED: cached " << fixed(speedup, 2)
-              << "x < required " << gate << "x\n";
-    gate_ok = false;
-  }
-
-  std::ofstream json(json_path);
-  if (json) {
-    JsonWriter jw(2);
-    jw.begin_object();
-    jw.member("bench", "dse_sweep");
-    jw.key("graph").begin_object();
-    jw.member("generator", "rmat");
-    jw.member("scale", static_cast<std::uint64_t>(scale));
-    jw.member("vertices", static_cast<std::uint64_t>(w.num_vertices()));
-    jw.member("edges", static_cast<std::uint64_t>(w.num_edges()));
-    jw.end_object();
-    jw.member("population", static_cast<std::uint64_t>(population.size()));
-    jw.member("candidates", static_cast<std::uint64_t>(selected));
-    jw.member("baseline_candidates",
-              static_cast<std::uint64_t>(baseline.size()));
-    jw.member("repeat", static_cast<std::uint64_t>(repeat));
-    jw.member("phase_sims",
-              static_cast<std::uint64_t>(context.phase_cache_size()));
-    jw.member("terms", static_cast<std::uint64_t>(terms));
-    jw.member("term_timeline_bytes",
-              static_cast<std::uint64_t>(timeline_bytes));
-    jw.member("threads", static_cast<std::uint64_t>(default_thread_count()));
-    const auto emit_timing = [&](const char* name, const SweepTiming& t) {
-      jw.key(name).begin_object();
-      jw.member("seconds", t.seconds);
-      jw.member("p99_seconds", t.p99_seconds);
-      jw.member("candidates_per_sec", t.candidates_per_sec);
-      jw.end_object();
-    };
-    emit_timing("uncached", uncached);
-    emit_timing("cached", cached);
-    jw.member("speedup", speedup);
-    jw.member("parity", identical ? "bit-identical" : "mismatch");
-    jw.end_object();
-    json << jw.str() << "\n";
-    std::cout << "(json: " << json_path << ")\n";
-  }
-  return identical && gate_ok ? 0 : 1;
+  return identical ? 0 : 1;
 }
 
 // ---- Model sweep: per-layer heterogeneous mappings vs best fixed pattern ----
@@ -389,11 +255,13 @@ std::string env_or_str(const char* name, const char* fallback) {
 int run_model_sweep() {
   const std::string dataset = env_or_str("OMEGA_MODEL_DATASET", "Citeseer");
   const double scale =
-      static_cast<double>(env_or("OMEGA_MODEL_SCALE_PCT", 25)) / 100.0;
+      static_cast<double>(env_count("OMEGA_MODEL_SCALE_PCT", 25)) / 100.0;
   const std::string widths_csv = env_or_str("OMEGA_MODEL_WIDTHS", "128,32,8");
-  const std::size_t per_layer_cap = env_or("OMEGA_MODEL_CANDIDATES", 4096);
+  const std::size_t per_layer_cap = env_count("OMEGA_MODEL_CANDIDATES", 4096);
   const std::string json_path =
       env_or_str("OMEGA_MODEL_JSON", "BENCH_model_dse.json");
+  const std::size_t band_v = env_count("OMEGA_MODEL_BAND_V", 2048);
+  const std::size_t band_half = env_count("OMEGA_MODEL_BAND_HALF", 16);
 
   std::cout << "\n== model sweep: per-layer mapping search ==\n";
   SynthesisOptions so;
@@ -403,8 +271,7 @@ int run_model_sweep() {
   spec.model = GnnModel::kGCN;
   spec.feature_widths.push_back(w.in_features);
   for (const auto& part : split(widths_csv, ',')) {
-    spec.feature_widths.push_back(
-        static_cast<std::size_t>(std::atoll(part.c_str())));
+    spec.feature_widths.push_back(parse_count(part, "OMEGA_MODEL_WIDTHS"));
   }
   std::cout << "workload: " << w.name << " (V=" << w.num_vertices()
             << ", E=" << w.num_edges() << "), " << spec.num_layers()
@@ -510,8 +377,6 @@ int run_model_sweep() {
   // The pipelined ranking must *strictly* beat the sequential sum here;
   // both that gate and the general-space never-worse gate feed the exit
   // code.
-  const std::size_t band_v = env_or("OMEGA_MODEL_BAND_V", 2048);
-  const std::size_t band_half = env_or("OMEGA_MODEL_BAND_HALF", 16);
   GnnWorkload band;
   band.name = "band-" + std::to_string(band_v) + "x" +
               std::to_string(band_half);
@@ -615,7 +480,7 @@ int run_model_sweep() {
 /// BENCH_pipeline.json as context (the two engines price the same MACs
 /// through different models, so dense-vs-sparse is reported, not gated).
 int run_pipeline_study() {
-  const std::size_t scale_pct = env_or("OMEGA_PIPELINE_SCALE_PCT", 50);
+  const std::size_t scale_pct = env_count("OMEGA_PIPELINE_SCALE_PCT", 50);
   const char* json_path = std::getenv("OMEGA_PIPELINE_JSON");
   if (json_path == nullptr) json_path = "BENCH_pipeline.json";
 
@@ -763,8 +628,8 @@ int run_pipeline_study() {
 /// percent, default 25), OMEGA_PDSE_CANDIDATES (cap, default 512),
 /// OMEGA_PDSE_JSON (output path).
 int run_pipeline_dse_sweep() {
-  const std::size_t scale_pct = env_or("OMEGA_PDSE_SCALE_PCT", 25);
-  const std::size_t cap = env_or("OMEGA_PDSE_CANDIDATES", 512);
+  const std::size_t scale_pct = env_count("OMEGA_PDSE_SCALE_PCT", 25);
+  const std::size_t cap = env_count("OMEGA_PDSE_CANDIDATES", 512);
   const std::string json_path =
       env_or_str("OMEGA_PDSE_JSON", "BENCH_pipeline_dse.json");
 
@@ -897,19 +762,6 @@ int main(int argc, char** argv) {
       }
     }
   };
-  // Timed repeats per sweep path (median-of-N after one warmup run).
-  std::size_t repeat = 1;
-  const auto consume_value_flag = [&](const char* flag, std::size_t* value) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], flag) == 0) {
-        *value = std::max<std::size_t>(
-            1, static_cast<std::size_t>(std::atoll(argv[i + 1])));
-        for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-        argc -= 2;
-        return;
-      }
-    }
-  };
   bool pipeline_only = false;  // N-phase core study only (CI pipeline-smoke)
   bool pipeline_dse = false;   // N-phase search sweep only (CI pipeline-DSE)
   consume_flag("--dse-only", &dse_only);
@@ -918,7 +770,6 @@ int main(int argc, char** argv) {
   consume_flag("--model-skip", &model_skip);
   consume_flag("--pipeline-only", &pipeline_only);
   consume_flag("--pipeline-dse", &pipeline_dse);
-  consume_value_flag("--repeat", &repeat);
   if (pipeline_only) {
     try {
       return run_pipeline_study();
@@ -938,7 +789,7 @@ int main(int argc, char** argv) {
   int rc = 0;
   if (!dse_skip && !model_only) {
     try {
-      rc = run_dse_sweep(repeat);
+      rc = run_dse_sweep();
     } catch (const std::exception& e) {
       std::cerr << "dse sweep failed: " << e.what() << "\n";
       rc = 1;

@@ -148,7 +148,7 @@ ModelSearchResult search_model_mappings(const Omega& omega,
 
   // MAC-weighted budget split: layer l's ideal MAC count under AC order,
   // E * F_l (Aggregation) + V * F_l * G_l (Combination). Proportions are
-  // what matters, so the per-PE division of ideal_mac_cycle_bound cancels.
+  // what matters, so the per-PE division of pipeline_mac_cycle_bound cancels.
   // Saturating products: layer widths arrive untrusted from the service
   // protocol, and a wrapped weight would misdirect the whole model budget.
   std::vector<std::uint64_t> mac_weight(num_layers, 1);

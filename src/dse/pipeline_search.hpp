@@ -164,11 +164,13 @@ struct PipelinePhaseWork {
 [[nodiscard]] std::vector<PipelinePhaseWork> pipeline_phase_work(
     const PipelineChainSpec& chain, const GnnWorkload& workload);
 
-/// Ideal-MAC cycle lower bound generalized to N phases: each phase needs at
-/// least ceil(macs / its PEs); a PP pair splits the array with the same
+/// Ideal-MAC cycle lower bound over N phases: each phase needs at least
+/// ceil(macs / its PEs); a PP pair splits the array with the same
 /// llround-then-clamp split the evaluator performs and composes by max,
-/// everything else composes by sum. For a classic two-phase candidate this
-/// reproduces ideal_mac_cycle_bound exactly.
+/// everything else composes by sum. Every engine cycle count is >= this
+/// bound for candidates whose spatial tile footprint fits the phase's PE
+/// budget (all generated candidates do), which is what makes bound-based
+/// pruning lossless.
 [[nodiscard]] std::uint64_t pipeline_mac_cycle_bound(
     std::span<const PipelinePhaseWork> work, const PipelineCandidate& c,
     std::size_t pes);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "dataflow/enumerate.hpp"
 #include "dse/pipeline_search.hpp"
@@ -151,10 +150,6 @@ void generate_for_pair(const SearchOptions& opt, const WorkloadDims& dims,
   }
 }
 
-std::uint64_t ceil_div_u64(std::uint64_t a, std::uint64_t b) {
-  return b == 0 ? a : (a + b - 1) / b;
-}
-
 }  // namespace
 
 bool candidate_order(const Candidate& a, const Candidate& b) {
@@ -162,28 +157,6 @@ bool candidate_order(const Candidate& a, const Candidate& b) {
   if (a.cycles != b.cycles) return a.cycles < b.cycles;
   if (a.on_chip_pj != b.on_chip_pj) return a.on_chip_pj < b.on_chip_pj;
   return a.dataflow.to_string() < b.dataflow.to_string();
-}
-
-std::uint64_t ideal_mac_cycle_bound(const DataflowDescriptor& df,
-                                    std::size_t pes, std::uint64_t edges,
-                                    const WorkloadDims& dims) {
-  const bool ac = df.phase_order == PhaseOrder::kAC;
-  const std::uint64_t agg_macs =
-      edges * static_cast<std::uint64_t>(ac ? dims.in_features
-                                            : dims.out_features);
-  const std::uint64_t cmb_macs = static_cast<std::uint64_t>(dims.vertices) *
-                                 dims.in_features * dims.out_features;
-  if (df.inter == InterPhase::kParallelPipeline && pes >= 2) {
-    // Same PE split Omega::run_impl performs.
-    const std::size_t pes_agg = std::clamp<std::size_t>(
-        static_cast<std::size_t>(std::llround(static_cast<double>(pes) *
-                                              df.pp_agg_pe_fraction)),
-        1, pes - 1);
-    const std::size_t pes_cmb = pes - pes_agg;
-    return std::max(ceil_div_u64(agg_macs, pes_agg),
-                    ceil_div_u64(cmb_macs, pes_cmb));
-  }
-  return ceil_div_u64(agg_macs, pes) + ceil_div_u64(cmb_macs, pes);
 }
 
 std::vector<DataflowDescriptor> enumerate_search_candidates(

@@ -123,17 +123,6 @@ struct SearchResult {
     const SearchOptions& options = {},
     const WorkloadContext* shared_context = nullptr);
 
-/// Ideal-MAC cycle lower bound for a candidate on a workload: each phase
-/// needs at least ceil(phase MACs / phase PEs) cycles, phases compose by sum
-/// (Seq / SP) or max (PP, which splits the PE array). Every engine cycle
-/// count is >= this bound for candidates whose spatial tile footprint fits
-/// the phase's PE budget (all generated candidates do), which is what makes
-/// bound-based pruning lossless. `edges` is workload.num_edges().
-[[nodiscard]] std::uint64_t ideal_mac_cycle_bound(const DataflowDescriptor& df,
-                                                  std::size_t pes,
-                                                  std::uint64_t edges,
-                                                  const WorkloadDims& dims);
-
 /// The candidate generator behind search_mappings: every valid descriptor
 /// for the enabled inter-phase strategies / phase orders / tilings, before
 /// subsampling. Exposed so benchmarks and tests can sweep the exact

@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 
+#include "dse/pipeline_search.hpp"
 #include "dse/search.hpp"
 #include "graph/generators.hpp"
 
@@ -171,28 +172,29 @@ TEST(SearchTest, RankedOutputIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SearchTest, IdealMacBoundIsALowerBound) {
-  // Soundness of the pruning bound: no evaluated candidate finishes in
-  // fewer cycles than its ideal-MAC bound.
+TEST(SearchTest, MacBoundIsALowerBound) {
+  // Soundness of the bound the pruner culls with: no evaluated two-phase
+  // candidate finishes in fewer cycles than its ideal-MAC bound.
   AcceleratorConfig hw;
   hw.num_pes = 64;
   const Omega omega(hw);
   const GnnWorkload w = toy_workload();
   const LayerSpec layer{8};
-  const WorkloadDims dims = dims_of(w, layer);
   SearchOptions opt;
   opt.include_ca = true;
   const auto candidates =
-      enumerate_search_candidates(opt, dims, hw.num_pes);
+      enumerate_search_candidates(opt, dims_of(w, layer), hw.num_pes);
   ASSERT_FALSE(candidates.empty());
   std::size_t checked = 0;
   for (std::size_t i = 0; i < candidates.size(); i += 7) {
     const auto& df = candidates[i];
+    const auto work = pipeline_phase_work(
+        PipelineChainSpec::of(two_phase_pipeline(df, layer)), w);
+    const std::uint64_t bound = pipeline_mac_cycle_bound(
+        work, lower_two_phase_candidate(df, 0, layer, hw.num_pes),
+        hw.num_pes);
     try {
-      const RunResult r = omega.run(w, layer, df);
-      EXPECT_GE(r.cycles, ideal_mac_cycle_bound(df, hw.num_pes, w.num_edges(),
-                                                dims))
-          << df.to_string();
+      EXPECT_GE(omega.run(w, layer, df).cycles, bound) << df.to_string();
       ++checked;
     } catch (const Error&) {
       // infeasible on the default substrate; irrelevant to the bound
