@@ -8,8 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -21,42 +19,25 @@
 #include "omega/omega.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace omega::bench {
 
-/// Strict knob values, as omega_cli parses its flags: a count is decimal
-/// digits only (no sign, no suffix), a number must parse whole and be
-/// finite. Throws InvalidArgumentError naming `what`.
-inline std::size_t parse_count(const std::string& text,
-                               const std::string& what) {
-  std::size_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) {
-    throw InvalidArgumentError(what + " wants a non-negative integer, got: " +
-                               text);
-  }
-  return value;
-}
-
-inline double parse_number(const std::string& text, const std::string& what) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(value)) {
-    throw InvalidArgumentError(what + " wants a finite number, got: " + text);
-  }
-  return value;
-}
-
 /// Environment knobs: unset or empty is `fallback`, anything else must
-/// parse strictly (parse_count / parse_number), so a malformed value stops
-/// the binary instead of silently changing or disabling what it sets.
+/// parse strictly (util/parse.hpp, the parser omega_cli's flags use), so a
+/// malformed value stops the binary instead of silently changing or
+/// disabling what it sets. A count knob must also be positive: every one
+/// sizes a workload, a search or a gated sample, and 0 would empty it.
 inline std::size_t env_count(const char* name, std::size_t fallback) {
   const char* s = std::getenv(name);
-  return s == nullptr || *s == '\0' ? fallback : parse_count(s, name);
+  if (s == nullptr || *s == '\0') return fallback;
+  const std::uint64_t value = parse_count(s, name);
+  if (value == 0) {
+    throw InvalidArgumentError(std::string(name) +
+                               " wants a positive integer, got: " + s);
+  }
+  return value;
 }
 
 inline double env_number(const char* name, double fallback) {

@@ -20,7 +20,8 @@
 //        OMEGA_DSE_BASELINE (uncached parity sample size, default 1024),
 //        --dse-only (DSE + model sweeps only; skip the micro benches),
 //        --dse-skip (micro benches only; skip both sweeps).
-// A malformed knob value fails its sweep before the sweep starts.
+// A malformed knob value, or a count of 0, fails its sweep before the
+// sweep starts.
 //
 // The model sweep (run_model_sweep) measures model-level DSE: a multi-layer
 // GCN searched with a per-layer mapping (one shared WorkloadContext,

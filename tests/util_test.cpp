@@ -8,6 +8,7 @@
 #include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/saturate.hpp"
 #include "util/table.hpp"
@@ -244,6 +245,43 @@ TEST(ErrorTest, CheckMacroThrowsWithContext) {
     FAIL() << "should have thrown";
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("custom detail"), std::string::npos);
+  }
+}
+
+// ---- Strict numeric parsing (flags and bench knobs) -------------------------
+
+TEST(ParseTest, CountTakesDecimalDigitsUpToMax) {
+  EXPECT_EQ(parse_count("0", "--n"), 0u);
+  EXPECT_EQ(parse_count("18446744073709551615", "--n"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_count("65535", "--port", 65535), 65535u);
+  for (const char* bad : {"", "-1", "+1", "5x", " 5", "1.5", "abc",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_count(bad, "--n"), InvalidArgumentError) << bad;
+  }
+  try {
+    (void)parse_count("70000", "--port", 65535);
+    FAIL() << "should have thrown";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("--port wants an integer in 0-65535"),
+              std::string::npos);
+  }
+}
+
+TEST(ParseTest, NumberMustParseWholeAndFinite) {
+  EXPECT_DOUBLE_EQ(parse_number("0.25", "--scale"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_number("-3", "--scale"), -3.0);
+  EXPECT_DOUBLE_EQ(parse_number("1e3", "--scale"), 1000.0);
+  for (const char* bad : {"", "abc", "0.001ms", "nan", "inf", "1e999"}) {
+    EXPECT_THROW((void)parse_number(bad, "OMEGA_X"), InvalidArgumentError)
+        << bad;
+  }
+  try {
+    (void)parse_number("abc", "OMEGA_SERVICE_GATE_P99_MS");
+    FAIL() << "should have thrown";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("OMEGA_SERVICE_GATE_P99_MS"),
+              std::string::npos);
   }
 }
 

@@ -55,8 +55,6 @@
 //   omega_cli search-model Cora --widths 16,7 --budget 2000 --json model.json
 //   printf '%s\n' '{"id":1,"kind":"stats"}' | omega_cli serve
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -77,45 +75,12 @@
 #include "service/tcp.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace omega;
-
-// ---- Flag values ------------------------------------------------------------
-
-/// Parses `flag`'s value as a count: decimal digits only (no sign, no
-/// suffix), at most `max`. Throws InvalidArgumentError naming the flag.
-std::uint64_t parse_count(
-    const std::string& text, const std::string& flag,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
-    throw InvalidArgumentError(
-        flag +
-        (max == std::numeric_limits<std::uint64_t>::max()
-             ? std::string(" wants a non-negative integer")
-             : " wants an integer in 0-" + std::to_string(max)) +
-        ", got: " + text);
-  }
-  return value;
-}
-
-/// Parses `flag`'s value as a finite decimal number; the whole value must
-/// parse. Throws InvalidArgumentError naming the flag.
-double parse_number(const std::string& text, const std::string& flag) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(value)) {
-    throw InvalidArgumentError(flag + " wants a finite number, got: " + text);
-  }
-  return value;
-}
 
 // ---- Per-subcommand usage ---------------------------------------------------
 
