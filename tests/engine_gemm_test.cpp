@@ -1,12 +1,21 @@
 // GEMM cost-engine tests: access counts must match the closed-form reuse
 // model (DESIGN.md "Cost-model semantics") and cycle counts must respond to
 // bandwidth, stationarity and psum spills exactly as Table I / Section IV
-// describe.
+// describe. A seeded differential fuzz checks every PhaseResult field
+// against the naive-walk oracle (gemm_naive_walk.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/saturate.hpp"
 
 #include "engine/gemm_engine.hpp"
+#include "gemm_naive_walk.hpp"
 
 namespace omega {
 namespace {
@@ -201,6 +210,173 @@ TEST(GemmEngineTest, UtilizationReflectsEdgeWaste) {
   const double util = r.utilization(8 * 4);
   EXPECT_LT(util, 0.9);
   EXPECT_GT(util, 0.5);
+}
+
+// ---- Differential fuzz against the naive walk ---------------------------
+
+// Tile count of one loop level: 1, 2-3, 4-9 or 10-24, so every level shape
+// (trivial, no middle iteration, a few middles, many middles spanning
+// several chunk plateaus) shows up at every depth.
+std::size_t fuzz_count(Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0: return 1;
+    case 1: return 2 + rng.next_below(2);
+    case 2: return 4 + rng.next_below(6);
+    default: return 10 + rng.next_below(15);
+  }
+}
+
+// A config whose nest is at most 24^3 steps, with a partial last tile in
+// about half the dims, chunk blocks unaligned to tiles, both psum regimes,
+// finite and unbounded bandwidths and every operand routing.
+GemmPhaseConfig fuzz_config(Rng& rng) {
+  static const char* const kOrders[] = {"VGF", "VFG", "GVF",
+                                        "GFV", "FVG", "FGV"};
+  GemmPhaseConfig cfg;
+  cfg.order = LoopOrder::parse(kOrders[rng.next_below(6)],
+                               GnnPhase::kCombination);
+  const auto dim = [&](std::size_t& extent, std::size_t& tile) {
+    const std::size_t count = fuzz_count(rng);
+    const std::size_t full = 1 + rng.next_below(4);
+    extent = (count - 1) * full + 1 + rng.next_below(full);
+    tile = count == 1 ? full + rng.next_below(3) : full;  // may exceed extent
+  };
+  dim(cfg.rows, cfg.tiles.v);
+  dim(cfg.inner, cfg.tiles.f);
+  dim(cfg.cols, cfg.tiles.g);
+  cfg.pes = std::min(cfg.tiles.v, cfg.rows) * std::min(cfg.tiles.f, cfg.inner) *
+                std::min(cfg.tiles.g, cfg.cols) +
+            rng.next_below(4);
+
+  const auto bandwidth = [&]() -> std::size_t {
+    return rng.next_below(3) == 0 ? AcceleratorConfig::kUnbounded
+                                  : 1 + rng.next_below(8);
+  };
+  cfg.bw_dist = bandwidth();
+  cfg.bw_red = bandwidth();
+  static const std::size_t kRf[] = {1, 2, 3, 4, 8, 16, 64, 4096};
+  cfg.rf_elements = kRf[rng.next_below(8)];
+
+  cfg.a_from_rf = rng.next_below(4) == 0;
+  cfg.out_to_rf = rng.next_below(4) == 0;
+  cfg.a_stream_bw = rng.next_below(3) == 0 ? 1 + rng.next_below(8) : 0;
+  cfg.out_drain_bw = rng.next_below(3) == 0 ? 1 + rng.next_below(8) : 0;
+  cfg.a_in_dram = rng.next_below(4) == 0;
+  cfg.out_in_dram = rng.next_below(4) == 0;
+  cfg.a_via_partition = rng.next_below(4) == 0;
+  cfg.out_via_partition = rng.next_below(4) == 0;
+  const auto category = [&] {
+    return static_cast<TrafficCategory>(rng.next_below(kNumTrafficCategories));
+  };
+  cfg.a_category = category();
+  cfg.b_category = category();
+  cfg.out_category = category();
+
+  cfg.chunk_target = static_cast<ChunkTarget>(rng.next_below(3));
+  if (cfg.chunk_target != ChunkTarget::kNone) {
+    cfg.chunks.rows = cfg.rows;
+    cfg.chunks.cols =
+        cfg.chunk_target == ChunkTarget::kMatrixA ? cfg.inner : cfg.cols;
+    const auto block = [&](std::size_t extent) {
+      return rng.next_below(5) == 0 ? std::numeric_limits<std::size_t>::max()
+                                    : 1 + rng.next_below(extent + 2);
+    };
+    cfg.chunks.row_block = block(cfg.chunks.rows);
+    cfg.chunks.col_block = block(cfg.chunks.cols);
+    cfg.chunks.major = rng.next_below(2) == 0 ? TraversalMajor::kRowMajor
+                                              : TraversalMajor::kColumnMajor;
+  }
+  return cfg;
+}
+
+std::string describe(const GemmPhaseConfig& cfg) {
+  std::ostringstream os;
+  os << cfg.order.letters() << " V=" << cfg.rows << " F=" << cfg.inner
+     << " G=" << cfg.cols << " tiles=" << cfg.tiles.v << "x" << cfg.tiles.f
+     << "x" << cfg.tiles.g << " pes=" << cfg.pes << " bw=" << cfg.bw_dist
+     << "/" << cfg.bw_red << " rf=" << cfg.rf_elements
+     << " a_from_rf=" << cfg.a_from_rf << " out_to_rf=" << cfg.out_to_rf
+     << " a_bw=" << cfg.a_stream_bw << " out_bw=" << cfg.out_drain_bw
+     << " dram=" << cfg.a_in_dram << cfg.out_in_dram
+     << " partition=" << cfg.a_via_partition << cfg.out_via_partition
+     << " target=" << static_cast<int>(cfg.chunk_target)
+     << " major=" << static_cast<int>(cfg.chunks.major)
+     << " chunks=" << cfg.chunks.rows << "x" << cfg.chunks.cols
+     << " blocks=" << cfg.chunks.row_block << "x" << cfg.chunks.col_block;
+  return os.str();
+}
+
+void expect_same_counts(const AccessCounts& got, const AccessCounts& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.reads, want.reads) << what << " reads";
+  EXPECT_EQ(got.writes, want.writes) << what << " writes";
+}
+
+void expect_same_result(const PhaseResult& got, const PhaseResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.cycles, want.cycles) << what;
+  EXPECT_EQ(got.issue_steps, want.issue_steps) << what;
+  EXPECT_EQ(got.load_cycles, want.load_cycles) << what;
+  EXPECT_EQ(got.stall_cycles, want.stall_cycles) << what;
+  EXPECT_EQ(got.psum_cycles, want.psum_cycles) << what;
+  EXPECT_EQ(got.fill_cycles, want.fill_cycles) << what;
+  EXPECT_EQ(got.macs, want.macs) << what;
+  EXPECT_EQ(got.active_pe_cycles, want.active_pe_cycles) << what;
+  for (std::size_t c = 0; c < kNumTrafficCategories; ++c) {
+    expect_same_counts(got.traffic.gb[c], want.traffic.gb[c],
+                       what + " gb[" + std::to_string(c) + "]");
+  }
+  expect_same_counts(got.traffic.rf, want.traffic.rf, what + " rf");
+  expect_same_counts(got.traffic.dram, want.traffic.dram, what + " dram");
+  expect_same_counts(got.traffic.intermediate_partition,
+                     want.traffic.intermediate_partition,
+                     what + " partition");
+  EXPECT_EQ(got.chunk_cycles, want.chunk_cycles) << what;
+  EXPECT_EQ(got.chunk_completion, want.chunk_completion) << what;
+}
+
+constexpr int kFuzzConfigs = 8000;
+
+TEST(GemmEngineTest, MatchesNaiveWalkOnFuzzedConfigs) {
+  Rng rng(24);
+  int psum_spills = 0;
+  int multi_chunk = 0;
+  int long_levels = 0;
+  for (int i = 0; i < kFuzzConfigs; ++i) {
+    const GemmPhaseConfig cfg = fuzz_config(rng);
+    const std::string what = "config " + std::to_string(i) + ": " + describe(cfg);
+    const PhaseResult want = naive_gemm_walk(cfg);
+    expect_same_result(run_gemm_phase(cfg), want, what);
+    if (::testing::Test::HasFailure()) break;  // one config's diff is enough
+    psum_spills += want.psum_cycles > 0;
+    multi_chunk += want.chunk_cycles.size() > 1;
+    long_levels += ceil_div(cfg.rows, cfg.tiles.v) >= 10 &&
+                   ceil_div(cfg.cols, cfg.tiles.g) >= 4;
+  }
+  // The generator reaches the corners the collapse must get right.
+  EXPECT_GT(psum_spills, kFuzzConfigs / 20);
+  EXPECT_GT(multi_chunk, kFuzzConfigs / 4);
+  EXPECT_GT(long_levels, kFuzzConfigs / 20);
+}
+
+TEST(GemmEngineTest, FuzzedResultsKeepChunkInvariants) {
+  Rng rng(2024);
+  for (int i = 0; i < kFuzzConfigs; ++i) {
+    const GemmPhaseConfig cfg = fuzz_config(rng);
+    const std::string what = "config " + std::to_string(i) + ": " + describe(cfg);
+    const PhaseResult r = run_gemm_phase(cfg);
+    EXPECT_EQ(r.macs, static_cast<std::uint64_t>(cfg.rows) * cfg.inner * cfg.cols)
+        << what;
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : r.chunk_cycles) sum = sat_add_u64(sum, c);
+    EXPECT_EQ(sum, r.cycles) << what;
+    ASSERT_FALSE(r.chunk_completion.empty()) << what;
+    EXPECT_TRUE(std::is_sorted(r.chunk_completion.begin(),
+                               r.chunk_completion.end()))
+        << what;
+    EXPECT_EQ(r.chunk_completion.back(), r.cycles) << what;
+    if (::testing::Test::HasFailure()) break;
+  }
 }
 
 }  // namespace
