@@ -212,6 +212,27 @@ TEST(GemmEngineTest, UtilizationReflectsEdgeWaste) {
   EXPECT_GT(util, 0.5);
 }
 
+TEST(GemmEngineTest, SaturatedNestSaturatesTailAndFill) {
+  // 2^63 single-element steps overflow the cycle count; the drain tail and
+  // the pipeline fill must saturate with it instead of wrapping the chunk
+  // timeline back to small values (DESIGN.md "Overflow contract").
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const char* order : {"VGF", "VFG", "GVF", "GFV", "FVG", "FGV"}) {
+    GemmPhaseConfig cfg;
+    cfg.rows = std::size_t{1} << 63;
+    cfg.order = LoopOrder::parse(order, GnnPhase::kCombination);
+    cfg.tiles = {.v = 1, .n = 1, .f = 1, .g = 1};
+    cfg.pes = 1;
+    cfg.bw_dist = 1;
+    cfg.bw_red = 1;
+    const auto r = run_gemm_phase(cfg);
+    EXPECT_EQ(r.cycles, kMax) << order;
+    ASSERT_EQ(r.chunk_cycles.size(), 1u) << order;
+    EXPECT_EQ(r.chunk_cycles[0], kMax) << order;
+    EXPECT_EQ(r.chunk_completion[0], kMax) << order;
+  }
+}
+
 // ---- Differential fuzz against the naive walk ---------------------------
 
 // Tile count of one loop level: 1, 2-3, 4-9 or 10-24, so every level shape
