@@ -112,8 +112,9 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   const int la = deepest_effective_level(loops, true, true, false);  // A{V,F}
   const int lb = deepest_effective_level(loops, false, true, true);  // B{F,G}
 
-  const std::size_t f_depth = cfg.order.depth_of(Dim::kF);
-  const std::size_t c_f = loops[f_depth].count;
+  const std::size_t lv = cfg.order.depth_of(Dim::kV);
+  const std::size_t lf = cfg.order.depth_of(Dim::kF);
+  const std::size_t lg = cfg.order.depth_of(Dim::kG);
 
   const std::size_t a_bw = cfg.a_stream_bw > 0 ? cfg.a_stream_bw : cfg.bw_dist;
   const std::size_t out_bw = cfg.out_drain_bw > 0 ? cfg.out_drain_bw : cfg.bw_red;
@@ -122,11 +123,8 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   // loop, each PE must keep one accumulator per output element it covers
   // across all output tiles swept by the loops *inside* F. If that live set
   // fits in half the RF, accumulators persist and no psum spill happens.
-  const std::size_t f_depth_raw = cfg.order.depth_of(Dim::kF);
-  std::uint64_t covered_v = tv;
-  std::uint64_t covered_g = tg;
-  if (cfg.order.depth_of(Dim::kV) > f_depth_raw) covered_v = cfg.rows;
-  if (cfg.order.depth_of(Dim::kG) > f_depth_raw) covered_g = cfg.cols;
+  const std::uint64_t covered_v = lv > lf ? cfg.rows : tv;
+  const std::uint64_t covered_g = lg > lf ? cfg.cols : tg;
   const std::uint64_t tile_pes =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(tv) * tf * tg);
   const std::uint64_t live_psums_per_pe =
@@ -197,317 +195,276 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
     // Otherwise the partial sums stay live in the PE register files.
   };
 
-  const std::size_t c0 = loops[0].count;
-  const std::size_t c1 = loops[1].count;
-  const std::size_t c2 = loops[2].count;
+  // ---- Pipeline chunk binning ---------------------------------------------
+  // A step's chunk is the sum of one contribution per loop level: the V
+  // level's row-block term and, for kMatrixA / kMatrixOut, the F / G level's
+  // column-block term, each (k * tile / block) * stride for the level's k-th
+  // tile. That is ChunkSpec::chunk_of on the tile origin, split by level.
+  struct ChunkAxis {
+    std::size_t block = 0;  // 0: the level does not move the chunk
+    std::size_t stride = 0;
+  };
+  std::array<ChunkAxis, 3> axes{};
+  if (cfg.chunk_target != ChunkTarget::kNone) {
+    const bool row_major = cfg.chunks.major == TraversalMajor::kRowMajor;
+    axes[lv] = {std::min(cfg.chunks.row_block, cfg.chunks.rows),
+                row_major ? cfg.chunks.col_blocks() : std::size_t{1}};
+    axes[cfg.chunk_target == ChunkTarget::kMatrixA ? lf : lg] = {
+        std::min(cfg.chunks.col_block, cfg.chunks.cols),
+        row_major ? std::size_t{1} : cfg.chunks.row_blocks()};
+  }
+  const auto contribution = [&](std::size_t level, std::size_t k) {
+    const ChunkAxis& a = axes[level];
+    return a.block == 0 ? std::size_t{0}
+                        : k * loops[level].tile / a.block * a.stride;
+  };
+  // One past the last tile index of `level` whose contribution equals tile
+  // k's: the chunk plateau k sits on (no overflow: k * tile < extent).
+  const auto plateau_end = [&](std::size_t level, std::size_t k) {
+    const LoopInfo& l = loops[level];
+    const std::size_t block = axes[level].block;
+    if (block == 0) return l.count;
+    const std::size_t start = k * l.tile / block * block;
+    if (block >= l.extent - start) return l.count;
+    const std::size_t next = start + block;  // origin of the next block
+    return std::min(l.count, next / l.tile + (next % l.tile != 0 ? 1 : 0));
+  };
 
-  // ---- Hot-nest precomputation -------------------------------------------
-  // This loop runs V*F*G / (tv*tf*tg) iterations per candidate — the hottest
-  // loop of a design-space sweep — so everything that only changes at tile
-  // boundaries is hoisted: actual tile sizes take two values per dim (full,
-  // last remainder), streaming costs take at most four values per operand,
-  // and the pipeline chunk index decomposes into precomputed per-dim
-  // contributions (no division inside the nest).
-  const std::size_t lv = cfg.order.depth_of(Dim::kV);
-  const std::size_t lg = cfg.order.depth_of(Dim::kG);
-  const std::size_t cv_cnt = loops[lv].count;
-  const std::size_t cg_cnt = loops[lg].count;
-  const std::size_t av_full = loops[lv].tile;
-  const std::size_t af_full = loops[f_depth].tile;
-  const std::size_t ag_full = loops[lg].tile;
-  const std::size_t av_last = actual_tile(loops[lv], cv_cnt - 1);
-  const std::size_t af_last = actual_tile(loops[f_depth], c_f - 1);
-  const std::size_t ag_last = actual_tile(loops[lg], cg_cnt - 1);
+  // Chunk charges made while a representative iteration is being recorded
+  // (see the walk below); empty otherwise.
+  struct ChunkCharge {
+    std::size_t chunk;
+    std::uint64_t cycles;
+    std::uint64_t completion;
+  };
+  std::vector<ChunkCharge> recorded;
+  int recording = 0;
+  const auto charge_chunk = [&](std::size_t chunk, std::uint64_t cycles,
+                                std::uint64_t completion) {
+    r.chunk_cycles[chunk] = sat_add_u64(r.chunk_cycles[chunk], cycles);
+    r.chunk_completion[chunk] = completion;  // last contribution wins
+    last_chunk_touched = chunk;
+    if (recording > 0) recorded.push_back({chunk, cycles, completion});
+  };
 
-  // Streaming-operand step costs, indexed [last f tile][last partner tile].
   const bool a_streams = la == 2;
   const bool b_streams = lb == 2;
-  std::uint64_t acost[2][2] = {{0, 0}, {0, 0}};  // [iv last][f last]
-  std::uint64_t bcost[2][2] = {{0, 0}, {0, 0}};  // [f last][ig last]
-  for (int x = 0; x < 2; ++x) {
-    for (int y = 0; y < 2; ++y) {
-      const std::uint64_t av_x = x ? av_last : av_full;
-      const std::uint64_t af_y = y ? af_last : af_full;
-      const std::uint64_t ag_y = y ? ag_last : ag_full;
-      const std::uint64_t af_x = x ? af_last : af_full;
-      if (a_streams) acost[x][y] = ceil_div(av_x * af_y, a_bw);
-      if (b_streams) bcost[x][y] = ceil_div(af_x * ag_y, cfg.bw_dist);
+
+  // One tile step at the loop indices in `idx`, binned into `chunk`.
+  std::size_t idx[3] = {0, 0, 0};
+  const auto exec_step = [&](std::size_t chunk) {
+    const std::size_t iv = idx[lv];
+    const std::size_t f_idx = idx[lf];
+    const std::size_t ig = idx[lg];
+    const std::uint64_t av = actual_tile(loops[lv], iv);
+    const std::uint64_t af = actual_tile(loops[lf], f_idx);
+    const std::uint64_t ag = actual_tile(loops[lg], ig);
+    const std::uint64_t a_elems = av * af;
+    const std::uint64_t b_elems = af * ag;
+    const std::uint64_t out_elems = av * ag;
+    const std::uint64_t macs = av * af * ag;
+
+    // Which loop level did this step enter fresh?
+    int changed = 2;
+    if (idx[2] == 0) {
+      changed = (idx[1] == 0 && idx[0] == 0) ? -1 : (idx[1] == 0 ? 0 : 1);
     }
-  }
+    // changed == -1 means the very first step: every level is fresh.
 
-  // Chunk index = row contribution (by V index) + column contribution (by F
-  // index for kMatrixA, by G index for kMatrixOut); identical to
-  // ChunkSpec::chunk_of with the divisions done once per extent.
-  std::vector<std::size_t> chunk_rowc;
-  std::vector<std::size_t> chunk_colc;
-  if (cfg.chunk_target != ChunkTarget::kNone) {
-    const std::size_t rb = std::min(cfg.chunks.row_block, cfg.chunks.rows);
-    const std::size_t cb = std::min(cfg.chunks.col_block, cfg.chunks.cols);
-    const bool row_major = cfg.chunks.major == TraversalMajor::kRowMajor;
-    const std::size_t row_stride =
-        row_major ? cfg.chunks.col_blocks() : std::size_t{1};
-    const std::size_t col_stride =
-        row_major ? std::size_t{1} : cfg.chunks.row_blocks();
-    chunk_rowc.resize(cv_cnt);
-    for (std::size_t i = 0; i < cv_cnt; ++i) {
-      chunk_rowc[i] = (rb == 0 ? 0 : i * av_full / rb) * row_stride;
-    }
-    const bool col_by_f = cfg.chunk_target == ChunkTarget::kMatrixA;
-    const std::size_t col_cnt = col_by_f ? c_f : cg_cnt;
-    const std::size_t col_tile = col_by_f ? af_full : ag_full;
-    chunk_colc.resize(col_cnt);
-    for (std::size_t i = 0; i < col_cnt; ++i) {
-      chunk_colc[i] = (cb == 0 ? 0 : i * col_tile / cb) * col_stride;
-    }
-  }
+    std::uint64_t serial = 0;   // serial cycles charged this step
+    std::uint64_t stream_a = 0;
+    std::uint64_t stream_b = 0;
 
-  // Per-level roles: which loop counter feeds V / F / G.
-  std::size_t cur_idx[3] = {0, 0, 0};
-
-  const auto exec_step = [&](std::size_t i0, std::size_t i1, std::size_t i2) {
-        cur_idx[0] = i0;
-        cur_idx[1] = i1;
-        cur_idx[2] = i2;
-        const std::size_t iv = cur_idx[lv];
-        const std::size_t f_idx = cur_idx[f_depth];
-        const std::size_t ig = cur_idx[lg];
-        const bool v_at_last = iv + 1 == cv_cnt;
-        const bool f_at_last = f_idx + 1 == c_f;
-        const bool g_at_last = ig + 1 == cg_cnt;
-        const std::size_t av = v_at_last ? av_last : av_full;
-        const std::size_t af = f_at_last ? af_last : af_full;
-        const std::size_t ag = g_at_last ? ag_last : ag_full;
-        const std::uint64_t a_elems = static_cast<std::uint64_t>(av) * af;
-        const std::uint64_t b_elems = static_cast<std::uint64_t>(af) * ag;
-        const std::uint64_t out_elems = static_cast<std::uint64_t>(av) * ag;
-        const std::uint64_t macs = static_cast<std::uint64_t>(av) * af * ag;
-
-        // Which loop level did this step enter fresh?
-        int changed = 2;
-        if (i2 == 0) changed = (i1 == 0 && i0 == 0) ? -1 : (i1 == 0 ? 0 : 1);
-        // changed == -1 means the very first step: every level is fresh.
-
-        std::uint64_t serial = 0;   // serial cycles charged this step
-        std::uint64_t stream_a = 0;
-        std::uint64_t stream_b = 0;
-
-        // Stationary (re)loads for operands bound above the innermost level.
-        auto handle_operand = [&](int level, std::uint64_t elems, bool is_a) {
-          const bool fresh =
-              changed == -1 || (level >= 0 && changed <= level && level < 2);
-          if (level >= 0 ? fresh : changed == -1) {
-            // Re-loaded at each entry of its binding level (or once if -1).
-            if (is_a) {
-              if (!cfg.a_from_rf) {
-                serial += ceil_div(elems, a_bw);
-                r.load_cycles = sat_add_u64(r.load_cycles, ceil_div(elems, a_bw));
-              }
-              charge_a_read(elems);
-            } else {
-              serial += ceil_div(elems, cfg.bw_dist);
-              r.load_cycles =
-                  sat_add_u64(r.load_cycles, ceil_div(elems, cfg.bw_dist));
-              charge_b_read(elems);
-            }
+    // Stationary (re)loads for operands bound above the innermost level.
+    auto handle_operand = [&](int level, std::uint64_t elems, bool is_a) {
+      const bool fresh =
+          changed == -1 || (level >= 0 && changed <= level && level < 2);
+      if (level >= 0 ? fresh : changed == -1) {
+        // Re-loaded at each entry of its binding level (or once if -1).
+        if (is_a) {
+          if (!cfg.a_from_rf) {
+            serial += ceil_div(elems, a_bw);
+            r.load_cycles = sat_add_u64(r.load_cycles, ceil_div(elems, a_bw));
           }
-        };
-        if (a_streams) {
-          stream_a = acost[v_at_last][f_at_last];
-          charge_a_read(a_elems);
+          charge_a_read(elems);
         } else {
-          handle_operand(la, a_elems, true);
+          serial += ceil_div(elems, cfg.bw_dist);
+          r.load_cycles =
+              sat_add_u64(r.load_cycles, ceil_div(elems, cfg.bw_dist));
+          charge_b_read(elems);
         }
-        if (b_streams) {
-          stream_b = bcost[f_at_last][g_at_last];
-          charge_b_read(b_elems);
-        } else {
-          handle_operand(lb, b_elems, false);
-        }
+      }
+    };
+    if (a_streams) {
+      stream_a = ceil_div(a_elems, a_bw);
+      charge_a_read(a_elems);
+    } else {
+      handle_operand(la, a_elems, true);
+    }
+    if (b_streams) {
+      stream_b = ceil_div(b_elems, cfg.bw_dist);
+      charge_b_read(b_elems);
+    } else {
+      handle_operand(lb, b_elems, false);
+    }
 
-        // Output tile bookkeeping.
-        if (iv != prev_iv || ig != prev_ig) {
-          flush_out_visit(&serial);
-          if (f_idx > 0 && !psums_fit_in_rf) {
-            // Revisit: partial sums come back from the GB.
-            r.traffic.gb_for(TrafficCategory::kPsum).reads += out_elems;
-            r.traffic.rf.writes += out_elems;
-            const std::uint64_t cost = ceil_div(out_elems, cfg.bw_dist);
-            r.psum_cycles = sat_add_u64(r.psum_cycles, cost);
-            serial += cost;
-          }
-          prev_iv = iv;
-          prev_ig = ig;
-        }
-        prev_out_elems = out_elems;
-        prev_out_final = f_at_last;
-
-        // Step cost: MAC issue vs distribution of streaming operands
-        // (stream_a/b already hold the per-step distribution cost).
-        std::uint64_t step = 1;
-        if (stream_a > 0) step = std::max(step, stream_a);
-        if (stream_b > 0) step = std::max(step, stream_b);
-        if (step > 1) r.stall_cycles = sat_add_u64(r.stall_cycles, step - 1);
-
-        // RF accounting: operand reads per MAC plus accumulator RMW per
-        // output lane per step (temporal accumulation).
-        r.traffic.rf.reads += sat_mul_u64(2, macs);
-        r.traffic.rf.reads += out_elems;
+    // Output tile bookkeeping.
+    if (iv != prev_iv || ig != prev_ig) {
+      flush_out_visit(&serial);
+      if (f_idx > 0 && !psums_fit_in_rf) {
+        // Revisit: partial sums come back from the GB.
+        r.traffic.gb_for(TrafficCategory::kPsum).reads += out_elems;
         r.traffic.rf.writes += out_elems;
+        const std::uint64_t cost = ceil_div(out_elems, cfg.bw_dist);
+        r.psum_cycles = sat_add_u64(r.psum_cycles, cost);
+        serial += cost;
+      }
+      prev_iv = iv;
+      prev_ig = ig;
+    }
+    prev_out_elems = out_elems;
+    prev_out_final = f_idx + 1 == loops[lf].count;
 
-        r.issue_steps += 1;
-        r.macs = sat_add_u64(r.macs, macs);
-        // One PE-cycle per MAC at step cost 1.
-        r.active_pe_cycles = sat_add_u64(r.active_pe_cycles, macs);
-        const std::uint64_t total_step = step + serial;
-        r.cycles = sat_add_u64(r.cycles, total_step);
+    // Step cost: MAC issue vs distribution of streaming operands
+    // (stream_a/b already hold the per-step distribution cost).
+    std::uint64_t step = 1;
+    if (stream_a > 0) step = std::max(step, stream_a);
+    if (stream_b > 0) step = std::max(step, stream_b);
+    if (step > 1) r.stall_cycles = sat_add_u64(r.stall_cycles, step - 1);
 
-        if (cfg.chunk_target != ChunkTarget::kNone) {
-          const std::size_t chunk =
-              chunk_rowc[iv] +
-              chunk_colc[cfg.chunk_target == ChunkTarget::kMatrixA ? f_idx
-                                                                   : ig];
-          r.chunk_cycles[chunk] = sat_add_u64(r.chunk_cycles[chunk], total_step);
-          r.chunk_completion[chunk] = r.cycles;  // last contribution wins
-          last_chunk_touched = chunk;
-        } else {
-          r.chunk_cycles[0] = sat_add_u64(r.chunk_cycles[0], total_step);
-          r.chunk_completion[0] = r.cycles;
-          last_chunk_touched = 0;
-        }
+    // RF accounting: operand reads per MAC plus accumulator RMW per
+    // output lane per step (temporal accumulation).
+    r.traffic.rf.reads += sat_mul_u64(2, macs);
+    r.traffic.rf.reads += out_elems;
+    r.traffic.rf.writes += out_elems;
+
+    r.issue_steps += 1;
+    r.macs = sat_add_u64(r.macs, macs);
+    // One PE-cycle per MAC at step cost 1.
+    r.active_pe_cycles = sat_add_u64(r.active_pe_cycles, macs);
+    const std::uint64_t total_step = step + serial;
+    r.cycles = sat_add_u64(r.cycles, total_step);
+    charge_chunk(chunk, total_step, r.cycles);
   };
 
-  // Uniform-walk collapse. Along the deepest loop level whose inner levels
-  // are all trivial (count 1), every "middle" step — neither the fresh
-  // entry at index 0 nor the possibly-partial last tile — is exactly
-  // uniform: full tiles, the same `changed` level (hence the same
-  // stationary reloads), and identical flush/psum charges. Execute one
-  // representative middle step through the normal path, then replay its
-  // accumulator deltas arithmetically; the collapse is exact by
-  // construction and turns the V*F*G/PE-size nest into
-  // O(outer counts * chunk-runs). Only the pipeline chunk binning needs
-  // per-run attention: the walked dim's chunk contribution advances in
-  // plateaus of the precomputed arrays.
-  const auto walk_with_collapse = [&](std::size_t walk_level, std::size_t cw,
-                                      auto&& exec_at) {
-    exec_at(0);
-    if (cw >= 3) {
-      const std::uint64_t s_cycles = r.cycles;
-      const std::uint64_t s_issue = r.issue_steps;
-      const std::uint64_t s_load = r.load_cycles;
-      const std::uint64_t s_stall = r.stall_cycles;
-      const std::uint64_t s_psum = r.psum_cycles;
-      const std::uint64_t s_macs = r.macs;
-      const std::uint64_t s_active = r.active_pe_cycles;
-      const TrafficCounters s_traffic = r.traffic;
+  // ---- Uniform-walk collapse, at every loop level --------------------------
+  // The nest has V*F*G / (tv*tf*tg) tile steps, but at any level every
+  // "middle" iteration — neither the fresh entry at index 0 nor the
+  // possibly-partial last tile — runs exactly the same sub-nest: full tiles
+  // at this level, the same fresh levels (hence the same stationary
+  // reloads), the same output-visit flushes and psum charges, and the same
+  // entry state left by its predecessor. Only its pipeline chunks differ,
+  // by this level's chunk contribution. So each level executes iteration 0,
+  // one representative middle iteration and the last one (recursively, so
+  // at most 27 tile steps run), and replays the representative's deltas
+  // arithmetically: scalar totals and traffic times the middle count, and
+  // its per-chunk charges once per chunk plateau of this level. The replay
+  // is exact by construction (it multiplies the deltas the real code path
+  // produced); engine_gemm_test checks it against the naive walk. A term
+  // costs O(plateaus x chunks touched), not O(steps).
+  const auto walk = [&](const auto& self, std::size_t level,
+                        std::size_t chunk_base) -> void {
+    if (level == 3) {
+      exec_step(chunk_base);
+      return;
+    }
+    const std::size_t count = loops[level].count;
+    const auto run = [&](std::size_t k) {
+      idx[level] = k;
+      self(self, level + 1, chunk_base + contribution(level, k));
+    };
+    run(0);
+    if (count < 4) {  // no middle iteration to replay
+      for (std::size_t k = 1; k < count; ++k) run(k);
+      return;
+    }
+    const std::uint64_t s_cycles = r.cycles;
+    const std::uint64_t s_issue = r.issue_steps;
+    const std::uint64_t s_load = r.load_cycles;
+    const std::uint64_t s_stall = r.stall_cycles;
+    const std::uint64_t s_psum = r.psum_cycles;
+    const std::uint64_t s_macs = r.macs;
+    const std::uint64_t s_active = r.active_pe_cycles;
+    const TrafficCounters s_traffic = r.traffic;
 
-      exec_at(1);  // representative middle step
+    const std::size_t mark = recorded.size();
+    ++recording;
+    run(1);  // the representative middle iteration
+    --recording;
 
-      const std::size_t mid_end = cw - 2;      // last middle index
-      const std::uint64_t reps = mid_end - 1;  // walked steps 2 .. mid_end
-      if (reps > 0) {
-        const std::uint64_t step_cycles = r.cycles - s_cycles;
-        const std::uint64_t walked = sat_mul_u64(reps, step_cycles);
-        const Dim walk_dim = loops[walk_level].dim;
-
-        // Chunk binning for the replayed steps.
-        const std::uint64_t base_cycles = r.cycles;  // after walked step 1
-        if (cfg.chunk_target != ChunkTarget::kNone) {
-          const bool col_by_f = cfg.chunk_target == ChunkTarget::kMatrixA;
-          const std::size_t col_idx =
-              col_by_f ? cur_idx[f_depth] : cur_idx[lg];
-          const std::size_t* varying = nullptr;
-          std::size_t fixed_contrib = 0;
-          if (walk_dim == Dim::kV) {
-            varying = chunk_rowc.data();
-            fixed_contrib = chunk_colc[col_idx];
-          } else if (col_by_f ? walk_dim == Dim::kF : walk_dim == Dim::kG) {
-            varying = chunk_colc.data();
-            fixed_contrib = chunk_rowc[cur_idx[lv]];
-          } else {
-            fixed_contrib = chunk_rowc[cur_idx[lv]] + chunk_colc[col_idx];
-          }
-          if (varying == nullptr) {
-            r.chunk_cycles[fixed_contrib] =
-                sat_add_u64(r.chunk_cycles[fixed_contrib], walked);
-            r.chunk_completion[fixed_contrib] =
-                sat_add_u64(base_cycles, walked);
-            last_chunk_touched = fixed_contrib;
-          } else {
-            std::size_t s = 2;
-            while (s <= mid_end) {
-              const std::size_t contrib = varying[s];
-              std::size_t e = s;
-              while (e + 1 <= mid_end && varying[e + 1] == contrib) ++e;
-              const std::size_t chunk = fixed_contrib + contrib;
-              r.chunk_cycles[chunk] = sat_add_u64(
-                  r.chunk_cycles[chunk],
-                  sat_mul_u64(static_cast<std::uint64_t>(e - s + 1),
-                              step_cycles));
-              r.chunk_completion[chunk] = sat_add_u64(
-                  base_cycles,
-                  sat_mul_u64(static_cast<std::uint64_t>(e - 1), step_cycles));
-              last_chunk_touched = chunk;
-              s = e + 1;
-            }
-          }
-        } else {
-          r.chunk_cycles[0] = sat_add_u64(r.chunk_cycles[0], walked);
-          r.chunk_completion[0] = sat_add_u64(base_cycles, walked);
-          last_chunk_touched = 0;
-        }
-
-        // Replay the scalar deltas of the representative step.
-        r.cycles = sat_add_u64(r.cycles, walked);
-        r.issue_steps += reps * (r.issue_steps - s_issue);
-        r.load_cycles = sat_add_u64(
-            r.load_cycles, sat_mul_u64(reps, r.load_cycles - s_load));
-        r.stall_cycles = sat_add_u64(
-            r.stall_cycles, sat_mul_u64(reps, r.stall_cycles - s_stall));
-        r.psum_cycles = sat_add_u64(
-            r.psum_cycles, sat_mul_u64(reps, r.psum_cycles - s_psum));
-        r.macs = sat_add_u64(r.macs, sat_mul_u64(reps, r.macs - s_macs));
-        r.active_pe_cycles =
-            sat_add_u64(r.active_pe_cycles,
-                        sat_mul_u64(reps, r.active_pe_cycles - s_active));
-        const auto replay = [reps](AccessCounts& cur,
-                                   const AccessCounts& before) {
-          cur.reads += reps * (cur.reads - before.reads);
-          cur.writes += reps * (cur.writes - before.writes);
-        };
-        for (std::size_t c = 0; c < kNumTrafficCategories; ++c) {
-          replay(r.traffic.gb[c], s_traffic.gb[c]);
-        }
-        replay(r.traffic.rf, s_traffic.rf);
-        replay(r.traffic.dram, s_traffic.dram);
-        replay(r.traffic.intermediate_partition,
-               s_traffic.intermediate_partition);
-
-        // Output-visit state as if the walk stood at mid_end: only the
-        // walked dim's coordinate moved (the visit size and finality are
-        // middle-uniform).
-        if (walk_dim == Dim::kV) prev_iv = mid_end;
-        if (walk_dim == Dim::kG) prev_ig = mid_end;
+    // Fold the representative's chunk charges to one per chunk: the sum of
+    // its cycles and its last completion.
+    std::stable_sort(recorded.begin() + static_cast<std::ptrdiff_t>(mark),
+                     recorded.end(),
+                     [](const ChunkCharge& a, const ChunkCharge& b) {
+                       return a.chunk < b.chunk;
+                     });
+    std::size_t folded_end = mark;
+    for (std::size_t j = mark; j < recorded.size(); ++j) {
+      const ChunkCharge& c = recorded[j];
+      if (folded_end > mark && recorded[folded_end - 1].chunk == c.chunk) {
+        ChunkCharge& f = recorded[folded_end - 1];
+        f.cycles = sat_add_u64(f.cycles, c.cycles);
+        f.completion = c.completion;
+      } else {
+        recorded[folded_end++] = c;
       }
     }
-    if (cw >= 2) exec_at(cw - 1);
+    recorded.resize(folded_end);
+
+    // Middle iterations 2 .. count-2 replay the representative (1).
+    const std::size_t mid_end = count - 2;
+    const std::uint64_t reps = mid_end - 1;
+    const std::uint64_t iter_cycles = r.cycles - s_cycles;
+
+    // Chunks: iteration k charges the representative's chunks shifted by
+    // contribution(k) - contribution(1), ending iter_cycles * (k - 1) later.
+    const std::size_t rep_contribution = contribution(level, 1);
+    for (std::size_t k = 2; k <= mid_end;) {
+      const std::size_t e = std::min(plateau_end(level, k), mid_end + 1) - 1;
+      const std::size_t shift = contribution(level, k) - rep_contribution;
+      const std::uint64_t n = e - k + 1;
+      const std::uint64_t delay = sat_mul_u64(e - 1, iter_cycles);
+      for (std::size_t j = mark; j < folded_end; ++j) {
+        const ChunkCharge c = recorded[j];  // charge_chunk may grow the log
+        charge_chunk(c.chunk + shift, sat_mul_u64(n, c.cycles),
+                     sat_add_u64(c.completion, delay));
+      }
+      k = e + 1;
+    }
+    if (recording == 0) recorded.clear();
+
+    // Scalars: the representative's deltas, reps more times.
+    r.cycles = sat_add_u64(r.cycles, sat_mul_u64(reps, iter_cycles));
+    r.issue_steps += reps * (r.issue_steps - s_issue);
+    r.load_cycles = sat_add_u64(
+        r.load_cycles, sat_mul_u64(reps, r.load_cycles - s_load));
+    r.stall_cycles = sat_add_u64(
+        r.stall_cycles, sat_mul_u64(reps, r.stall_cycles - s_stall));
+    r.psum_cycles = sat_add_u64(
+        r.psum_cycles, sat_mul_u64(reps, r.psum_cycles - s_psum));
+    r.macs = sat_add_u64(r.macs, sat_mul_u64(reps, r.macs - s_macs));
+    r.active_pe_cycles =
+        sat_add_u64(r.active_pe_cycles,
+                    sat_mul_u64(reps, r.active_pe_cycles - s_active));
+    const auto replay = [reps](AccessCounts& cur, const AccessCounts& before) {
+      cur.reads += reps * (cur.reads - before.reads);
+      cur.writes += reps * (cur.writes - before.writes);
+    };
+    for (std::size_t c = 0; c < kNumTrafficCategories; ++c) {
+      replay(r.traffic.gb[c], s_traffic.gb[c]);
+    }
+    replay(r.traffic.rf, s_traffic.rf);
+    replay(r.traffic.dram, s_traffic.dram);
+    replay(r.traffic.intermediate_partition, s_traffic.intermediate_partition);
+
+    // The output visit the representative left open stands for iteration
+    // mid_end's: its size and finality are middle-uniform, and if this level
+    // walks V or G, the last iteration opens a new visit either way.
+    run(count - 1);
   };
+  walk(walk, 0, 0);
 
-  if (c1 == 1 && c2 == 1) {
-    walk_with_collapse(0, c0,
-                       [&](std::size_t j) { exec_step(j, 0, 0); });
-  } else if (c2 == 1) {
-    for (std::size_t i0 = 0; i0 < c0; ++i0) {
-      walk_with_collapse(1, c1,
-                         [&](std::size_t j) { exec_step(i0, j, 0); });
-    }
-  } else {
-    for (std::size_t i0 = 0; i0 < c0; ++i0) {
-      for (std::size_t i1 = 0; i1 < c1; ++i1) {
-        walk_with_collapse(2, c2,
-                           [&](std::size_t j) { exec_step(i0, i1, j); });
-      }
-    }
-  }
   std::uint64_t tail = 0;
   flush_out_visit(&tail);
   r.cycles = sat_add_u64(r.cycles, tail);

@@ -230,6 +230,17 @@ TEST(GemmEngineTest, SaturatedNestSaturatesTailAndFill) {
     ASSERT_EQ(r.chunk_cycles.size(), 1u) << order;
     EXPECT_EQ(r.chunk_cycles[0], kMax) << order;
     EXPECT_EQ(r.chunk_completion[0], kMax) << order;
+
+    // Two row chunks: the timeline still sums (saturating) to the total.
+    cfg.chunk_target = ChunkTarget::kMatrixOut;
+    cfg.chunks.rows = cfg.rows;
+    cfg.chunks.row_block = cfg.rows / 2;
+    const auto chunked = run_gemm_phase(cfg);
+    ASSERT_EQ(chunked.chunk_cycles.size(), 2u) << order;
+    EXPECT_EQ(sat_add_u64(chunked.chunk_cycles[0], chunked.chunk_cycles[1]),
+              chunked.cycles)
+        << order;
+    EXPECT_EQ(chunked.chunk_completion[1], kMax) << order;
   }
 }
 
