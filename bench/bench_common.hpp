@@ -45,15 +45,22 @@ inline double env_number(const char* name, double fallback) {
   return s == nullptr || *s == '\0' ? fallback : parse_number(s, name);
 }
 
-/// OMEGA_BENCH_SCALE; a non-positive value means the default 1.0.
+/// OMEGA_BENCH_SCALE; a scale must be positive, so 0 or below is an error
+/// rather than a silent full-scale run.
 inline double bench_scale() {
   const double v = env_number("OMEGA_BENCH_SCALE", 1.0);
-  return v > 0.0 ? v : 1.0;
+  if (v <= 0.0) {
+    throw InvalidArgumentError(
+        std::string("OMEGA_BENCH_SCALE wants a positive number, got: ") +
+        std::getenv("OMEGA_BENCH_SCALE"));
+  }
+  return v;
 }
 
+/// OMEGA_BENCH_OUTDIR; unset or empty is the default, as for every knob.
 inline std::string out_dir() {
-  if (const char* s = std::getenv("OMEGA_BENCH_OUTDIR")) return s;
-  return "bench_results";
+  const char* s = std::getenv("OMEGA_BENCH_OUTDIR");
+  return s != nullptr && *s != '\0' ? s : "bench_results";
 }
 
 /// Synthesizes the Table IV workloads once per binary.

@@ -1,10 +1,9 @@
 // Minimal JSON layer shared by the mapping service, the CLI and the
 // benchmark emitters.
 //
-// The writer replaces the ad-hoc `ofstream << "{\"key\": ..."` emitters that
-// used to live in tools/omega_cli.cpp and bench/bench_simulator_perf.cpp —
-// those interpolated workload names and dataflow notations unescaped, so a
-// name containing a quote or backslash produced invalid JSON. JsonWriter
+// The writer replaces ad-hoc `ofstream << "{\"key\": ..."` emitters, which
+// interpolated workload names and dataflow notations unescaped, so a name
+// containing a quote or backslash produced invalid JSON. JsonWriter
 // escapes every string and manages commas/indentation, and formats doubles
 // with shortest-round-trip precision (std::to_chars), which is both
 // locale-independent and deterministic across runs.

@@ -8,11 +8,14 @@
 // structure the delta slots are built for) on the classic AC and CA chains
 // and a 3-phase chain with PP and SP boundaries, reusing one
 // PipelineDeltaState throughout so stale slots from a previous candidate —
-// or a previous chain — can never leak into the next.
+// or a previous chain — can never leak into the next. Search-level parity
+// runs on the small fuzz graph in every inter-phase mode and at sweep size
+// on default-accelerator R-MAT graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -23,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "omega/omega.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace omega {
 namespace {
@@ -420,6 +424,85 @@ TEST(EvalCoreSearch, PrunedSearchKeepsTheUnprunedBest) {
   EXPECT_EQ(got.best().cycles, want.best().cycles);
   EXPECT_EQ(got.best().dataflow.to_string(), want.best().dataflow.to_string());
   EXPECT_EQ(got.best().cycles, omega.run(w, layer, got.best().dataflow).cycles);
+}
+
+/// The parity gate at sweep size: the classic AC and CA chains on an R-MAT
+/// graph and the default accelerator, searched through one context (the
+/// production path), against uncached run_pipeline on a stride sample of
+/// the searched candidates through the plans the search left warm, and on
+/// every ranked and Pareto entry. At scale 16 big-grid terms dominate the
+/// term store. Both sides simulate through the same engines, so this checks
+/// cache parity, not the engines.
+struct RmatSweep {
+  std::size_t scale;
+  std::size_t edges;
+  std::size_t max_candidates;
+  std::size_t sample;
+};
+
+TEST(EvalCoreSearch, RmatSweepMatchesUncached) {
+  const Omega omega(default_accelerator());
+  const std::vector<PipelineChainSpec> chains = {
+      classic_chain(PhaseOrder::kAC), classic_chain(PhaseOrder::kCA)};
+  for (const RmatSweep& sweep : {RmatSweep{14, 131072, 16384, 512},
+                                 RmatSweep{16, 524288, 8192, 256}}) {
+    SCOPED_TRACE("R-MAT scale " + std::to_string(sweep.scale));
+    Rng rng(42);
+    GnnWorkload w;
+    w.name = "rmat-s" + std::to_string(sweep.scale);
+    w.adjacency =
+        rmat(sweep.scale, sweep.edges, rng).with_self_loops().gcn_normalized();
+    w.in_features = 64;
+
+    PipelineSearchOptions opt;
+    opt.max_candidates = sweep.max_candidates;
+    opt.seed_table5 = false;
+
+    // The searched candidates: the per-chain populations concatenated, then
+    // the search's stride subsample. The oracle sample strides over those.
+    std::vector<PipelineCandidate> population;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      std::vector<PipelineCandidate> pop = enumerate_pipeline_candidates(
+          chains[c], c, w, omega.config().num_pes, opt);
+      std::move(pop.begin(), pop.end(), std::back_inserter(population));
+    }
+    const std::size_t selected =
+        std::min(population.size(), sweep.max_candidates);
+    ASSERT_GE(selected, sweep.sample);
+    std::vector<const PipelineCandidate*> sample;
+    for (std::size_t i = 0; i < sweep.sample; ++i) {
+      const std::size_t k = stride_sample_index(i, selected, sweep.sample);
+      sample.push_back(
+          &population[stride_sample_index(k, population.size(), selected)]);
+    }
+    std::vector<EvalOutcome> want(sample.size());
+    parallel_blocks(sample.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        want[i] = oracle(omega, w, chains[sample[i]->chain_index], *sample[i]);
+      }
+    });
+
+    const WorkloadContext context(w.adjacency);
+    const PipelineSearchResult searched =
+        search_pipeline_mappings(omega, w, chains, opt, &context);
+    EXPECT_EQ(searched.generated, population.size());
+    ASSERT_FALSE(searched.ranked.empty());
+
+    PipelineDeltaState state;
+    std::size_t feasible = 0;
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      const PipelineChainSpec& chain = chains[sample[i]->chain_index];
+      const auto plan = PipelineEvalPlan::obtain(omega, w, chain, context);
+      const PipelineBindingView view = sample[i]->view();
+      EvalOutcome got;
+      plan->evaluate_batch({&view, 1}, &got, state);
+      expect_same(got, want[i], chain.bind(view).to_string());
+      feasible += want[i].ok ? 1 : 0;
+    }
+    EXPECT_GT(feasible, sample.size() / 2);
+    expect_entries_match_oracle(omega, w, chains, searched.ranked, "ranked");
+    expect_entries_match_oracle(omega, w, chains, searched.pareto, "pareto");
+  }
 }
 
 TEST(EvalCoreStats, ContextAggregatesPlanCounters) {

@@ -1,9 +1,9 @@
 // Phase-pipeline API tests: the legacy two-phase Omega::run must be
 // bit-identical to run_pipeline over the explicit two-phase adapter across
-// every inter-phase mode, phase order and walk direction; N-phase pipelines
-// must evaluate end-to-end; the sparse-weight Combination engine must track
-// the weight density monotonically; and spec/bind-time validation must
-// reject the documented traps.
+// every inter-phase mode, phase order and walk direction and on the Table V
+// patterns; N-phase pipelines must evaluate end-to-end; the sparse-weight
+// Combination engine must track the weight density monotonically; and
+// spec/bind-time validation must reject the documented traps.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +14,7 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "omega/pipeline.hpp"
+#include "omega/tiler.hpp"
 
 namespace omega {
 namespace {
@@ -86,10 +87,22 @@ void expect_run_identical(const RunResult& a, const RunResult& b) {
   EXPECT_DOUBLE_EQ(a.cmb_static_utilization, b.cmb_static_utilization);
 }
 
-/// Sweeps the full candidate generator (all four inter-phase modes, AC and
-/// CA, gather and scatter aggregation orders) and checks the legacy
-/// Omega::run against the explicit pipeline path:
+/// Checks the legacy Omega::run result of `df` against the explicit
+/// pipeline path:
 ///   run_pipeline(two_phase_pipeline(df, layer, pes)) |> to_run_result.
+void expect_adapter_parity(const Omega& omega, const GnnWorkload& w,
+                           const LayerSpec& layer, const DataflowDescriptor& df,
+                           const RunResult& legacy,
+                           const WorkloadContext& context) {
+  SCOPED_TRACE(df.to_string());
+  PipelineResult pr = omega.run_pipeline(
+      w, two_phase_pipeline(df, layer, omega.config().num_pes), &context);
+  expect_run_identical(legacy, to_run_result(std::move(pr), df));
+}
+
+/// Sweeps the full candidate generator (all four inter-phase modes, AC and
+/// CA, gather and scatter aggregation orders) through
+/// expect_adapter_parity.
 void check_adapter_parity(const GnnWorkload& w) {
   SCOPED_TRACE(w.name);
   const Omega omega(small_hw());
@@ -118,12 +131,7 @@ void check_adapter_parity(const GnnWorkload& w) {
     } catch (const Error&) {
       continue;  // infeasible on this substrate either way
     }
-    SCOPED_TRACE(df.to_string());
-    const PipelineSpec spec =
-        two_phase_pipeline(df, layer, omega.config().num_pes);
-    PipelineResult pr = omega.run_pipeline(w, spec, &context);
-    const RunResult via_pipeline = to_run_result(std::move(pr), df);
-    expect_run_identical(legacy, via_pipeline);
+    expect_adapter_parity(omega, w, layer, df, legacy, context);
 
     const bool gather = df.agg.order.depth_of(Dim::kV) <
                         df.agg.order.depth_of(Dim::kN);
@@ -141,12 +149,8 @@ void check_adapter_parity(const GnnWorkload& w) {
         DataflowDescriptor::parse("SP_CA(NsFsVt, VsGsFt)");
     sp_ca.agg.tiles = {.v = 1, .n = 4, .f = 8, .g = 1};
     sp_ca.cmb.tiles = {.v = 4, .n = 1, .f = 1, .g = 8};
-    SCOPED_TRACE(sp_ca.to_string());
-    const RunResult legacy = omega.run(w, layer, sp_ca, context);
-    PipelineResult pr = omega.run_pipeline(
-        w, two_phase_pipeline(sp_ca, layer, omega.config().num_pes),
-        &context);
-    expect_run_identical(legacy, to_run_result(std::move(pr), sp_ca));
+    expect_adapter_parity(omega, w, layer, sp_ca,
+                          omega.run(w, layer, sp_ca, context), context);
     seen[static_cast<std::size_t>(InterPhase::kSPOptimized)][1][1] = true;
     ++compared;
   }
@@ -179,6 +183,23 @@ TEST(PipelineParityTest, AdapterMatchesLegacyOnCora) {
 
 TEST(PipelineParityTest, AdapterMatchesLegacyOnRmat) {
   check_adapter_parity(rmat_workload());
+}
+
+TEST(PipelineParityTest, AdapterMatchesLegacyOnTable5Patterns) {
+  // The nine Table V patterns with their tiles bound on the default
+  // accelerator: the configurations the paper evaluates, which the 64-PE
+  // sweeps above do not reach.
+  const GnnWorkload w = cora_workload();
+  const Omega omega(default_accelerator());
+  const LayerSpec layer{16};
+  const WorkloadContext context(w.adjacency);
+  for (const DataflowPattern& pattern : table5_patterns()) {
+    SCOPED_TRACE(pattern.name);
+    const DataflowDescriptor df =
+        bind_tiles(pattern, dims_of(w, layer), omega.config());
+    expect_adapter_parity(omega, w, layer, df,
+                          omega.run(w, layer, df, context), context);
+  }
 }
 
 TEST(PipelineParityTest, CaRoundingTieResolvesLikeLegacy) {
