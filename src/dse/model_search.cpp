@@ -13,16 +13,6 @@ namespace omega {
 
 namespace {
 
-double model_score(Objective obj, std::uint64_t cycles, double pj) {
-  switch (obj) {
-    case Objective::kRuntime: return static_cast<double>(cycles);
-    case Objective::kEnergy: return pj;
-    case Objective::kEnergyDelayProduct:
-      return static_cast<double>(cycles) * pj;
-  }
-  return static_cast<double>(cycles);
-}
-
 ModelCandidate make_combo(const std::vector<LayerSearchResult>& layers,
                           const std::vector<std::size_t>& idx, Objective obj) {
   ModelCandidate mc;
@@ -35,7 +25,7 @@ ModelCandidate make_combo(const std::vector<LayerSearchResult>& layers,
     mc.total_on_chip_pj += c.on_chip_pj;
   }
   mc.composed_cycles = mc.total_cycles;
-  mc.score = model_score(obj, mc.composed_cycles, mc.total_on_chip_pj);
+  mc.score = objective_score(obj, mc.composed_cycles, mc.total_on_chip_pj);
   return mc;
 }
 
@@ -296,7 +286,7 @@ ModelSearchResult search_model_mappings(const Omega& omega,
                 composer.compose(runs, ModelCompose::kPipelined);
             mc.composed_cycles = comp.cycles;
             mc.overlapped_boundaries = comp.overlapped_boundaries;
-            mc.score = model_score(options.layer.objective,
+            mc.score = objective_score(options.layer.objective,
                                    mc.composed_cycles, mc.total_on_chip_pj);
           }
         },

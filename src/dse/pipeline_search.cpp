@@ -24,10 +24,6 @@ namespace omega {
 
 namespace {
 
-constexpr bool is_chunked(InterPhase k) {
-  return k == InterPhase::kSPGeneric || k == InterPhase::kParallelPipeline;
-}
-
 std::size_t cap_of(std::size_t extent) {
   return std::max<std::size_t>(1,
                                std::bit_ceil(std::max<std::size_t>(extent, 1)));
@@ -37,16 +33,6 @@ std::uint64_t ceil_div_u64(std::uint64_t a, std::uint64_t b) {
   return b == 0 ? a : (a + b - 1) / b;
 }
 
-double score_of(Objective obj, std::uint64_t cycles, double pj) {
-  switch (obj) {
-    case Objective::kRuntime: return static_cast<double>(cycles);
-    case Objective::kEnergy: return pj;
-    case Objective::kEnergyDelayProduct:
-      return static_cast<double>(cycles) * pj;
-  }
-  return static_cast<double>(cycles);
-}
-
 /// Truncation PE split used when sizing tiling budgets at a PP boundary —
 /// deliberately the same floor-based split the legacy enumerator uses for
 /// its tiling budgets (the *evaluator* rounds with llround; generation has
@@ -54,6 +40,21 @@ double score_of(Objective obj, std::uint64_t cycles, double pj) {
 std::size_t pp_budget_first(std::size_t pes, double frac) {
   return std::clamp<std::size_t>(
       static_cast<std::size_t>(static_cast<double>(pes) * frac), 1, pes - 1);
+}
+
+/// The PE fractions of a binding whose PP boundary b splits its pair
+/// share(b) : 1 - share(b): 1.0 elsewhere, and none when no boundary is PP.
+template <class Share>
+std::vector<double> pp_fractions(std::span<const InterPhase> kinds,
+                                 const Share& share) {
+  std::vector<double> f;
+  for (std::size_t b = 0; b < kinds.size(); ++b) {
+    if (kinds[b] != InterPhase::kParallelPipeline) continue;
+    if (f.empty()) f.assign(kinds.size() + 1, 1.0);
+    f[b] = share(b);
+    f[b + 1] = 1.0 - share(b);
+  }
+  return f;
 }
 
 /// The legacy enumerator options a PipelineSearchOptions projects to.
@@ -147,7 +148,7 @@ ChainInfo make_chain_info(const PipelineChainSpec& chain,
 /// Deterministic recursive enumerator of a general chain's candidate space:
 /// boundary strategies (with PP fraction assignment) outermost, then per
 /// phase a loop order and a maximal power-of-two tiling at the phase's PE
-/// budget. Taxonomy rules PipelineSpec::validate would reject are applied
+/// budget. Taxonomy rules check_pipeline would reject are applied
 /// generatively (adjacent chunking, sparse-weight consumers of chunked
 /// boundaries, hand-off feasibility, SPO tile tying), so every emitted
 /// candidate binds to a valid spec. The walk calls `sink` once per
@@ -184,18 +185,8 @@ class ChainWalker {
     c.chain_index = ci_.index;
     c.phases = cur_;
     c.boundaries = kinds_;
-    bool has_pp = false;
-    for (const InterPhase k : kinds_) {
-      has_pp |= k == InterPhase::kParallelPipeline;
-    }
-    if (has_pp) {
-      c.pe_fractions.assign(ci_.n, 1.0);
-      for (std::size_t b = 0; b < kinds_.size(); ++b) {
-        if (kinds_[b] != InterPhase::kParallelPipeline) continue;
-        c.pe_fractions[b] = fracs_[b];
-        c.pe_fractions[b + 1] = 1.0 - fracs_[b];
-      }
-    }
+    c.pe_fractions =
+        pp_fractions(kinds_, [&](std::size_t b) { return fracs_[b]; });
     return c;
   }
 
@@ -253,8 +244,7 @@ class ChainWalker {
       if (stop_) return;
       if (i > 0) {
         const InterPhase up = kinds_[i - 1];
-        if (up == InterPhase::kSPGeneric ||
-            up == InterPhase::kParallelPipeline) {
+        if (is_chunked(up)) {
           const HandoffRole prod =
               phase_producer_role(ci_.phases[i - 1].engine, cur_[i - 1].order);
           const HandoffRole cons = phase_consumer_role(sh.engine, order);
@@ -382,16 +372,8 @@ std::string PipelineCandidate::key() const {
   }
   for (std::size_t b = 0; b < boundaries.size(); ++b) {
     if (boundaries[b] != InterPhase::kParallelPipeline) continue;
-    double share = 0.5;
-    if (pe_fractions.size() == phases.size() && b + 1 < pe_fractions.size()) {
-      const double a = pe_fractions[b];
-      const double bb = pe_fractions[b + 1];
-      if (std::isfinite(a) && std::isfinite(bb) && a > 0.0 && bb > 0.0) {
-        share = a / (a + bb);
-      }
-    }
     char buf[48];
-    std::snprintf(buf, sizeof buf, "|pp%zu=%.6g", b, share);
+    std::snprintf(buf, sizeof buf, "|pp%zu=%.6g", b, pp_first_share(view(), b));
     s += buf;
   }
   return s;
@@ -464,22 +446,7 @@ std::uint64_t pipeline_mac_cycle_bound(std::span<const PipelinePhaseWork> work,
                     c.boundaries[i] == InterPhase::kParallelPipeline &&
                     i + 1 < n && pes >= 2;
     if (pp) {
-      // Same llround-then-clamp split the evaluator performs (the pair's
-      // first phase anchors the rounding).
-      double share = 0.5;
-      if (c.pe_fractions.size() == c.phases.size()) {
-        const double a = c.pe_fractions[i];
-        const double b = c.pe_fractions[i + 1];
-        if (std::isfinite(a) && std::isfinite(b) && a > 0.0 && b > 0.0) {
-          share = a / (a + b);
-        }
-      } else if (c.legacy) {
-        share = c.legacy->pp_agg_pe_fraction;
-      }
-      const std::size_t first = std::clamp<std::size_t>(
-          static_cast<std::size_t>(
-              std::llround(static_cast<double>(pes) * share)),
-          1, pes - 1);
+      const std::size_t first = pp_first_pes(pes, pp_first_share(c.view(), i));
       total += std::max(ceil_div_u64(work[i].macs, first),
                         ceil_div_u64(work[i + 1].macs, pes - first));
       i += 2;
@@ -595,10 +562,8 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
     double frac = pattern.pp_agg_pe_fraction;
     if (!(std::isfinite(frac) && frac > 0.0 && frac < 1.0)) frac = 0.5;
     std::vector<std::size_t> budgets(ci.n, pes);
-    bool has_pp = false;
     for (std::size_t b = 0; b < nb; ++b) {
       if (kinds[b] != InterPhase::kParallelPipeline) continue;
-      has_pp = true;
       const std::size_t first = pp_budget_first(pes, frac);
       budgets[b] = first;
       budgets[b + 1] = pes - first;
@@ -630,38 +595,22 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
         bound_ok = false;
         break;
       }
-      if (sh.engine == PhaseEngine::kSparseSparse &&
-          phases[i].order.depth_of(Dim::kG) >
-              phases[i].order.depth_of(Dim::kF)) {
-        bound_ok = false;  // pattern's dense order walks G after F
-        break;
-      }
     }
     if (!bound_ok) continue;
 
-    const auto build = [&](const std::vector<InterPhase>& ks, bool with_pp) {
+    const auto build = [&](const std::vector<InterPhase>& ks) {
       PipelineCandidate c;
       c.chain_index = chain_index;
       c.phases = phases;
       c.boundaries = ks;
-      if (with_pp) {
-        c.pe_fractions.assign(ci.n, 1.0);
-        for (std::size_t b = 0; b < nb; ++b) {
-          if (ks[b] != InterPhase::kParallelPipeline) continue;
-          c.pe_fractions[b] = frac;
-          c.pe_fractions[b + 1] = 1.0 - frac;
-        }
-      }
+      c.pe_fractions = pp_fractions(ks, [&](std::size_t) { return frac; });
       return c;
     };
     const auto valid = [&](const PipelineCandidate& c) {
-      try {
-        return !chain.bind(c.view()).validation_error().has_value();
-      } catch (const Error&) {
-        return false;
-      }
+      const PipelineBindingView view = c.view();
+      return !check_pipeline(chain.phases, &view);
     };
-    PipelineCandidate seeded = build(kinds, has_pp);
+    PipelineCandidate seeded = build(kinds);
     if (valid(seeded)) {
       out.push_back(std::move(seeded));
       continue;
@@ -670,7 +619,7 @@ std::vector<PipelineCandidate> table5_pipeline_seeds(
     // (e.g. SPO tile tying across unlike engines); fall back to the pure
     // sequential composition of its per-phase mappings.
     PipelineCandidate seq =
-        build(std::vector<InterPhase>(nb, InterPhase::kSequential), false);
+        build(std::vector<InterPhase>(nb, InterPhase::kSequential));
     if (valid(seq)) out.push_back(std::move(seq));
   }
   return out;
@@ -845,17 +794,9 @@ PipelineSearchResult search_pipeline_mappings(
         continue;
       }
       const ChainInfo& ci = infos[cands[i].chain_index];
-      const std::uint64_t cycle_lb =
-          pipeline_mac_cycle_bound(ci.work, cands[i], pes);
-      switch (options.objective) {
-        case Objective::kRuntime:
-          bounds[i] = static_cast<double>(cycle_lb);
-          break;
-        case Objective::kEnergy: bounds[i] = ci.energy_lb; break;
-        case Objective::kEnergyDelayProduct:
-          bounds[i] = static_cast<double>(cycle_lb) * ci.energy_lb;
-          break;
-      }
+      bounds[i] = objective_score(
+          options.objective, pipeline_mac_cycle_bound(ci.work, cands[i], pes),
+          ci.energy_lb);
     }
     std::sort(eval_order.begin(), eval_order.end(),
               [&](std::size_t a, std::size_t b) {
@@ -948,9 +889,9 @@ PipelineSearchResult search_pipeline_mappings(
     for (std::size_t j = 0; j < seed; ++j) {
       const std::size_t i = eval_order[j];
       if (ok[i]) {
-        incumbent = std::min(
-            incumbent,
-            score_of(options.objective, metrics[i].cycles, metrics[i].pj));
+        incumbent = std::min(incumbent,
+                             objective_score(options.objective,
+                                             metrics[i].cycles, metrics[i].pj));
       }
     }
     std::size_t keep = seed;
@@ -981,7 +922,7 @@ PipelineSearchResult search_pipeline_mappings(
     rc.key = cands[i].key();
     rc.cycles = metrics[i].cycles;
     rc.on_chip_pj = metrics[i].pj;
-    rc.score = score_of(options.objective, rc.cycles, rc.on_chip_pj);
+    rc.score = objective_score(options.objective, rc.cycles, rc.on_chip_pj);
     rc.candidate = std::move(cands[i]);
     valid.push_back(std::move(rc));
   }

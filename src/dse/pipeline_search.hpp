@@ -60,7 +60,8 @@ struct PipelineCandidate {
   }
   /// Deterministic ranking key: the legacy descriptor string when lowered
   /// from one (so the two-phase adapter ties break exactly like
-  /// search_mappings), otherwise the chain notation plus PP shares.
+  /// search_mappings), otherwise the chain notation plus PP shares
+  /// (pp_first_share, so the candidate must pass check_pipeline).
   [[nodiscard]] std::string key() const;
 };
 

@@ -19,6 +19,16 @@ const char* to_string(Objective o) {
   return "?";
 }
 
+double objective_score(Objective o, std::uint64_t cycles, double on_chip_pj) {
+  switch (o) {
+    case Objective::kRuntime: return static_cast<double>(cycles);
+    case Objective::kEnergy: return on_chip_pj;
+    case Objective::kEnergyDelayProduct:
+      return static_cast<double>(cycles) * on_chip_pj;
+  }
+  return static_cast<double>(cycles);
+}
+
 Objective objective_from_string(const std::string& s) {
   const std::string o = to_lower(s);
   if (o == "runtime") return Objective::kRuntime;

@@ -27,6 +27,9 @@ enum class Objective : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Objective o);
+/// What a search minimizes: cycles, on-chip pJ, or their product (EDP).
+[[nodiscard]] double objective_score(Objective o, std::uint64_t cycles,
+                                     double on_chip_pj);
 /// Case-insensitive "runtime", "energy" or "edp"; throws
 /// InvalidArgumentError otherwise.
 [[nodiscard]] Objective objective_from_string(const std::string& s);

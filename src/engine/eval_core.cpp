@@ -1,6 +1,5 @@
 #include "engine/eval_core.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -11,10 +10,6 @@
 namespace omega {
 
 namespace {
-
-bool chunked_inter(InterPhase ip) {
-  return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
-}
 
 /// Timeline bytes a big-grid term pins in the store: one u64 per chunk for
 /// each timeline compose_pipeline reads — a PP producer's chunk_completion,
@@ -148,30 +143,13 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
         plan->context_ = &context;
         plan->hw_ = hw;
         plan->em_ = em;
+        plan->chain_ = chain.phases;
         plan->chain_ok_ = !chain.chain_error().has_value() &&
                           workload.num_vertices() >= 1 && f >= 1;
         if (plan->chain_ok_) {
-          // Chain-fixed facts: the width chain and, for sparse-weight
-          // phases, the W^T CSR built ONCE here instead of once per call as
-          // in run_pipeline (chain_error already pinned out_features >= 1
-          // and density in (0, 1], so this cannot throw).
-          plan->shapes_.resize(chain.phases.size());
-          std::size_t width = f;
-          for (std::size_t i = 0; i < chain.phases.size(); ++i) {
-            const PhaseChainSpec& p = chain.phases[i];
-            PipelinePhaseShape& s = plan->shapes_[i];
-            s.engine = p.engine;
-            s.in_features = width;
-            s.out_features =
-                p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
-            width = s.out_features;
-            if (p.engine == PhaseEngine::kSparseSparse) {
-              plan->weights_.push_back(
-                  std::make_unique<const CSRGraph>(sparse_weight_csr(
-                      s.in_features, s.out_features, p.weight_density)));
-              s.weights = plan->weights_.back().get();
-            }
-          }
+          // Chain-fixed facts, built once per chain instead of once per call
+          // as in run_pipeline.
+          plan->shapes_ = pipeline_shapes(chain.phases, f, plan->weights_);
         }
         return plan;
       });
@@ -179,66 +157,7 @@ std::shared_ptr<const PipelineEvalPlan> PipelineEvalPlan::obtain(
 }
 
 bool PipelineEvalPlan::feasible(const PipelineBindingView& b) const {
-  if (!chain_ok_) return false;
-  const std::size_t n = shapes_.size();
-  if (b.phases.size() != n || b.boundaries.size() + 1 != n) return false;
-  if (!b.pe_fractions.empty() && b.pe_fractions.size() != n) return false;
-  for (const double frac : b.pe_fractions) {
-    if (!std::isfinite(frac) || frac <= 0.0) return false;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const IntraPhaseDataflow& df = b.phases[i];
-    const PhaseEngine engine = shapes_[i].engine;
-    if (df.phase != taxonomy_phase(engine)) return false;
-    try {
-      df.validate();
-    } catch (const Error&) {
-      return false;
-    }
-    if (engine == PhaseEngine::kSparseSparse &&
-        df.order.depth_of(Dim::kG) > df.order.depth_of(Dim::kF)) {
-      return false;
-    }
-    // Substrate capability (Table II NoC/PE support column).
-    const Dim contraction =
-        engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
-    const bool spatial = df.tiles.get(contraction) > 1;
-    if (spatial && !hw_.supports_spatial_reduction) return false;
-    if (!spatial && !hw_.supports_temporal_reduction) return false;
-  }
-  for (std::size_t bi = 0; bi + 1 < n; ++bi) {
-    const InterPhase ip = b.boundaries[bi];
-    const PhaseEngine prod = shapes_[bi].engine;
-    const PhaseEngine cons = shapes_[bi + 1].engine;
-    switch (ip) {
-      case InterPhase::kSequential:
-        break;
-      case InterPhase::kSPOptimized:
-        if (!sp_optimized_pair_ok(prod, b.phases[bi], cons,
-                                  b.phases[bi + 1])) {
-          return false;
-        }
-        break;
-      case InterPhase::kSPGeneric:
-      case InterPhase::kParallelPipeline: {
-        const PipelineAnalysis a = analyze_handoff(
-            phase_producer_role(prod, b.phases[bi].order),
-            phase_consumer_role(cons, b.phases[bi + 1].order));
-        if (!a.feasible) return false;
-        break;
-      }
-    }
-    if (chunked_inter(ip) && cons == PhaseEngine::kSparseSparse) return false;
-    if (bi > 0 && chunked_inter(b.boundaries[bi - 1]) && chunked_inter(ip)) {
-      return false;
-    }
-    if (ip == InterPhase::kParallelPipeline) {
-      if (hw_.num_pes < 2) return false;
-      const double share = pp_first_share(b, bi);
-      if (!(share > 0.0 && share < 1.0)) return false;
-    }
-  }
-  return true;
+  return chain_ok_ && !check_pipeline(chain_, &b, &hw_);
 }
 
 const PhaseResult* PipelineEvalPlan::resolve_phase(

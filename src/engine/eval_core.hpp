@@ -183,9 +183,9 @@ class PipelineEvalPlan final : public EvalPlanBase {
  private:
   PipelineEvalPlan() = default;
 
-  /// Exactly the throws run_pipeline performs before it reaches the
-  /// engines (spec validation, substrate capability, PP sanity), without
-  /// building a message: false means the oracle throws on the bound spec.
+  /// run_pipeline's check (check_pipeline with this substrate) plus the
+  /// workload dims: false means the oracle throws on the bound spec before
+  /// it reaches the engines.
   [[nodiscard]] bool feasible(const PipelineBindingView& binding) const;
   [[nodiscard]] EvalOutcome evaluate(const PipelineBindingView& binding,
                                      PipelineDeltaState& state) const;
@@ -197,6 +197,7 @@ class PipelineEvalPlan final : public EvalPlanBase {
   const WorkloadContext* context_ = nullptr;
   AcceleratorConfig hw_;
   EnergyModel em_;
+  std::vector<PhaseChainSpec> chain_;
   std::vector<PipelinePhaseShape> shapes_;
   std::vector<std::unique_ptr<const CSRGraph>> weights_;  // W^T per spgemm
   bool chain_ok_ = false;

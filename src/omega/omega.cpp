@@ -50,6 +50,12 @@ std::vector<std::uint64_t> compose_parallel_pipeline_timeline(
   return done;
 }
 
+std::size_t pp_first_pes(std::size_t pes, double share) {
+  return std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::llround(static_cast<double>(pes) * share)),
+      1, pes - 1);
+}
+
 std::size_t scaled_bandwidth(std::size_t bw, std::size_t part,
                              std::size_t total) {
   if (bw == AcceleratorConfig::kUnbounded) return bw;
@@ -111,9 +117,8 @@ RunResult Omega::run_impl(const GnnWorkload& workload, const LayerSpec& layer,
     }
   }
 
-  // Dims guard kept from the monolithic implementation: the pre-validated
-  // core trusts the spec's widths, and a zero G would otherwise reach the
-  // GEMM engine's tile math as a division by zero instead of a clean throw.
+  // Dims guard kept from the monolithic implementation, so a bad layer keeps
+  // its legacy message (run_pipeline would name the lowered spec instead).
   const std::size_t f =
       layer.in_features > 0 ? layer.in_features : workload.in_features;
   OMEGA_CHECK(workload.num_vertices() >= 1 && f >= 1 && layer.out_features >= 1,
@@ -122,11 +127,10 @@ RunResult Omega::run_impl(const GnnWorkload& workload, const LayerSpec& layer,
   // The two-phase GNN layer is a special case of the N-phase pipeline core
   // (omega/pipeline.hpp): lower the descriptor, evaluate, and view the
   // result through the legacy RunResult shape. Bit-identical to the
-  // historic monolithic implementation (tests/pipeline_test.cpp).
+  // historic monolithic implementation (tests/pipeline_test.cpp). Whatever
+  // the legacy checks above admit, run_pipeline's own check admits too.
   const PipelineSpec spec = two_phase_pipeline(df, layer, hw_.num_pes);
-  PipelineResult pr =
-      run_pipeline_impl(workload, spec, context, /*validated=*/true);
-  return to_run_result(std::move(pr), df);
+  return to_run_result(run_pipeline(workload, spec, context), df);
 }
 
 RunResult Omega::run_pattern(const GnnWorkload& workload,

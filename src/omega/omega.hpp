@@ -109,7 +109,9 @@ class Omega {
   /// arbitrary chain of sparse-dense / dense / sparse-weight phases with
   /// one inter-phase strategy per adjacent pair. run() is a two-phase
   /// adapter over this (bit-identical to the historic two-phase model).
-  /// `context`, when non-null, must be bound to `workload.adjacency`.
+  /// Checks the spec and this substrate with check_pipeline first: throws
+  /// InvalidDataflowError for a spec rule, ResourceError for a substrate
+  /// rule. `context`, when non-null, must be bound to `workload.adjacency`.
   [[nodiscard]] PipelineResult run_pipeline(
       const GnnWorkload& workload, const PipelineSpec& spec,
       const WorkloadContext* context = nullptr) const;
@@ -122,13 +124,6 @@ class Omega {
                                    const LayerSpec& layer,
                                    const DataflowDescriptor& df,
                                    const WorkloadContext* context) const;
-
-  /// Shared core behind run_pipeline and the two-phase adapter;
-  /// `validated` skips PipelineSpec::validate for specs lowered from an
-  /// already-validated DataflowDescriptor (the sweep hot path).
-  [[nodiscard]] PipelineResult run_pipeline_impl(
-      const GnnWorkload& workload, const PipelineSpec& spec,
-      const WorkloadContext* context, bool validated) const;
 
   AcceleratorConfig hw_;
   EnergyModel energy_;
@@ -155,6 +150,12 @@ class Omega {
     const std::vector<std::uint64_t>& producer_completion,
     const std::vector<std::uint64_t>& consumer_chunk_cycles,
     std::uint64_t consumer_start = 0);
+
+/// PEs the first phase of a PP pair gets on a `pes`-PE array (pes >= 2):
+/// llround(pes * share) clamped to [1, pes - 1]; the second phase gets the
+/// rest. The one PP split of the evaluator, the pattern binder and the DSE
+/// bounds.
+[[nodiscard]] std::size_t pp_first_pes(std::size_t pes, double share);
 
 /// Share of a GB port bandwidth granted to a phase owning `part` of `total`
 /// PEs under PP (Section V-C3), floored at 1 element/cycle. Computed in

@@ -62,26 +62,45 @@ HandoffRole phase_consumer_role(PhaseEngine e, const LoopOrder& order) {
              : HandoffRole{order, Dim::kV, Dim::kF, Dim::kG};
 }
 
-HandoffRole PhaseSpec::producer_role() const {
-  return phase_producer_role(engine, dataflow.order);
-}
+namespace {
 
-HandoffRole PhaseSpec::consumer_role() const {
-  return phase_consumer_role(engine, dataflow.order);
-}
-
-std::string PhaseSpec::to_string() const {
-  std::string s = name.empty() ? std::string("phase") : name;
+/// PhaseSpec's notation from its fields, e.g. "cmb=spgemm(GtVtFt,G=16,d=0.5)".
+std::string phase_label(const PhaseChainSpec& p, const IntraPhaseDataflow& df) {
+  std::string s = p.name.empty() ? std::string("phase") : p.name;
   s += "=";
-  s += omega::to_string(engine);
+  s += to_string(p.engine);
   s += "(";
-  s += dataflow.to_string();
-  if (out_features > 0) s += ",G=" + std::to_string(out_features);
-  if (engine == PhaseEngine::kSparseSparse) {
-    s += ",d=" + fixed(weight_density, 3);
+  s += df.to_string();
+  if (p.out_features > 0) s += ",G=" + std::to_string(p.out_features);
+  if (p.engine == PhaseEngine::kSparseSparse) {
+    s += ",d=" + fixed(p.weight_density, 3);
   }
   s += ")";
   return s;
+}
+
+/// Phases in execution order joined by their boundaries; a boundary the
+/// spec lacks prints as "?".
+template <class Label>
+std::string pipeline_label(std::size_t phases,
+                           std::span<const InterPhase> boundaries,
+                           const Label& label) {
+  std::string s;
+  for (std::size_t i = 0; i < phases; ++i) {
+    if (i > 0) {
+      s += " ->";
+      s += i - 1 < boundaries.size() ? to_string(boundaries[i - 1]) : "?";
+      s += "-> ";
+    }
+    s += label(i);
+  }
+  return s;
+}
+
+}  // namespace
+
+std::string PhaseSpec::to_string() const {
+  return phase_label({name, engine, out_features, weight_density}, dataflow);
 }
 
 double pp_first_share(const PipelineBindingView& binding, std::size_t b) {
@@ -92,109 +111,48 @@ double pp_first_share(const PipelineBindingView& binding, std::size_t b) {
 }
 
 std::string PipelineSpec::to_string() const {
-  std::string s;
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    if (i > 0) {
-      s += " ->";
-      s += omega::to_string(boundaries[i - 1]);
-      s += "-> ";
-    }
-    s += phases[i].to_string();
-  }
-  return s;
+  return pipeline_label(phases.size(), boundaries,
+                        [&](std::size_t i) { return phases[i].to_string(); });
 }
 
 namespace {
 
-/// Which generalized SP-Optimized constraint (Table II row 2) a pair
-/// violates. The single rule set behind both the boolean hot-path check and
-/// the message-building validation path, so the two cannot drift.
-enum class SpoViolation : std::uint8_t {
-  kNone = 0,
-  kProducerContractionNotInnermost,
-  kConsumerThirdNotInnermost,
-  kMajorMismatch,
-  kProducerContractionSpatial,
-  kConsumerThirdSpatial,
-  kTileMismatch,
-};
-
-SpoViolation spo_pair_violation(PhaseEngine prod_engine,
+/// Which generalized SP-Optimized rule (Table II row 2) a pair breaks, or
+/// kNone. Both phases keep the intermediate tile resident in the PE
+/// register files, so the producer must accumulate temporally, the consumer
+/// must stream its third dim temporally, both must traverse the shared tile
+/// in the same major with the third dim innermost, and the row/col tiles
+/// must match across the pair. Reduces exactly to the classic
+/// sp_optimized_error pairs for the two-phase descriptor.
+PipelineRule spo_pair_violation(PhaseEngine prod_engine,
                                 const IntraPhaseDataflow& prod,
                                 PhaseEngine cons_engine,
                                 const IntraPhaseDataflow& cons) {
   const HandoffRole p = phase_producer_role(prod_engine, prod.order);
   const HandoffRole c = phase_consumer_role(cons_engine, cons.order);
   if (p.order.depth_of(p.third) != 2) {
-    return SpoViolation::kProducerContractionNotInnermost;
+    return PipelineRule::kSpoProducerContractionNotInnermost;
   }
   if (c.order.depth_of(c.third) != 2) {
-    return SpoViolation::kConsumerThirdNotInnermost;
+    return PipelineRule::kSpoConsumerThirdNotInnermost;
   }
   const bool p_row_major = p.order.at(0) == p.row;
   const bool c_row_major = c.order.at(0) == c.row;
-  if (p_row_major != c_row_major) return SpoViolation::kMajorMismatch;
+  if (p_row_major != c_row_major) return PipelineRule::kSpoMajorMismatch;
   if (prod.tiles.get(p.third) != 1) {
-    return SpoViolation::kProducerContractionSpatial;
+    return PipelineRule::kSpoProducerContractionSpatial;
   }
-  if (cons.tiles.get(c.third) != 1) return SpoViolation::kConsumerThirdSpatial;
+  if (cons.tiles.get(c.third) != 1) {
+    return PipelineRule::kSpoConsumerThirdSpatial;
+  }
   if (prod.tiles.get(p.row) != cons.tiles.get(c.row) ||
       prod.tiles.get(p.col) != cons.tiles.get(c.col)) {
-    return SpoViolation::kTileMismatch;
+    return PipelineRule::kSpoTileMismatch;
   }
-  return SpoViolation::kNone;
+  return PipelineRule::kNone;
 }
 
-/// Message path over spo_pair_violation: both phases keep the intermediate
-/// tile resident in the PE register files, so the producer must accumulate
-/// temporally, the consumer must stream its third dim temporally, both must
-/// traverse the shared tile in the same major with the third dim innermost,
-/// and the row/col tiles must match across the pair. Reduces exactly to the
-/// classic sp_optimized_error pairs for the two-phase descriptor. `b` is
-/// the boundary index, named in the message; the prefix is built only on
-/// failure (this runs per candidate in validation-heavy callers).
-std::optional<std::string> sp_optimized_pair_error(const PhaseSpec& prod,
-                                                   const PhaseSpec& cons,
-                                                   std::size_t b) {
-  const SpoViolation v = spo_pair_violation(prod.engine, prod.dataflow,
-                                            cons.engine, cons.dataflow);
-  if (v == SpoViolation::kNone) return std::nullopt;
-  const HandoffRole p = phase_producer_role(prod.engine, prod.dataflow.order);
-  const HandoffRole c = phase_consumer_role(cons.engine, cons.dataflow.order);
-  const std::string where = "boundary " + std::to_string(b) + " (" +
-                            prod.to_string() + " ->SP-> " + cons.to_string() +
-                            "): ";
-  switch (v) {
-    case SpoViolation::kNone:
-      break;
-    case SpoViolation::kProducerContractionNotInnermost:
-      return where + "SP-Optimized needs the producer's contraction (" +
-             std::string(1, dim_letter(p.third)) +
-             ") innermost so accumulated data never leaves the PEs";
-    case SpoViolation::kConsumerThirdNotInnermost:
-      return where + "SP-Optimized streams the consumer's third dim (" +
-             std::string(1, dim_letter(c.third)) +
-             ") temporally over the stationary intermediate (innermost loop)";
-    case SpoViolation::kMajorMismatch:
-      return where + "producer and consumer must traverse the RF-resident "
-                     "intermediate in the same major";
-    case SpoViolation::kProducerContractionSpatial:
-      return where + "SP-Optimized requires a temporal producer contraction "
-                     "(T_" + std::string(1, dim_letter(p.third)) + " = 1)";
-    case SpoViolation::kConsumerThirdSpatial:
-      return where + "SP-Optimized streams the consumer's third dim "
-                     "temporally (T_" + std::string(1, dim_letter(c.third)) +
-             " = 1)";
-    case SpoViolation::kTileMismatch:
-      return where + "SP-Optimized requires matched row/col tiles across the "
-                     "pair (the same intermediate tile stays in the PEs)";
-  }
-  return std::nullopt;
-}
-
-bool is_chunked(InterPhase ip) {
-  return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
-}
+std::string dim_str(Dim d) { return std::string(1, dim_letter(d)); }
 
 // Out^T swaps rows/columns, and flipping the traversal major keeps the
 // FLATTENED chunk order identical (row-major over (R, C) and column-major
@@ -238,105 +196,252 @@ bool sp_optimized_pair_ok(PhaseEngine prod_engine,
                           PhaseEngine cons_engine,
                           const IntraPhaseDataflow& cons) {
   return spo_pair_violation(prod_engine, prod, cons_engine, cons) ==
-         SpoViolation::kNone;
+         PipelineRule::kNone;
 }
 
-std::optional<std::string> PipelineSpec::validation_error() const {
-  if (phases.empty()) return "pipeline needs at least one phase";
-  if (boundaries.size() + 1 != phases.size()) {
-    return "pipeline wants exactly one boundary per adjacent phase pair (" +
-           std::to_string(phases.size()) + " phases, " +
-           std::to_string(boundaries.size()) + " boundaries)";
-  }
-  if (!pe_fractions.empty() && pe_fractions.size() != phases.size()) {
-    return "pe_fractions must be empty or hold one entry per phase";
-  }
-  for (const double f : pe_fractions) {
-    if (!std::isfinite(f) || f <= 0.0) {
-      return "pe_fractions entries must be finite and > 0";
+PipelineViolation check_pipeline(std::span<const PhaseChainSpec> chain,
+                                 const PipelineBindingView* binding,
+                                 const AcceleratorConfig* hw) {
+  using R = PipelineRule;
+  const std::size_t n = chain.size();
+  if (n == 0) return {R::kNoPhases};
+  if (binding != nullptr) {
+    if (binding->phases.size() != n) return {R::kDataflowArity};
+    if (binding->boundaries.size() + 1 != n) return {R::kBoundaryArity};
+    if (!binding->pe_fractions.empty() && binding->pe_fractions.size() != n) {
+      return {R::kFractionArity};
+    }
+    for (const double f : binding->pe_fractions) {
+      if (!std::isfinite(f) || f <= 0.0) return {R::kFractionValue};
     }
   }
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseSpec& p = phases[i];
-    // Prefix built lazily (failure path only): validation runs per candidate
-    // in pipeline sweeps, and the index names WHICH of N phases failed.
-    const auto who = [&] {
-      return "phase " + std::to_string(i) + " (" + p.to_string() + "): ";
-    };
-    if (p.dataflow.phase != taxonomy_phase(p.engine)) {
-      return who() + "dataflow is expressed in the wrong loop vocabulary for "
-                     "the engine (sparse-dense phases loop over V/N/F, dense "
-                     "and sparse-weight phases over V/F/G)";
-    }
-    try {
-      p.dataflow.validate();
-    } catch (const Error& e) {
-      return who() + e.what();
+  for (std::size_t i = 0; i < n; ++i) {
+    const PhaseChainSpec& p = chain[i];
+    const IntraPhaseDataflow* df =
+        binding != nullptr ? &binding->phases[i] : nullptr;
+    if (df != nullptr) {
+      if (df->phase != taxonomy_phase(p.engine)) {
+        return {R::kWrongVocabulary, i};
+      }
+      try {
+        df->validate();
+      } catch (const Error&) {
+        return {R::kIntraPhase, i};
+      }
     }
     if (p.engine == PhaseEngine::kSparseDense) {
-      if (p.out_features != 0) {
-        return who() + "sparse-dense phases preserve the feature width; "
-                       "leave out_features 0";
-      }
+      if (p.out_features != 0) return {R::kSparseDenseWidth, i};
     } else if (p.out_features == 0) {
-      return who() + "dense and sparse-weight phases need out_features >= 1";
+      return {R::kMissingWidth, i};
     }
     if (p.engine == PhaseEngine::kSparseSparse) {
       if (!(p.weight_density > 0.0 && p.weight_density <= 1.0)) {
-        return who() + "weight_density must lie in (0, 1]";
+        return {R::kDensityRange, i};
       }
-      if (p.dataflow.order.depth_of(Dim::kG) >
-          p.dataflow.order.depth_of(Dim::kF)) {
-        return who() + "sparse-weight phases walk the compressed W rows "
-                       "G-major over the F contraction; the loop order must "
-                       "place G outside F (got " +
-               p.dataflow.order.letters() + ")";
+      if (df != nullptr &&
+          df->order.depth_of(Dim::kG) > df->order.depth_of(Dim::kF)) {
+        return {R::kSparseWeightOrder, i};
       }
       // omega-lint: allow(float-eq): 1.0 is the exact dense-default sentinel
     } else if (p.weight_density != 1.0) {
-      return who() + "weight_density only applies to sparse-weight phases";
+      return {R::kStrayDensity, i};
     }
   }
-  for (std::size_t b = 0; b < boundaries.size(); ++b) {
-    const PhaseSpec& prod = phases[b];
-    const PhaseSpec& cons = phases[b + 1];
-    switch (boundaries[b]) {
+  if (binding == nullptr) return {};
+
+  const PipelineBindingView& b = *binding;
+  for (std::size_t bi = 0; bi + 1 < n; ++bi) {
+    const PhaseEngine prod = chain[bi].engine;
+    const PhaseEngine cons = chain[bi + 1].engine;
+    switch (b.boundaries[bi]) {
       case InterPhase::kSequential:
         break;
-      case InterPhase::kSPOptimized:
-        if (const auto err = sp_optimized_pair_error(prod, cons, b)) {
-          return err;
-        }
-        break;
-      case InterPhase::kSPGeneric:
-      case InterPhase::kParallelPipeline: {
-        const PipelineAnalysis a =
-            analyze_handoff(prod.producer_role(), cons.consumer_role());
-        if (!a.feasible) {
-          return "boundary " + std::to_string(b) + " (" + prod.to_string() +
-                 " ->" + omega::to_string(boundaries[b]) + "-> " +
-                 cons.to_string() + "): " + a.reason;
-        }
+      case InterPhase::kSPOptimized: {
+        const R r =
+            spo_pair_violation(prod, b.phases[bi], cons, b.phases[bi + 1]);
+        if (r != R::kNone) return {r, bi};
         break;
       }
+      case InterPhase::kSPGeneric:
+      case InterPhase::kParallelPipeline:
+        if (!analyze_handoff(phase_producer_role(prod, b.phases[bi].order),
+                             phase_consumer_role(cons, b.phases[bi + 1].order))
+                 .feasible) {
+          return {R::kHandoffInfeasible, bi};
+        }
+        break;
     }
-    if (is_chunked(boundaries[b]) &&
-        cons.engine == PhaseEngine::kSparseSparse) {
-      return "boundary " + std::to_string(b) + " (" + cons.to_string() +
+    if (is_chunked(b.boundaries[bi]) && cons == PhaseEngine::kSparseSparse) {
+      return {R::kSparseWeightConsumer, bi};
+    }
+  }
+  for (std::size_t bi = 1; bi + 1 < n; ++bi) {
+    if (is_chunked(b.boundaries[bi - 1]) && is_chunked(b.boundaries[bi])) {
+      return {R::kAdjacentChunked, bi};
+    }
+  }
+  if (hw == nullptr) return {};
+
+  // Substrate capability (Table II NoC/PE support column): a phase reduces
+  // spatially when its contraction is tiled across PEs.
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool spatial = b.phases[i].tiles.get(contraction_dim(
+                             taxonomy_phase(chain[i].engine))) > 1;
+    if (spatial && !hw->supports_spatial_reduction) {
+      return {R::kNoSpatialReduction, i};
+    }
+    if (!spatial && !hw->supports_temporal_reduction) {
+      return {R::kNoTemporalReduction, i};
+    }
+  }
+  // Each PP pair splits the array.
+  for (std::size_t bi = 0; bi + 1 < n; ++bi) {
+    if (b.boundaries[bi] != InterPhase::kParallelPipeline) continue;
+    if (hw->num_pes < 2) return {R::kPpTooFewPes, bi};
+    const double share = pp_first_share(b, bi);
+    if (!(share > 0.0 && share < 1.0)) return {R::kPpShare, bi};
+  }
+  return {};
+}
+
+std::string pipeline_violation_message(const PipelineViolation& v,
+                                       std::span<const PhaseChainSpec> chain,
+                                       const PipelineBindingView* binding) {
+  using R = PipelineRule;
+  const std::size_t i = v.index;
+  // Phase notation: the bound PhaseSpec's, or "name=engine" for a chain.
+  const auto label = [&](std::size_t k) {
+    if (binding != nullptr) return phase_label(chain[k], binding->phases[k]);
+    const PhaseChainSpec& p = chain[k];
+    return (p.name.empty() ? std::string("phase") : p.name) + "=" +
+           to_string(p.engine);
+  };
+  const auto phase = [&] {
+    return "phase " + std::to_string(i) + " (" + label(i) + "): ";
+  };
+  const auto boundary = [&] {
+    return "boundary " + std::to_string(i) + " (" + label(i) + " ->" +
+           to_string(binding->boundaries[i]) + "-> " + label(i + 1) + "): ";
+  };
+  const auto spec = [&] {
+    return pipeline_label(chain.size(), binding->boundaries, label);
+  };
+  const auto roles = [&] {
+    return std::pair{
+        phase_producer_role(chain[i].engine, binding->phases[i].order),
+        phase_consumer_role(chain[i + 1].engine,
+                            binding->phases[i + 1].order)};
+  };
+  switch (v.rule) {
+    case R::kNone:
+      break;
+    case R::kNoPhases:
+      return "pipeline needs at least one phase";
+    case R::kDataflowArity:
+      return "pipeline binding wants one dataflow per phase (" +
+             std::to_string(chain.size()) + " phases, " +
+             std::to_string(binding->phases.size()) + " dataflows)";
+    case R::kBoundaryArity:
+      return "pipeline wants exactly one boundary per adjacent phase pair (" +
+             std::to_string(chain.size()) + " phases, " +
+             std::to_string(binding->boundaries.size()) + " boundaries)";
+    case R::kFractionArity:
+      return "pe_fractions must be empty or hold one entry per phase";
+    case R::kFractionValue:
+      return "pe_fractions entries must be finite and > 0";
+    case R::kWrongVocabulary:
+      return phase() +
+             "dataflow is expressed in the wrong loop vocabulary for the "
+             "engine (sparse-dense phases loop over V/N/F, dense and "
+             "sparse-weight phases over V/F/G)";
+    case R::kIntraPhase:
+      try {
+        binding->phases[i].validate();
+      } catch (const Error& e) {
+        return phase() + e.what();
+      }
+      break;
+    case R::kSparseDenseWidth:
+      return phase() +
+             "sparse-dense phases preserve the feature width; leave "
+             "out_features 0";
+    case R::kMissingWidth:
+      return phase() + "dense and sparse-weight phases need out_features >= 1";
+    case R::kDensityRange:
+      return phase() + "weight_density must lie in (0, 1]";
+    case R::kSparseWeightOrder:
+      return phase() +
+             "sparse-weight phases walk the compressed W rows G-major over "
+             "the F contraction; the loop order must place G outside F (got " +
+             binding->phases[i].order.letters() + ")";
+    case R::kStrayDensity:
+      return phase() + "weight_density only applies to sparse-weight phases";
+    case R::kSpoProducerContractionNotInnermost:
+      return boundary() + "SP-Optimized needs the producer's contraction (" +
+             dim_str(roles().first.third) +
+             ") innermost so accumulated data never leaves the PEs";
+    case R::kSpoConsumerThirdNotInnermost:
+      return boundary() + "SP-Optimized streams the consumer's third dim (" +
+             dim_str(roles().second.third) +
+             ") temporally over the stationary intermediate (innermost loop)";
+    case R::kSpoMajorMismatch:
+      return boundary() +
+             "producer and consumer must traverse the RF-resident "
+             "intermediate in the same major";
+    case R::kSpoProducerContractionSpatial:
+      return boundary() +
+             "SP-Optimized requires a temporal producer contraction (T_" +
+             dim_str(roles().first.third) + " = 1)";
+    case R::kSpoConsumerThirdSpatial:
+      return boundary() +
+             "SP-Optimized streams the consumer's third dim temporally (T_" +
+             dim_str(roles().second.third) + " = 1)";
+    case R::kSpoTileMismatch:
+      return boundary() +
+             "SP-Optimized requires matched row/col tiles across the pair "
+             "(the same intermediate tile stays in the PEs)";
+    case R::kHandoffInfeasible:
+      return boundary() +
+             analyze_handoff(roles().first, roles().second).reason;
+    case R::kSparseWeightConsumer:
+      return "boundary " + std::to_string(i) + " (" + label(i + 1) +
              "): a sparse-weight phase cannot consume a chunked intermediate "
              "(its walked rows are W rows, not intermediate rows); use Seq "
              "or SP-Optimized upstream";
-    }
+    case R::kAdjacentChunked:
+      return phase() +
+             "a phase can stage chunks through at most one adjacent boundary "
+             "(both neighbors are SP-Generic/PP); separate the chunked "
+             "boundaries with Seq or SP-Optimized";
+    case R::kNoSpatialReduction:
+      return label(i) +
+             ": substrate has no spatial-reduction support (adder tree / "
+             "store-and-forward)";
+    case R::kNoTemporalReduction:
+      return label(i) +
+             ": substrate has no temporal-reduction support (in-place "
+             "accumulators)";
+    case R::kPpTooFewPes:
+      return spec() +
+             ": parallel pipeline needs >= 2 PEs to split the array between "
+             "the phases";
+    case R::kPpShare:
+      return spec() +
+             ": PP PE shares must lie strictly inside (0, 1) — 0, 1 or NaN "
+             "would starve a phase of PEs";
   }
-  for (std::size_t b = 1; b < boundaries.size(); ++b) {
-    if (is_chunked(boundaries[b - 1]) && is_chunked(boundaries[b])) {
-      return "phase " + std::to_string(b) + " (" + phases[b].to_string() +
-             "): a phase can stage chunks through at most one adjacent "
-             "boundary (both neighbors are SP-Generic/PP); separate the "
-             "chunked boundaries with Seq or SP-Optimized";
-    }
-  }
-  return std::nullopt;
+  return {};
+}
+
+std::optional<std::string> PipelineSpec::validation_error() const {
+  const PipelineChainSpec chain = PipelineChainSpec::of(*this);
+  std::vector<IntraPhaseDataflow> dataflows;
+  dataflows.reserve(phases.size());
+  for (const PhaseSpec& p : phases) dataflows.push_back(p.dataflow);
+  const PipelineBindingView binding{dataflows, boundaries, pe_fractions};
+  const PipelineViolation v = check_pipeline(chain.phases, &binding);
+  if (!v) return std::nullopt;
+  return pipeline_violation_message(v, chain.phases, &binding);
 }
 
 void PipelineSpec::validate() const {
@@ -356,32 +461,9 @@ PipelineChainSpec PipelineChainSpec::of(const PipelineSpec& spec) {
 }
 
 std::optional<std::string> PipelineChainSpec::chain_error() const {
-  if (phases.empty()) return "pipeline needs at least one phase";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseChainSpec& p = phases[i];
-    const auto who = [&] {
-      return "phase " + std::to_string(i) + " (" +
-             (p.name.empty() ? std::string("phase") : p.name) + "=" +
-             std::string(omega::to_string(p.engine)) + "): ";
-    };
-    if (p.engine == PhaseEngine::kSparseDense) {
-      if (p.out_features != 0) {
-        return who() + "sparse-dense phases preserve the feature width; "
-                       "leave out_features 0";
-      }
-    } else if (p.out_features == 0) {
-      return who() + "dense and sparse-weight phases need out_features >= 1";
-    }
-    if (p.engine == PhaseEngine::kSparseSparse) {
-      if (!(p.weight_density > 0.0 && p.weight_density <= 1.0)) {
-        return who() + "weight_density must lie in (0, 1]";
-      }
-      // omega-lint: allow(float-eq): 1.0 is the exact dense-default sentinel
-    } else if (p.weight_density != 1.0) {
-      return who() + "weight_density only applies to sparse-weight phases";
-    }
-  }
-  return std::nullopt;
+  const PipelineViolation v = check_pipeline(phases);
+  if (!v) return std::nullopt;
+  return pipeline_violation_message(v, phases, nullptr);
 }
 
 PipelineSpec PipelineChainSpec::bind(const PipelineBindingView& b) const {
@@ -522,10 +604,7 @@ PipelineSpec two_phase_pipeline(const DataflowDescriptor& df,
       // express it as an exact first-phase share. llround(num_pes * (1-f))
       // is NOT always num_pes - llround(num_pes * f), so a CA pair fed the
       // raw complement would drift by one PE on rounding ties.
-      const std::size_t pes_agg = std::clamp<std::size_t>(
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(num_pes) * df.pp_agg_pe_fraction)),
-          1, num_pes - 1);
+      const std::size_t pes_agg = pp_first_pes(num_pes, df.pp_agg_pe_fraction);
       const std::size_t first_pes = ac ? pes_agg : num_pes - pes_agg;
       first = static_cast<double>(first_pes) / static_cast<double>(num_pes);
     }
@@ -569,6 +648,28 @@ RunResult to_run_result(PipelineResult&& pr, const DataflowDescriptor& df) {
   return r;
 }
 
+std::vector<PipelinePhaseShape> pipeline_shapes(
+    std::span<const PhaseChainSpec> chain, std::size_t in_features,
+    std::vector<std::unique_ptr<const CSRGraph>>& weights) {
+  std::vector<PipelinePhaseShape> shapes(chain.size());
+  std::size_t width = in_features;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const PhaseChainSpec& p = chain[i];
+    PipelinePhaseShape& s = shapes[i];
+    s.engine = p.engine;
+    s.in_features = width;
+    s.out_features =
+        p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
+    width = s.out_features;
+    if (p.engine == PhaseEngine::kSparseSparse) {
+      weights.push_back(std::make_unique<const CSRGraph>(sparse_weight_csr(
+          s.in_features, s.out_features, p.weight_density)));
+      s.weights = weights.back().get();
+    }
+  }
+  return shapes;
+}
+
 std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
                             const WorkloadContext* context,
                             std::span<const PipelinePhaseShape> shapes,
@@ -595,7 +696,7 @@ std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
       const HandoffRole cons_role =
           phase_consumer_role(shapes[b + 1].engine, cons.order);
       const PipelineAnalysis analysis = analyze_handoff(prod_role, cons_role);
-      OMEGA_CHECK(analysis.feasible, "validated pipeline must be chunkable");
+      OMEGA_CHECK(analysis.feasible, "a checked pipeline hands off chunkably");
       bo.granularity = analysis.granularity;
       bo.chunk_grid.major = analysis.major;
       // Max tile across the pair for the intermediate's row / column dim.
@@ -668,11 +769,8 @@ std::size_t derive_pipeline(const AcceleratorConfig& hw, const CSRGraph& graph,
     std::size_t bw_dist = hw.distribution_bandwidth;
     std::size_t bw_red = hw.reduction_bandwidth;
     if (pp_up || pp_down) {
-      const std::size_t first = std::clamp<std::size_t>(
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(hw.num_pes) *
-              pp_first_share(binding, pp_down ? i : i - 1))),
-          1, hw.num_pes - 1);
+      const std::size_t first = pp_first_pes(
+          hw.num_pes, pp_first_share(binding, pp_down ? i : i - 1));
       pes = pp_down ? first : hw.num_pes - first;
       bw_dist = scaled_bandwidth(hw.distribution_bandwidth, pes, hw.num_pes);
       bw_red = scaled_bandwidth(hw.reduction_bandwidth, pes, hw.num_pes);
@@ -838,82 +936,29 @@ PipelineCost compose_pipeline(std::span<const PhaseResult* const> phases,
 PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
                                    const PipelineSpec& spec,
                                    const WorkloadContext* context) const {
-  return run_pipeline_impl(workload, spec, context, /*validated=*/false);
-}
-
-PipelineResult Omega::run_pipeline_impl(const GnnWorkload& workload,
-                                        const PipelineSpec& spec,
-                                        const WorkloadContext* context,
-                                        bool validated) const {
-  if (!validated) spec.validate();
   const std::size_t n = spec.phases.size();
-  OMEGA_CHECK(workload.num_vertices() >= 1,
-              "workload needs at least one vertex");
-
-  // ---- Feature widths along the chain --------------------------------------
-  // Sparse-weight phases get their W^T pattern here, once per call (the
-  // eval plan builds it once per chain instead).
-  std::vector<PipelinePhaseShape> shapes(n);
-  std::vector<std::unique_ptr<const CSRGraph>> weights;
-  std::size_t width =
-      spec.in_features > 0 ? spec.in_features : workload.in_features;
-  OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
-  for (std::size_t i = 0; i < n; ++i) {
-    const PhaseSpec& p = spec.phases[i];
-    shapes[i].engine = p.engine;
-    shapes[i].in_features = width;
-    shapes[i].out_features =
-        p.engine == PhaseEngine::kSparseDense ? width : p.out_features;
-    width = shapes[i].out_features;
-    if (p.engine == PhaseEngine::kSparseSparse) {
-      weights.push_back(std::make_unique<const CSRGraph>(sparse_weight_csr(
-          shapes[i].in_features, shapes[i].out_features, p.weight_density)));
-      shapes[i].weights = weights.back().get();
-    }
-  }
-
-  // ---- Substrate capability checks (Table II NoC/PE support column) --------
-  // Skipped on the pre-validated adapter path: Omega::run already performed
-  // the equivalent hardware_requirements() checks (with the legacy
-  // descriptor-notation messages) before lowering, and this loop runs once
-  // per candidate in sweep hot loops.
-  if (!validated) {
-    for (const PhaseSpec& p : spec.phases) {
-      const Dim contraction =
-          p.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
-      const bool spatial = p.dataflow.tiles.get(contraction) > 1;
-      if (spatial && !hw_.supports_spatial_reduction) {
-        throw ResourceError(p.to_string() +
-                            ": substrate has no spatial-reduction support "
-                            "(adder tree / store-and-forward)");
-      }
-      if (!spatial && !hw_.supports_temporal_reduction) {
-        throw ResourceError(p.to_string() +
-                            ": substrate has no temporal-reduction support "
-                            "(in-place accumulators)");
-      }
-    }
-  }
-
-  // ---- PP sanity: each PP pair splits the array ----------------------------
+  const PipelineChainSpec chain = PipelineChainSpec::of(spec);
   std::vector<IntraPhaseDataflow> dataflows(n);
   for (std::size_t i = 0; i < n; ++i) dataflows[i] = spec.phases[i].dataflow;
   const PipelineBindingView binding{dataflows, spec.boundaries,
                                     spec.pe_fractions};
-  for (std::size_t b = 0; b + 1 < n; ++b) {
-    if (spec.boundaries[b] != InterPhase::kParallelPipeline) continue;
-    if (hw_.num_pes < 2) {
-      throw ResourceError(spec.to_string() +
-                          ": parallel pipeline needs >= 2 PEs to split the "
-                          "array between the phases");
-    }
-    const double share = pp_first_share(binding, b);
-    if (!(share > 0.0 && share < 1.0)) {
-      throw ResourceError(spec.to_string() +
-                          ": PP PE shares must lie strictly inside (0, 1) — "
-                          "0, 1 or NaN would starve a phase of PEs");
-    }
+  if (const auto v = check_pipeline(chain.phases, &binding, &hw_)) {
+    const std::string msg =
+        pipeline_violation_message(v, chain.phases, &binding);
+    if (v.substrate()) throw ResourceError(msg);
+    throw InvalidDataflowError("pipeline " + spec.to_string() + ": " + msg);
   }
+  OMEGA_CHECK(workload.num_vertices() >= 1,
+              "workload needs at least one vertex");
+  const std::size_t width =
+      spec.in_features > 0 ? spec.in_features : workload.in_features;
+  OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
+
+  // Sparse-weight phases get their W^T pattern here, once per call (the
+  // eval plan builds it once per chain instead).
+  std::vector<std::unique_ptr<const CSRGraph>> weights;
+  const std::vector<PipelinePhaseShape> shapes =
+      pipeline_shapes(chain.phases, width, weights);
 
   // ---- Derive, simulate, compose -------------------------------------------
   PipelineResult result;

@@ -14,25 +14,14 @@
 //                the same Table II machinery as the two-phase model
 //
 // Omega::run_pipeline evaluates a spec end-to-end; the classic
-// Omega::run/RunResult pair is now a thin two-phase adapter over it (see
+// Omega::run/RunResult pair is a thin two-phase adapter over it (see
 // two_phase_pipeline / to_run_result below), bit-identical to the historic
 // implementation (tests/pipeline_test.cpp pins the parity).
 //
-// Validation rules (PipelineSpec::validate):
-//  * every phase's loop order/tiles must be valid for its engine's loop
-//    vocabulary (V,N,F for sparse-dense; V,F,G otherwise);
-//  * SP-Generic / PP boundaries need a feasible hand-off (analyze_handoff)
-//    between the producer's and consumer's traversal of the intermediate;
-//  * SP-Optimized boundaries need both phases to stream their third dim
-//    innermost with matching traversal major, a temporal producer
-//    contraction, a temporal consumer third dim, and matched row/col tiles
-//    (the RF-resident tile is shared);
-//  * a phase can stage chunks through at most ONE adjacent boundary (its
-//    engine tracks a single chunk grid), so PP groups are pairs and a
-//    chunked boundary must be flanked by Seq / SP-Optimized ones;
-//  * sparse-weight phases walk the rows of the compressed W (G-major over
-//    the F contraction), so their loop order must place G before F, and
-//    they can produce into a chunked boundary but not consume from one.
+// Validation: check_pipeline below is the one home of the Table II rules
+// (PipelineRule lists them in the order it tests them). PipelineSpec::
+// validate, PipelineChainSpec::chain_error, Omega::run_pipeline and the DSE
+// eval plan all ask it.
 #pragma once
 
 #include <cstdint>
@@ -96,26 +85,25 @@ struct PhaseSpec {
   /// the other engines.
   double weight_density = 1.0;
 
-  /// Hand-off role dims when this phase produces / consumes an intermediate.
-  [[nodiscard]] HandoffRole producer_role() const;
-  [[nodiscard]] HandoffRole consumer_role() const;
-
   /// e.g. "score=gemm(VtFtGt,G=16)" / "cmb=spgemm(GtVtFt,G=16,d=0.5)".
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Hand-off roles derived from the engine kind and loop order alone —
-/// PhaseSpec::producer_role/consumer_role delegate here, and
-/// derive_pipeline plans boundaries per candidate without materializing
-/// PhaseSpecs (no name strings on the hot path).
+/// Hand-off role dims of a phase that produces / consumes an intermediate,
+/// from the engine kind and loop order alone.
 [[nodiscard]] HandoffRole phase_producer_role(PhaseEngine e,
                                               const LoopOrder& order);
 [[nodiscard]] HandoffRole phase_consumer_role(PhaseEngine e,
                                               const LoopOrder& order);
 
-/// Allocation-free SP-Optimized boundary check: true iff
-/// PipelineSpec::validation_error would accept this producer/consumer pair
-/// (same rules as the message-building path, shared so they cannot drift).
+/// True for the boundaries that stage the intermediate in chunks
+/// (SP-Generic and PP); the others hand it over whole.
+[[nodiscard]] constexpr bool is_chunked(InterPhase ip) {
+  return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
+}
+
+/// True iff an SP-Optimized boundary between these two phases breaks none
+/// of check_pipeline's SP-Optimized rules. The enumerator prunes with it.
 [[nodiscard]] bool sp_optimized_pair_ok(PhaseEngine prod_engine,
                                         const IntraPhaseDataflow& prod,
                                         PhaseEngine cons_engine,
@@ -134,7 +122,8 @@ struct PipelineSpec {
   std::size_t in_features = 0;
 
   /// Like DataflowDescriptor: returns the failure reason, or throws
-  /// InvalidDataflowError with it.
+  /// InvalidDataflowError with it. The spec rules of check_pipeline; the
+  /// substrate rules need hardware, which only run_pipeline has.
   [[nodiscard]] std::optional<std::string> validation_error() const;
   void validate() const;
 
@@ -174,10 +163,9 @@ struct PipelineChainSpec {
   /// Chain projection of a full spec (drops the per-phase dataflows).
   [[nodiscard]] static PipelineChainSpec of(const PipelineSpec& spec);
 
-  /// Binding-invariant validation (arity, per-phase width/density rules —
-  /// the chain-level subset of PipelineSpec::validation_error, with the
-  /// same phase-indexed messages). Dataflow- and boundary-dependent rules
-  /// can only be checked on a bound spec.
+  /// Binding-invariant validation: check_pipeline without a binding (at
+  /// least one phase, per-phase width/density rules), with phase-indexed
+  /// messages. Dataflow- and boundary-dependent rules need a binding.
   [[nodiscard]] std::optional<std::string> chain_error() const;
 
   /// Full spec from a candidate binding; throws InvalidArgumentError on an
@@ -187,6 +175,68 @@ struct PipelineChainSpec {
   /// e.g. "score=gemm(G=16) -> agg=spmm -> xform=spgemm(G=8,d=0.500)".
   [[nodiscard]] std::string to_string() const;
 };
+
+/// The Table II rules of an N-phase binding, in the order check_pipeline
+/// tests them; it reports the first one broken.
+enum class PipelineRule : std::uint8_t {
+  kNone = 0,
+  // Arity: >= 1 phase, one dataflow per phase, one boundary per adjacent
+  // pair, and no PE fractions or one finite, positive fraction per phase.
+  kNoPhases, kDataflowArity, kBoundaryArity, kFractionArity, kFractionValue,
+  // Per phase (index = phase): the dataflow is in the engine's loop
+  // vocabulary (V,N,F for sparse-dense, V,F,G otherwise) and valid in it;
+  // sparse-dense phases keep their width and the others set out_features;
+  // only sparse-weight phases take a density, in (0, 1], and they walk the
+  // compressed W rows G-major over the F contraction, so G is outside F.
+  kWrongVocabulary, kIntraPhase, kSparseDenseWidth, kMissingWidth,
+  kDensityRange, kSparseWeightOrder, kStrayDensity,
+  // Per boundary (index = boundary). SP-Optimized keeps the intermediate
+  // tile in the PEs: the producer's contraction and the consumer's third
+  // dim are innermost, the two traverse in the same major, both dims are
+  // temporal, and the row/col tiles match. SP-Generic and PP need a
+  // feasible hand-off (analyze_handoff), and a sparse-weight phase cannot
+  // consume a chunked intermediate (its walked rows are W rows).
+  kSpoProducerContractionNotInnermost, kSpoConsumerThirdNotInnermost,
+  kSpoMajorMismatch, kSpoProducerContractionSpatial, kSpoConsumerThirdSpatial,
+  kSpoTileMismatch, kHandoffInfeasible, kSparseWeightConsumer,
+  // A phase stages chunks through at most one boundary (its engine tracks
+  // one chunk grid), so PP groups are pairs (index = the phase between).
+  kAdjacentChunked,
+  // Substrate: the substrate supports each phase's reduction, spatial when
+  // its contraction tile is > 1 (index = phase), and each PP pair splits
+  // >= 2 PEs with a first-phase share inside (0, 1) (index = boundary).
+  kNoSpatialReduction, kNoTemporalReduction, kPpTooFewPes, kPpShare,
+};
+
+/// The first rule a chain and binding break, and where.
+struct PipelineViolation {
+  PipelineRule rule = PipelineRule::kNone;
+  std::size_t index = 0;  // phase or boundary, per PipelineRule
+
+  explicit operator bool() const { return rule != PipelineRule::kNone; }
+  /// A substrate rule: run_pipeline reports it as a ResourceError, the
+  /// others as InvalidDataflowError.
+  [[nodiscard]] bool substrate() const {
+    return rule >= PipelineRule::kNoSpatialReduction;
+  }
+};
+
+/// The one check of the Table II rules. Without a binding it checks the
+/// chain alone (chain_error's rules); with `hw` it also checks the
+/// substrate rules. Builds no message of its own (the intra-phase rule
+/// calls IntraPhaseDataflow::validate under try/catch).
+[[nodiscard]] PipelineViolation check_pipeline(
+    std::span<const PhaseChainSpec> chain,
+    const PipelineBindingView* binding = nullptr,
+    const AcceleratorConfig* hw = nullptr);
+
+/// The message of a violation check_pipeline returned for the same chain
+/// and binding: validation_error's text for spec rules (chain_error's when
+/// `binding` is null), and the ResourceError text run_pipeline throws for
+/// substrate rules.
+[[nodiscard]] std::string pipeline_violation_message(
+    const PipelineViolation& v, std::span<const PhaseChainSpec> chain,
+    const PipelineBindingView* binding);
 
 /// Per-phase evaluation outcome.
 struct PhaseOutcome {
@@ -240,6 +290,14 @@ struct PipelinePhaseShape {
   const CSRGraph* weights = nullptr;
 };
 
+/// The shapes of a chain that passes check_pipeline, whose first phase
+/// reads `in_features` (>= 1) columns: the width chain and, for each
+/// sparse-weight phase, its W^T pattern (sparse_weight_csr), which
+/// `weights` keeps alive.
+[[nodiscard]] std::vector<PipelinePhaseShape> pipeline_shapes(
+    std::span<const PhaseChainSpec> chain, std::size_t in_features,
+    std::vector<std::unique_ptr<const CSRGraph>>& weights);
+
 /// One phase's derived engine config: `gemm` for dense phases, `spmm` for
 /// sparse-dense phases and for sparse-weight phases (transposed problem).
 struct PhaseEngineConfig {
@@ -260,9 +318,8 @@ struct PhaseEngineConfig {
 /// the PP partition size in bytes for the energy model. Writes only into
 /// caller-owned storage, so a sweep reusing it stays allocation-free.
 ///
-/// Preconditions (the callers check them first): the binding passes
-/// PipelineSpec validation for these shapes, and every PP boundary has
-/// hw.num_pes >= 2 and a first-phase share strictly inside (0, 1).
+/// Precondition (the callers check it first): check_pipeline with `hw`
+/// finds no violation in the binding.
 /// `graph` is the workload adjacency; `context`, when non-null, is bound to
 /// it and feeds the sparse-dense configs.
 [[nodiscard]] std::size_t derive_pipeline(

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "graph/stats.hpp"
+#include "omega/omega.hpp"
 #include "util/error.hpp"
 
 namespace omega {
@@ -175,10 +176,7 @@ DataflowDescriptor bind_tiles(const DataflowPattern& pattern,
                           "): parallel pipeline needs >= 2 PEs to split the "
                           "array between the phases");
     }
-    pes_agg = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               static_cast<double>(hw.num_pes) * pattern.pp_agg_pe_fraction)));
-    pes_agg = std::min(pes_agg, hw.num_pes - 1);
+    pes_agg = pp_first_pes(hw.num_pes, pattern.pp_agg_pe_fraction);
     pes_cmb = hw.num_pes - pes_agg;
   }
 

@@ -1,6 +1,7 @@
 // Table II rule set of N-phase pipelines (omega/pipeline.hpp).
 //
-// Three contracts:
+// The contracts:
+//  * check_pipeline names the first broken rule and where it broke;
 //  * every rule's exception type and exact what(), through
 //    PipelineSpec::validation_error / validate() and through
 //    Omega::run_pipeline, including which message wins when a spec breaks
@@ -145,8 +146,8 @@ TEST(PipelineRulesTest, EveryRulePinsItsTypeAndMessage) {
   const auto add = [&](std::string rule, PipelineSpec spec, std::string type,
                        std::string what,
                        AcceleratorConfig hw = small_hw()) {
-    cases.push_back(
-        {std::move(rule), std::move(spec), hw, {std::move(type), std::move(what)}});
+    cases.push_back({std::move(rule), std::move(spec), hw,
+                     {std::move(type), std::move(what)}});
   };
   const std::string bad = "InvalidDataflowError";
   const std::string res = "ResourceError";
@@ -160,6 +161,15 @@ TEST(PipelineRulesTest, EveryRulePinsItsTypeAndMessage) {
         "pipeline agg=spmm(VtFtNt) ->SP-> cmb=gemm(VtFtGt,G=16): pipeline "
         "wants exactly one boundary per adjacent phase pair (2 phases, 2 "
         "boundaries)");
+  }
+  {
+    // A spec short of boundaries still prints every phase.
+    PipelineSpec s = gat_spec();
+    s.boundaries.pop_back();
+    add("too few boundaries", s, bad,
+        "pipeline score=gemm(VsFtGs,G=16) ->Seq-> agg=spmm(NsFsVt) ->?-> "
+        "xform=spgemm(GsVtFt,G=8,d=0.500): pipeline wants exactly one "
+        "boundary per adjacent phase pair (3 phases, 1 boundaries)");
   }
   {
     PipelineSpec s = gat_spec();
@@ -310,8 +320,10 @@ TEST(PipelineRulesTest, EveryRulePinsItsTypeAndMessage) {
         "pipeline score=gemm(VsFtGs,G=16) ->" + b +
             "-> agg=spmm(VtNtFs): boundary 0 (score=gemm(VsFtGs,G=16) ->" + b +
             "-> agg=spmm(VtNtFs)): " +
-            analyze_handoff(s.phases[0].producer_role(),
-                            s.phases[1].consumer_role())
+            analyze_handoff(phase_producer_role(PhaseEngine::kDenseDense,
+                                                s.phases[0].dataflow.order),
+                            phase_consumer_role(PhaseEngine::kSparseDense,
+                                                s.phases[1].dataflow.order))
                 .reason);
   }
   {
@@ -501,9 +513,8 @@ PipelineChainSpec gat_chain() { return PipelineChainSpec::of(gat_spec()); }
 std::string substrate_error(const PipelineSpec& spec,
                             const AcceleratorConfig& hw) {
   for (const PhaseSpec& p : spec.phases) {
-    const Dim contraction =
-        p.engine == PhaseEngine::kSparseDense ? Dim::kN : Dim::kF;
-    const bool spatial = p.dataflow.tiles.get(contraction) > 1;
+    const bool spatial =
+        p.dataflow.tiles.get(contraction_dim(taxonomy_phase(p.engine))) > 1;
     if (spatial && !hw.supports_spatial_reduction) {
       return p.to_string() +
              ": substrate has no spatial-reduction support (adder tree / "
@@ -579,6 +590,93 @@ TEST(PipelineRulesTest, PlanMatchesRunPipelineOnReducedSubstrates) {
     // it claims.
     EXPECT_GT(ran, 10u);
     EXPECT_GT(refused, 10u);
+  }
+}
+
+TEST(PipelineRulesTest, CheckReportsTheRuleAndWhere) {
+  const PipelineSpec gat = gat_spec(InterPhase::kSequential,
+                                    InterPhase::kSPOptimized);
+  const PipelineChainSpec chain = PipelineChainSpec::of(gat);
+  std::vector<IntraPhaseDataflow> dfs;
+  for (const PhaseSpec& p : gat.phases) dfs.push_back(p.dataflow);
+  const PipelineBindingView view{dfs, gat.boundaries, gat.pe_fractions};
+
+  // agg=spmm(NsFsVt) produces with a spatial, outer contraction.
+  const PipelineViolation spo = check_pipeline(chain.phases, &view);
+  EXPECT_EQ(spo.rule, PipelineRule::kSpoProducerContractionNotInnermost);
+  EXPECT_EQ(spo.index, 1u);
+  EXPECT_FALSE(spo.substrate());
+
+  // A binding with a dataflow too few.
+  const PipelineBindingView short_view{
+      std::span<const IntraPhaseDataflow>(dfs).first(2), gat.boundaries,
+      gat.pe_fractions};
+  const PipelineViolation arity = check_pipeline(chain.phases, &short_view);
+  EXPECT_EQ(arity.rule, PipelineRule::kDataflowArity);
+  EXPECT_EQ(pipeline_violation_message(arity, chain.phases, &short_view),
+            "pipeline binding wants one dataflow per phase (3 phases, 2 "
+            "dataflows)");
+
+  // Substrate rules need the substrate: without it, a spec the substrate
+  // cannot run passes.
+  const PipelineSpec seq = gat_spec();
+  std::vector<IntraPhaseDataflow> seq_dfs;
+  for (const PhaseSpec& p : seq.phases) seq_dfs.push_back(p.dataflow);
+  const PipelineBindingView seq_view{seq_dfs, seq.boundaries,
+                                     seq.pe_fractions};
+  const AcceleratorConfig full = small_hw();
+  AcceleratorConfig no_spatial = full;
+  no_spatial.supports_spatial_reduction = false;
+  EXPECT_FALSE(check_pipeline(chain.phases, &seq_view));
+  EXPECT_FALSE(check_pipeline(chain.phases, &seq_view, &full));
+  const PipelineViolation hw =
+      check_pipeline(chain.phases, &seq_view, &no_spatial);
+  EXPECT_EQ(hw.rule, PipelineRule::kNoSpatialReduction);
+  EXPECT_EQ(hw.index, 1u);
+  EXPECT_TRUE(hw.substrate());
+
+  // Without a binding only the chain rules apply.
+  EXPECT_FALSE(check_pipeline(chain.phases));
+  EXPECT_EQ(check_pipeline({}).rule, PipelineRule::kNoPhases);
+}
+
+/// gemm(16) -> spmm -> gemm(8): both boundaries admit SP-Generic and PP
+/// on their own, so the enumerator must keep chunked boundaries apart.
+PipelineChainSpec mlp_chain() {
+  PipelineChainSpec c;
+  c.phases = {{.name = "a", .engine = PhaseEngine::kDenseDense,
+               .out_features = 16},
+              {.name = "b", .engine = PhaseEngine::kSparseDense},
+              {.name = "c", .engine = PhaseEngine::kDenseDense,
+               .out_features = 8}};
+  return c;
+}
+
+TEST(PipelineRulesTest, EnumeratorEmitsOnlyValidBindings) {
+  const GnnWorkload w = small_workload();
+  // Four PEs keep the populations small (77k bindings for the longest
+  // chain) while PP still splits the array.
+  AcceleratorConfig hw = small_hw();
+  hw.num_pes = 4;
+  const std::vector<PipelineChainSpec> chains = {
+      classic_chain(PhaseOrder::kAC), classic_chain(PhaseOrder::kCA),
+      gat_chain(), mlp_chain()};
+  for (const PipelineChainSpec& chain : chains) {
+    SCOPED_TRACE(chain.to_string());
+    const std::vector<PipelineCandidate> pop =
+        enumerate_pipeline_candidates(chain, 0, w, hw.num_pes);
+    ASSERT_GT(pop.size(), 100u);
+    std::size_t pp = 0;
+    for (const PipelineCandidate& c : pop) {
+      const PipelineBindingView view = c.view();
+      const PipelineViolation v = check_pipeline(chain.phases, &view, &hw);
+      ASSERT_FALSE(v) << chain.bind(view).to_string() << ": "
+                      << pipeline_violation_message(v, chain.phases, &view);
+      for (const InterPhase b : c.boundaries) {
+        pp += b == InterPhase::kParallelPipeline ? 1 : 0;
+      }
+    }
+    EXPECT_GT(pp, 0u);
   }
 }
 
