@@ -6,7 +6,7 @@
 
 #include "dse/search.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Ablation — mapping-optimizer value over Table V configs");
@@ -43,3 +43,5 @@ int main() {
                "the paper's motivation for a future mapping optimizer.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("ablation_dse", harness); }

@@ -3,7 +3,7 @@
 // Collab, holding T_V * T_F = 512.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Ablation — SP tile-size sweep (T_V vs T_F)");
@@ -44,3 +44,5 @@ int main() {
                "tiny T_V underuses vertex parallelism on small-F sets.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("ablation_tiles", harness); }

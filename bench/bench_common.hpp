@@ -86,12 +86,13 @@ inline LayerSpec eval_layer() { return LayerSpec{16}; }
 /// Tile tuple in the figures' bracket notation:
 /// (T_VAGG, T_N, T_FAGG, T_VCMB, T_G, T_FCMB).
 inline std::string tile_tuple(const DataflowDescriptor& df) {
-  return "(" + std::to_string(df.agg.tiles.v) + "," +
-         std::to_string(df.agg.tiles.n) + "," +
-         std::to_string(df.agg.tiles.f) + "," +
-         std::to_string(df.cmb.tiles.v) + "," +
-         std::to_string(df.cmb.tiles.g) + "," +
-         std::to_string(df.cmb.tiles.f) + ")";
+  std::string s;
+  for (const std::size_t t : {df.agg.tiles.v, df.agg.tiles.n, df.agg.tiles.f,
+                              df.cmb.tiles.v, df.cmb.tiles.g, df.cmb.tiles.f}) {
+    s += s.empty() ? "(" : ",";
+    s += std::to_string(t);
+  }
+  return s + ")";
 }
 
 inline void emit(const std::string& title, const TextTable& table,
@@ -125,10 +126,24 @@ inline RepeatSummary summarize_samples(std::vector<double> samples) {
   return s;
 }
 
+/// Runs a harness's body as its main: a rejected knob or input
+/// (omega::Error) prints "<name>: <what>" on stderr and exits 1, as
+/// omega_cli does, instead of ending in std::terminate.
+inline int run_harness(const char* name, int (*body)()) {
+  try {
+    return body();
+  } catch (const Error& e) {
+    std::cout << std::flush;
+    std::cerr << name << ": " << e.what() << "\n";
+    return 1;
+  }
+}
+
 inline void banner(const std::string& what) {
+  const double scale = bench_scale();  // a rejected knob stops before output
   std::cout << "OMEGA reproduction harness — " << what << "\n"
             << "accelerator: " << default_accelerator().summary()
-            << "; workload scale " << fixed(bench_scale(), 2) << "\n";
+            << "; workload scale " << fixed(scale, 2) << "\n";
 }
 
 }  // namespace omega::bench

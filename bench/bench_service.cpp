@@ -462,11 +462,4 @@ int run_bench() {
 
 }  // namespace
 
-int main() {
-  try {
-    return run_bench();
-  } catch (const omega::Error& e) {
-    std::cerr << "bench_service: " << e.what() << "\n";
-    return 1;
-  }
-}
+int main() { return omega::bench::run_harness("bench_service", run_bench); }

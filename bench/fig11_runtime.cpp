@@ -3,7 +3,7 @@
 // paper prints in brackets. PE utilization is near 100% by construction.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 11 — dataflow runtimes normalized to Seq1 (GCN)");
@@ -44,3 +44,5 @@ int main() {
                "evil-row bound on skewed graphs.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig11_runtime", harness); }

@@ -3,7 +3,7 @@
 // separately, matching the paper's on-chip characterization.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 12 — on-chip buffer access energy");
@@ -32,3 +32,5 @@ int main() {
                "cheaper partition; pipelining energy gain is modest.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig12_energy", harness); }

@@ -4,7 +4,7 @@
 // GB traffic); Seq's spilled intermediate shows under DRAM.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 13 — GB access breakdown (Mutag, Citeseer)");
@@ -41,3 +41,5 @@ int main() {
                "most; SPhighV shows the psum blow-up.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig13_gb_breakdown", harness); }

@@ -4,7 +4,7 @@
 // Collab, Mutag and Citeseer.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 14 — PP load balancing across PE allocations");
@@ -45,3 +45,5 @@ int main() {
                "happiest near 50-50.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig14_load_balance", harness); }

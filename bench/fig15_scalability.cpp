@@ -3,7 +3,7 @@
 // generalize across accelerator sizes.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 15 — scalability: 512 vs 2048 PEs");
@@ -43,3 +43,5 @@ int main() {
                "scales, especially for the fast dataflows.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig15_scalability", harness); }

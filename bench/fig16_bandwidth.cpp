@@ -4,7 +4,7 @@
 // phases, so it degrades fastest.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Fig. 16 — bandwidth sensitivity");
@@ -44,3 +44,5 @@ int main() {
                "drops; PP suffers most because the two phases contend.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("fig16_bandwidth", harness); }

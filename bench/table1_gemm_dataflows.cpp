@@ -5,7 +5,7 @@
 
 #include "engine/gemm_engine.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Table I — 2D GEMM dataflow implications (Combination)");
@@ -60,3 +60,5 @@ int main() {
                "avoids spatial-reduction hardware.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("table1_gemm_dataflows", harness); }

@@ -5,7 +5,7 @@
 
 #include "dataflow/enumerate.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Table II — taxonomy design-space enumeration");
@@ -39,3 +39,5 @@ int main() {
             << " == 6,656 (4,608 Seq + 1,024 SP + 1,024 PP).\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("table2_taxonomy", harness); }

@@ -4,7 +4,7 @@
 //   SP-Optimized: 0, tA + tC - t_load    PP: 2*Pel, pipelined max() per chunk
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Table III — inter-phase runtime/buffering model");
@@ -46,3 +46,5 @@ int main() {
                "runtime sits between max(tA, tC) and tA + tC.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("table3_interphase_model", harness); }

@@ -3,7 +3,7 @@
 // place of the TU-Dortmund/Planetoid files) is auditable.
 #include "bench_common.hpp"
 
-int main() {
+static int harness() {
   using namespace omega;
   using namespace omega::bench;
   banner("Table IV — datasets (spec vs synthesized batch)");
@@ -29,3 +29,5 @@ int main() {
                "citation-network skew.\n";
   return 0;
 }
+
+int main() { return omega::bench::run_harness("table4_datasets", harness); }

@@ -92,7 +92,9 @@ TEST_P(PipelinePairsAC, MatchesTable2) {
                        PhaseOrder::kAC);
   EXPECT_EQ(analysis.feasible, c.feasible) << c.agg << "," << c.cmb << ": "
                                            << analysis.reason;
-  if (c.feasible) EXPECT_EQ(analysis.granularity, c.granularity);
+  if (c.feasible) {
+    EXPECT_EQ(analysis.granularity, c.granularity);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,7 +132,9 @@ TEST_P(PipelinePairsCA, MatchesTable2) {
                        PhaseOrder::kCA);
   EXPECT_EQ(analysis.feasible, c.feasible) << c.agg << "," << c.cmb << ": "
                                            << analysis.reason;
-  if (c.feasible) EXPECT_EQ(analysis.granularity, c.granularity);
+  if (c.feasible) {
+    EXPECT_EQ(analysis.granularity, c.granularity);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -306,7 +310,7 @@ TEST(PatternsTest, TableVHasNineConfigs) {
 
 TEST(PatternsTest, LookupIsCaseInsensitive) {
   EXPECT_EQ(pattern_by_name("sphighv").name, "SPhighV");
-  EXPECT_THROW(pattern_by_name("nope"), Error);
+  EXPECT_THROW((void)pattern_by_name("nope"), Error);
 }
 
 TEST(PatternsTest, PatternStringsMatchTableV) {

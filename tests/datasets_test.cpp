@@ -35,7 +35,7 @@ TEST(DatasetSpecTest, Categories) {
             WorkloadCategory::kHighEdges);
   EXPECT_EQ(dataset_by_name("cora").category,
             WorkloadCategory::kHighFeatures);
-  EXPECT_THROW(dataset_by_name("pubmed"), Error);
+  EXPECT_THROW((void)dataset_by_name("pubmed"), Error);
 }
 
 TEST(ClampEdgesTest, DegenerateVertexCountsAdmitNoEdges) {

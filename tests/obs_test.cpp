@@ -243,7 +243,9 @@ TEST(TraceTest, SpansEmitSchemaValidChromeTraceJson) {
     ASSERT_NE(e.find("tid"), nullptr);
     const std::string& ph = e.find("ph")->as_string();
     EXPECT_TRUE(ph == "X" || ph == "M" || ph == "i") << ph;
-    if (ph == "X") ASSERT_NE(e.find("dur"), nullptr);
+    if (ph == "X") {
+      ASSERT_NE(e.find("dur"), nullptr);
+    }
     if (e.find("name")->as_string() == "outer") {
       saw_outer = true;
       EXPECT_EQ(e.find("args")->find("items")->as_u64(), 3u);

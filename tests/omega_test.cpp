@@ -71,8 +71,8 @@ TEST(ComposePipelineTest, LateCompletionGatesConsumer) {
 }
 
 TEST(ComposePipelineTest, MismatchedChunksThrow) {
-  EXPECT_THROW(compose_parallel_pipeline({1, 2}, {1}), Error);
-  EXPECT_THROW(compose_parallel_pipeline({}, {}), Error);
+  EXPECT_THROW((void)compose_parallel_pipeline({1, 2}, {1}), Error);
+  EXPECT_THROW((void)compose_parallel_pipeline({}, {}), Error);
 }
 
 TEST(OmegaRunTest, SeqCyclesAreSumOfPhases) {

@@ -294,11 +294,14 @@ TEST(PipelineValidationTest, ErrorsNameTheOffendingBoundary) {
                    .out_features = 8}};
   std::vector<IntraPhaseDataflow> phases{
       {.phase = GnnPhase::kCombination,
-       .order = LoopOrder(Dim::kV, Dim::kF, Dim::kG)},
+       .order = LoopOrder(Dim::kV, Dim::kF, Dim::kG),
+       .tiles = {}},
       {.phase = GnnPhase::kAggregation,
-       .order = LoopOrder(Dim::kV, Dim::kN, Dim::kF)},
+       .order = LoopOrder(Dim::kV, Dim::kN, Dim::kF),
+       .tiles = {}},
       {.phase = GnnPhase::kCombination,
-       .order = LoopOrder(Dim::kV, Dim::kF, Dim::kG)}};
+       .order = LoopOrder(Dim::kV, Dim::kF, Dim::kG),
+       .tiles = {}}};
   std::vector<InterPhase> bounds{InterPhase::kSPGeneric,
                                  InterPhase::kSPGeneric};
   const PipelineSpec spec =

@@ -558,7 +558,7 @@ TEST(PipelineSpecTest, EngineNamesRoundTrip) {
   EXPECT_EQ(phase_engine_from_string("spgemm"), PhaseEngine::kSparseSparse);
   EXPECT_EQ(phase_engine_from_string("sparse_weight"),
             PhaseEngine::kSparseSparse);
-  EXPECT_THROW(phase_engine_from_string("dyn"), InvalidArgumentError);
+  EXPECT_THROW((void)phase_engine_from_string("dyn"), InvalidArgumentError);
   for (const PhaseEngine e :
        {PhaseEngine::kSparseDense, PhaseEngine::kDenseDense,
         PhaseEngine::kSparseSparse}) {

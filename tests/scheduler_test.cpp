@@ -10,6 +10,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -256,7 +257,9 @@ TEST(SchedulerTest, ThreadedFloodCompletesEveryRequestExactlyOnce) {
   std::vector<CollectedResponse> responses;
   constexpr int kFlood = 200;
   for (int i = 0; i < kFlood; ++i) {
-    (void)sched.submit("r" + std::to_string(i),
+    std::string id = "r";  // not "r" + to_string(i): GCC 12 -Wrestrict
+    id += std::to_string(i);
+    (void)sched.submit(std::move(id),
                        meta_of(static_cast<std::uint64_t>(i), i % 2 == 0 ? 0 : 5),
                        collect(responses, mu));
   }
