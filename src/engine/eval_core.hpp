@@ -6,17 +6,18 @@
 // one *phase term* per chain position — the memoizable unit — plus the
 // composition:
 //
+//   check_pipeline(chain, binding, substrate)    (run_pipeline's own check)
 //   configs = derive_pipeline(substrate, chain shapes, binding)
 //   term_i  = simulate_phase(configs[i])         (cached by EvalTermKey)
 //   cycles, traffic, energy = compose_pipeline(terms, boundaries)
 //
-// derive_pipeline, simulate_phase and compose_pipeline (omega/pipeline.hpp)
-// are the same functions run_pipeline calls, so the plan differs from the
-// uncached path only in where the terms come from. Each term is keyed by
-// the engine config's term_key — the same key the context's phase memo
-// uses, plus a graph tag for sparse-weight phases — and held in a TermStore
-// on the plan, so a single-field mutation re-simulates at most the terms
-// whose key embeds that field. The plan
+// check_pipeline, derive_pipeline, simulate_phase and compose_pipeline
+// (omega/pipeline.hpp) are the same functions run_pipeline calls, so the
+// plan differs from the uncached path only in where the terms come from.
+// Each term is keyed by the engine config's term_key — the same key the
+// context's phase memo uses, plus a graph tag for sparse-weight phases —
+// and held in a TermStore on the plan, so a single-field mutation
+// re-simulates at most the terms whose key embeds that field. The plan
 // itself is cached in the WorkloadContext keyed by everything outside the
 // binding (substrate + energy model + chain), so repeated searches over one
 // workload reuse all terms across calls.
