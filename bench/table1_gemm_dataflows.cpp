@@ -61,4 +61,6 @@ static int harness() {
   return 0;
 }
 
-int main() { return omega::bench::run_harness("table1_gemm_dataflows", harness); }
+int main() {
+  return omega::bench::run_harness("table1_gemm_dataflows", harness);
+}

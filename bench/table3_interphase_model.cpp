@@ -47,4 +47,6 @@ static int harness() {
   return 0;
 }
 
-int main() { return omega::bench::run_harness("table3_interphase_model", harness); }
+int main() {
+  return omega::bench::run_harness("table3_interphase_model", harness);
+}

@@ -287,7 +287,8 @@ ModelSearchResult search_model_mappings(const Omega& omega,
             mc.composed_cycles = comp.cycles;
             mc.overlapped_boundaries = comp.overlapped_boundaries;
             mc.score = objective_score(options.layer.objective,
-                                   mc.composed_cycles, mc.total_on_chip_pj);
+                                       mc.composed_cycles,
+                                       mc.total_on_chip_pj);
           }
         },
         options.layer.threads);

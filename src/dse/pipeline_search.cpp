@@ -373,7 +373,8 @@ std::string PipelineCandidate::key() const {
   for (std::size_t b = 0; b < boundaries.size(); ++b) {
     if (boundaries[b] != InterPhase::kParallelPipeline) continue;
     char buf[48];
-    std::snprintf(buf, sizeof buf, "|pp%zu=%.6g", b, pp_first_share(view(), b));
+    std::snprintf(buf, sizeof buf, "|pp%zu=%.6g", b,
+                  pp_first_share(view(), b));
     s += buf;
   }
   return s;

@@ -64,7 +64,7 @@ HandoffRole phase_consumer_role(PhaseEngine e, const LoopOrder& order) {
 
 namespace {
 
-/// PhaseSpec's notation from its fields, e.g. "cmb=spgemm(GtVtFt,G=16,d=0.5)".
+/// PhaseSpec's notation, e.g. "cmb=spgemm(GtVtFt,G=16,d=0.500)".
 std::string phase_label(const PhaseChainSpec& p, const IntraPhaseDataflow& df) {
   std::string s = p.name.empty() ? std::string("phase") : p.name;
   s += "=";
