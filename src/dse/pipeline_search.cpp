@@ -261,8 +261,8 @@ class ChainWalker {
           df.order = order;
           df.tiles.set(cons.row, cur_[i - 1].tiles.get(prod.row));
           df.tiles.set(cons.col, cur_[i - 1].tiles.get(prod.col));
-          if (!sp_optimized_pair_ok(ci_.phases[i - 1].engine, cur_[i - 1],
-                                    sh.engine, df)) {
+          if (sp_optimized_violation(ci_.phases[i - 1].engine, cur_[i - 1],
+                                     sh.engine, df) != PipelineRule::kNone) {
             continue;
           }
           if (df.spatial_extent() > budgets_[i]) continue;

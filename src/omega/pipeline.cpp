@@ -117,41 +117,6 @@ std::string PipelineSpec::to_string() const {
 
 namespace {
 
-/// Which generalized SP-Optimized rule (Table II row 2) a pair breaks, or
-/// kNone. Both phases keep the intermediate tile resident in the PE
-/// register files, so the producer must accumulate temporally, the consumer
-/// must stream its third dim temporally, both must traverse the shared tile
-/// in the same major with the third dim innermost, and the row/col tiles
-/// must match across the pair. Reduces exactly to the classic
-/// sp_optimized_error pairs for the two-phase descriptor.
-PipelineRule spo_pair_violation(PhaseEngine prod_engine,
-                                const IntraPhaseDataflow& prod,
-                                PhaseEngine cons_engine,
-                                const IntraPhaseDataflow& cons) {
-  const HandoffRole p = phase_producer_role(prod_engine, prod.order);
-  const HandoffRole c = phase_consumer_role(cons_engine, cons.order);
-  if (p.order.depth_of(p.third) != 2) {
-    return PipelineRule::kSpoProducerContractionNotInnermost;
-  }
-  if (c.order.depth_of(c.third) != 2) {
-    return PipelineRule::kSpoConsumerThirdNotInnermost;
-  }
-  const bool p_row_major = p.order.at(0) == p.row;
-  const bool c_row_major = c.order.at(0) == c.row;
-  if (p_row_major != c_row_major) return PipelineRule::kSpoMajorMismatch;
-  if (prod.tiles.get(p.third) != 1) {
-    return PipelineRule::kSpoProducerContractionSpatial;
-  }
-  if (cons.tiles.get(c.third) != 1) {
-    return PipelineRule::kSpoConsumerThirdSpatial;
-  }
-  if (prod.tiles.get(p.row) != cons.tiles.get(c.row) ||
-      prod.tiles.get(p.col) != cons.tiles.get(c.col)) {
-    return PipelineRule::kSpoTileMismatch;
-  }
-  return PipelineRule::kNone;
-}
-
 std::string dim_str(Dim d) { return std::string(1, dim_letter(d)); }
 
 // Out^T swaps rows/columns, and flipping the traversal major keeps the
@@ -191,12 +156,39 @@ EnergyBreakdown compute_energy(const TrafficCounters& traffic,
 
 }  // namespace
 
-bool sp_optimized_pair_ok(PhaseEngine prod_engine,
-                          const IntraPhaseDataflow& prod,
-                          PhaseEngine cons_engine,
-                          const IntraPhaseDataflow& cons) {
-  return spo_pair_violation(prod_engine, prod, cons_engine, cons) ==
-         PipelineRule::kNone;
+// The generalized SP-Optimized rules (Table II row 2): both phases keep the
+// intermediate tile resident in the PE register files, so the producer must
+// accumulate temporally, the consumer must stream its third dim temporally,
+// both must traverse the shared tile in the same major with the third dim
+// innermost, and the row/col tiles must match across the pair. Reduces
+// exactly to the classic sp_optimized_error pairs for the two-phase
+// descriptor.
+PipelineRule sp_optimized_violation(PhaseEngine prod_engine,
+                                    const IntraPhaseDataflow& prod,
+                                    PhaseEngine cons_engine,
+                                    const IntraPhaseDataflow& cons) {
+  const HandoffRole p = phase_producer_role(prod_engine, prod.order);
+  const HandoffRole c = phase_consumer_role(cons_engine, cons.order);
+  if (p.order.depth_of(p.third) != 2) {
+    return PipelineRule::kSpoProducerContractionNotInnermost;
+  }
+  if (c.order.depth_of(c.third) != 2) {
+    return PipelineRule::kSpoConsumerThirdNotInnermost;
+  }
+  const bool p_row_major = p.order.at(0) == p.row;
+  const bool c_row_major = c.order.at(0) == c.row;
+  if (p_row_major != c_row_major) return PipelineRule::kSpoMajorMismatch;
+  if (prod.tiles.get(p.third) != 1) {
+    return PipelineRule::kSpoProducerContractionSpatial;
+  }
+  if (cons.tiles.get(c.third) != 1) {
+    return PipelineRule::kSpoConsumerThirdSpatial;
+  }
+  if (prod.tiles.get(p.row) != cons.tiles.get(c.row) ||
+      prod.tiles.get(p.col) != cons.tiles.get(c.col)) {
+    return PipelineRule::kSpoTileMismatch;
+  }
+  return PipelineRule::kNone;
 }
 
 PipelineViolation check_pipeline(std::span<const PhaseChainSpec> chain,
@@ -257,8 +249,8 @@ PipelineViolation check_pipeline(std::span<const PhaseChainSpec> chain,
       case InterPhase::kSequential:
         break;
       case InterPhase::kSPOptimized: {
-        const R r =
-            spo_pair_violation(prod, b.phases[bi], cons, b.phases[bi + 1]);
+        const R r = sp_optimized_violation(prod, b.phases[bi], cons,
+                                           b.phases[bi + 1]);
         if (r != R::kNone) return {r, bi};
         break;
       }

@@ -102,13 +102,6 @@ struct PhaseSpec {
   return ip == InterPhase::kSPGeneric || ip == InterPhase::kParallelPipeline;
 }
 
-/// True iff an SP-Optimized boundary between these two phases breaks none
-/// of check_pipeline's SP-Optimized rules. The enumerator prunes with it.
-[[nodiscard]] bool sp_optimized_pair_ok(PhaseEngine prod_engine,
-                                        const IntraPhaseDataflow& prod,
-                                        PhaseEngine cons_engine,
-                                        const IntraPhaseDataflow& cons);
-
 /// A complete N-phase pipeline description.
 struct PipelineSpec {
   std::vector<PhaseSpec> phases;          // execution order, >= 1 phase
@@ -229,6 +222,13 @@ struct PipelineViolation {
     std::span<const PhaseChainSpec> chain,
     const PipelineBindingView* binding = nullptr,
     const AcceleratorConfig* hw = nullptr);
+
+/// The SP-Optimized rule an SP-Optimized boundary between these two phases
+/// breaks, or kNone: check_pipeline's test, which the enumerator also
+/// prunes with.
+[[nodiscard]] PipelineRule sp_optimized_violation(
+    PhaseEngine prod_engine, const IntraPhaseDataflow& prod,
+    PhaseEngine cons_engine, const IntraPhaseDataflow& cons);
 
 /// The message of a violation check_pipeline returned for the same chain
 /// and binding: validation_error's text for spec rules (chain_error's when
