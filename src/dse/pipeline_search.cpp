@@ -338,20 +338,14 @@ WorkloadDims chain_dims_of(const ChainInfo& ci, const GnnWorkload& workload) {
 }
 
 /// The legacy candidate population of a classic chain, in legacy
-/// enumeration order (CA chains enumerate both orders and keep kCA so the
-/// relative order matches the include_ca=true legacy walk).
+/// enumeration order: the share of its own phase order, which for a CA
+/// chain is the CA tail of the include_ca=true legacy walk.
 std::vector<DataflowDescriptor> classic_population(
     const ChainInfo& ci, const PipelineSearchOptions& options,
     const WorkloadDims& dims, std::size_t pes) {
-  SearchOptions so = legacy_enum_options(options);
-  so.include_ca = ci.classic_po == PhaseOrder::kCA;
-  std::vector<DataflowDescriptor> pop =
-      enumerate_search_candidates(so, dims, pes);
-  if (ci.classic_po == PhaseOrder::kCA) {
-    std::erase_if(pop, [](const DataflowDescriptor& df) {
-      return df.phase_order != PhaseOrder::kCA;
-    });
-  }
+  std::vector<DataflowDescriptor> pop;
+  enumerate_order_candidates(legacy_enum_options(options), dims, pes,
+                             ci.classic_po, pop);
   return pop;
 }
 

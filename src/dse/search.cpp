@@ -169,46 +169,52 @@ bool candidate_order(const Candidate& a, const Candidate& b) {
   return a.dataflow.to_string() < b.dataflow.to_string();
 }
 
+void enumerate_order_candidates(const SearchOptions& options,
+                                const WorkloadDims& dims, std::size_t pes,
+                                PhaseOrder po,
+                                std::vector<DataflowDescriptor>& candidates) {
+  if (options.include_seq) {
+    for (const auto& ao : all_loop_orders(GnnPhase::kAggregation)) {
+      for (const auto& co : all_loop_orders(GnnPhase::kCombination)) {
+        generate_for_pair(options, dims, pes, InterPhase::kSequential, po, ao,
+                          co, candidates);
+      }
+    }
+  }
+  const auto pairs = feasible_pipeline_pairs(po);
+  for (const auto& pair : pairs) {
+    if (options.include_sp_generic) {
+      generate_for_pair(options, dims, pes, InterPhase::kSPGeneric, po,
+                        pair.agg, pair.cmb, candidates);
+    }
+    if (options.include_pp) {
+      generate_for_pair(options, dims, pes, InterPhase::kParallelPipeline, po,
+                        pair.agg, pair.cmb, candidates);
+    }
+  }
+  if (options.include_sp_optimized) {
+    const std::vector<std::pair<std::string, std::string>> templates =
+        po == PhaseOrder::kAC
+            ? std::vector<std::pair<std::string, std::string>>{{"VFN", "VFG"},
+                                                               {"FVN", "FVG"}}
+            : std::vector<std::pair<std::string, std::string>>{{"NFV", "VGF"},
+                                                               {"FNV", "GVF"}};
+    for (const auto& [a, c] : templates) {
+      generate_for_pair(options, dims, pes, InterPhase::kSPOptimized, po,
+                        LoopOrder::parse(a, GnnPhase::kAggregation),
+                        LoopOrder::parse(c, GnnPhase::kCombination),
+                        candidates);
+    }
+  }
+}
+
 std::vector<DataflowDescriptor> enumerate_search_candidates(
     const SearchOptions& options, const WorkloadDims& dims, std::size_t pes) {
   std::vector<DataflowDescriptor> candidates;
-  std::vector<PhaseOrder> orders{PhaseOrder::kAC};
-  if (options.include_ca) orders.push_back(PhaseOrder::kCA);
-
-  for (const PhaseOrder po : orders) {
-    if (options.include_seq) {
-      for (const auto& ao : all_loop_orders(GnnPhase::kAggregation)) {
-        for (const auto& co : all_loop_orders(GnnPhase::kCombination)) {
-          generate_for_pair(options, dims, pes, InterPhase::kSequential, po,
-                            ao, co, candidates);
-        }
-      }
-    }
-    const auto pairs = feasible_pipeline_pairs(po);
-    for (const auto& pair : pairs) {
-      if (options.include_sp_generic) {
-        generate_for_pair(options, dims, pes, InterPhase::kSPGeneric, po,
-                          pair.agg, pair.cmb, candidates);
-      }
-      if (options.include_pp) {
-        generate_for_pair(options, dims, pes, InterPhase::kParallelPipeline,
-                          po, pair.agg, pair.cmb, candidates);
-      }
-    }
-    if (options.include_sp_optimized) {
-      const std::vector<std::pair<std::string, std::string>> templates =
-          po == PhaseOrder::kAC
-              ? std::vector<std::pair<std::string, std::string>>{{"VFN", "VFG"},
-                                                                 {"FVN", "FVG"}}
-              : std::vector<std::pair<std::string, std::string>>{{"NFV", "VGF"},
-                                                                 {"FNV", "GVF"}};
-      for (const auto& [a, c] : templates) {
-        generate_for_pair(options, dims, pes, InterPhase::kSPOptimized, po,
-                          LoopOrder::parse(a, GnnPhase::kAggregation),
-                          LoopOrder::parse(c, GnnPhase::kCombination),
-                          candidates);
-      }
-    }
+  enumerate_order_candidates(options, dims, pes, PhaseOrder::kAC, candidates);
+  if (options.include_ca) {
+    enumerate_order_candidates(options, dims, pes, PhaseOrder::kCA,
+                               candidates);
   }
   return candidates;
 }

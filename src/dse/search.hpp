@@ -133,6 +133,15 @@ struct SearchResult {
 [[nodiscard]] std::vector<DataflowDescriptor> enumerate_search_candidates(
     const SearchOptions& options, const WorkloadDims& dims, std::size_t pes);
 
+/// One phase order's share of enumerate_search_candidates, appended to
+/// `candidates` in the same order (the AC share first, then, with
+/// include_ca, the CA share; `options.include_ca` itself is not read). A
+/// classic chain of one phase order enumerates only its own share.
+void enumerate_order_candidates(const SearchOptions& options,
+                                const WorkloadDims& dims, std::size_t pes,
+                                PhaseOrder po,
+                                std::vector<DataflowDescriptor>& candidates);
+
 /// Index of sample i in the deterministic stride subsample of `population`
 /// candidates down to `selected` (i < selected <= population). The single
 /// definition search_mappings and the sweep benchmarks share, so their

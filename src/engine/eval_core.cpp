@@ -11,22 +11,27 @@ namespace omega {
 
 namespace {
 
-/// Timeline bytes a big-grid term pins in the store: one u64 per chunk for
-/// each timeline compose_pipeline reads — a PP producer's chunk_completion,
-/// a PP consumer's chunk_cycles, none at an SP-generic boundary.
-std::size_t term_timeline_footprint(const ChunkSpec& chunks, bool pp_producer,
-                                    bool pp_consumer) {
+/// Most timeline bytes a big-grid term can pin in the store: one 12-byte run
+/// per chunk for each timeline compose_pipeline reads — a PP producer's
+/// chunk_completion, a PP consumer's chunk_cycles, none at an SP-generic
+/// boundary. Admission reserves this; the store then charges the exact run
+/// bytes the built term keeps.
+std::size_t term_timeline_reservation(const ChunkSpec& chunks,
+                                      bool pp_producer, bool pp_consumer) {
   const std::size_t kept = (pp_producer ? 1 : 0) + (pp_consumer ? 1 : 0);
-  return kept * chunks.num_chunks() * sizeof(std::uint64_t);
+  return kept * chunks.num_chunks() *
+         (sizeof(std::uint64_t) + sizeof(std::uint32_t));
 }
 
 /// Frees the timelines compose_pipeline never reads from a big-grid term,
-/// so the term holds exactly what term_timeline_footprint charges.
+/// so the term holds exactly the run bytes the store charges.
 std::shared_ptr<const PhaseResult> keep_read_timelines(PhaseResult r,
                                                        bool pp_producer,
                                                        bool pp_consumer) {
-  if (!pp_producer) std::vector<std::uint64_t>().swap(r.chunk_completion);
-  if (!pp_consumer) std::vector<std::uint64_t>().swap(r.chunk_cycles);
+  if (!pp_producer) {
+    r.chunk_completion = ChunkTimeline(ChunkTimeline::Kind::kCompletions);
+  }
+  if (!pp_consumer) r.chunk_cycles = ChunkTimeline();
   return std::make_shared<const PhaseResult>(std::move(r));
 }
 
@@ -35,7 +40,7 @@ std::shared_ptr<const PhaseResult> keep_read_timelines(PhaseResult r,
 const PhaseResult* TermStore::resolve(
     const EvalTermKey& key, PipelineDeltaState::Slot& slot,
     const std::function<std::shared_ptr<const PhaseResult>()>& build,
-    std::size_t timeline_bytes, std::uint64_t& delta_hits) const {
+    std::size_t reserve_bytes, std::uint64_t& delta_hits) const {
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (slot.valid && slot.key == key) {
     ++delta_hits;
@@ -49,7 +54,7 @@ const PhaseResult* TermStore::resolve(
     if (it != terms_.end()) {
       entry = it->second;
     } else if (terms_.size() >= kPhaseMemoMaxEntries ||
-               timeline_bytes_ + timeline_bytes > kTermTimelineBudgetBytes) {
+               timeline_bytes_ + reserve_bytes > kTermTimelineBudgetBytes) {
       // Entry ceiling (same policy as the context phase memo) or the
       // chunked-timeline byte budget is exhausted: build uncached. The
       // results are identical either way — only revisit cost differs.
@@ -58,7 +63,7 @@ const PhaseResult* TermStore::resolve(
       auto& fresh = terms_[key];
       fresh = std::make_shared<TermEntry>();
       entry = fresh;
-      timeline_bytes_ += timeline_bytes;
+      timeline_bytes_ += reserve_bytes;
     }
   }
   std::shared_ptr<const PhaseResult> term;
@@ -81,10 +86,13 @@ const PhaseResult* TermStore::resolve(
         // (bad_alloc, logic bugs) is memoized by call_once_caching and
         // rethrown to every caller.
       }
-      if (entry->result == nullptr && timeline_bytes > 0) {
-        // An infeasible term holds no timelines: refund its admission.
+      if (reserve_bytes > 0) {
+        // Settle the reservation to the run bytes the term keeps (none for
+        // an infeasible config).
+        const std::size_t kept =
+            entry->result == nullptr ? 0 : entry->result->timeline_bytes();
         const std::scoped_lock lock(mutex_);
-        timeline_bytes_ -= timeline_bytes;
+        timeline_bytes_ -= reserve_bytes - kept;
       }
     });
     term = entry->result;
@@ -190,8 +198,8 @@ const PhaseResult* PipelineEvalPlan::resolve_phase(
                                                : run_spmm_phase(cfg.spmm),
                                    producer, consumer);
       },
-      term_timeline_footprint(cfg.is_gemm ? cfg.gemm.chunks : cfg.spmm.chunks,
-                              producer, consumer),
+      term_timeline_reservation(
+          cfg.is_gemm ? cfg.gemm.chunks : cfg.spmm.chunks, producer, consumer),
       state.delta_hits);
 }
 

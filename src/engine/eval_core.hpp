@@ -26,6 +26,10 @@
 // per phase position. Neighboring candidates that leave a phase untouched
 // (the common case in tiling sweeps) hit the slot without hashing the key.
 //
+// Terms hold their chunk timelines in run-length form (ChunkTimeline), and
+// compose_pipeline composes a PP pair run by run, so nothing on this path
+// expands a timeline to one value per chunk.
+//
 // Parity contract: for every binding, evaluate_batch returns bit-identical
 // (cycles, on_chip_pj) to Omega::run_pipeline on the bound spec, and
 // `ok == false` exactly when run_pipeline throws Error. Uncached
@@ -66,9 +70,11 @@ struct EvalOutcome {
 /// The store therefore admits big-chunk terms until their timeline bytes
 /// reach this budget; past it, new big terms build uncached (results
 /// identical, the delta slot is then their only cache). A big-chunk term
-/// holds only the timeline composition reads — one u64 per chunk for a PP
-/// producer (chunk_completion) or consumer (chunk_cycles), none at an
-/// SP-generic boundary — and is charged exactly that.
+/// holds only the timeline composition reads — a PP producer's
+/// chunk_completion or a PP consumer's chunk_cycles, none at an SP-generic
+/// boundary — and is charged exactly its run bytes (12 per run, at most
+/// 12 per chunk; admission reserves the per-chunk bound until the build
+/// settles it).
 inline constexpr std::size_t kTermTimelineBudgetBytes = 512ull << 20;
 
 /// Per-evaluation-block working state: one delta slot per phase POSITION
@@ -99,16 +105,17 @@ class TermStore {
  public:
   /// Resolves a term through (delta slot -> map -> build) and returns it,
   /// pinned by `slot` until the slot's next resolve; null means the engines
-  /// reject the config. `timeline_bytes == 0` marks a small-grid term
-  /// (always admitted, like the context's phase memo); otherwise it is the
-  /// exact size of the timelines the built term keeps, admitted against
-  /// kTermTimelineBudgetBytes (0 for a big-grid SP-generic term, which
-  /// keeps none; refunded if the build proves the config infeasible).
-  /// `delta_hits` counts the requests the slot served.
+  /// reject the config. `reserve_bytes == 0` marks an uncharged term: a
+  /// small grid (always admitted, like the context's phase memo) or a
+  /// big-grid SP-generic term, which keeps no timeline. Otherwise it bounds
+  /// the timeline bytes the built term keeps; it is admitted against
+  /// kTermTimelineBudgetBytes, and once built the charge settles to the
+  /// term's exact PhaseResult::timeline_bytes() (0 if the build proves the
+  /// config infeasible). `delta_hits` counts the requests the slot served.
   [[nodiscard]] const PhaseResult* resolve(
       const EvalTermKey& key, PipelineDeltaState::Slot& slot,
       const std::function<std::shared_ptr<const PhaseResult>()>& build,
-      std::size_t timeline_bytes, std::uint64_t& delta_hits) const;
+      std::size_t reserve_bytes, std::uint64_t& delta_hits) const;
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t requests() const {

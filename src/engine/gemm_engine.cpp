@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/saturate.hpp"
@@ -135,8 +136,10 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   PhaseResult r;
   const std::size_t num_chunks =
       cfg.chunk_target == ChunkTarget::kNone ? 1 : cfg.chunks.num_chunks();
-  r.chunk_cycles.assign(num_chunks, 0);
-  r.chunk_completion.assign(num_chunks, 0);
+  // Per-chunk accumulation during the walk, compressed into the result's
+  // run-length timelines once at the end.
+  std::vector<std::uint64_t> chunk_cycles(num_chunks, 0);
+  std::vector<std::uint64_t> chunk_completion(num_chunks, 0);
   std::size_t last_chunk_touched = 0;
 
   // One-time fill: distribution latency + spatial-reduction tree depth.
@@ -241,8 +244,8 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   int recording = 0;
   const auto charge_chunk = [&](std::size_t chunk, std::uint64_t cycles,
                                 std::uint64_t completion) {
-    r.chunk_cycles[chunk] = sat_add_u64(r.chunk_cycles[chunk], cycles);
-    r.chunk_completion[chunk] = completion;  // last contribution wins
+    chunk_cycles[chunk] = sat_add_u64(chunk_cycles[chunk], cycles);
+    chunk_completion[chunk] = completion;  // last contribution wins
     last_chunk_touched = chunk;
     if (recording > 0) recorded.push_back({chunk, cycles, completion});
   };
@@ -468,23 +471,23 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   std::uint64_t tail = 0;
   flush_out_visit(&tail);
   r.cycles = sat_add_u64(r.cycles, tail);
-  if (!r.chunk_cycles.empty()) {
-    r.chunk_cycles[last_chunk_touched] =
-        sat_add_u64(r.chunk_cycles[last_chunk_touched], tail);
-    r.chunk_completion[last_chunk_touched] =
-        sat_add_u64(r.chunk_completion[last_chunk_touched], tail);
-  }
+  chunk_cycles[last_chunk_touched] =
+      sat_add_u64(chunk_cycles[last_chunk_touched], tail);
+  chunk_completion[last_chunk_touched] =
+      sat_add_u64(chunk_completion[last_chunk_touched], tail);
 
   r.cycles = sat_add_u64(r.cycles, r.fill_cycles);
-  r.chunk_cycles.front() = sat_add_u64(r.chunk_cycles.front(), r.fill_cycles);
+  chunk_cycles.front() = sat_add_u64(chunk_cycles.front(), r.fill_cycles);
   // The pipeline fill delays every completion; never-touched chunks (empty
   // grid cells) complete with their predecessors.
   std::uint64_t floor_cycles = 0;
-  for (auto& c : r.chunk_completion) {
+  for (auto& c : chunk_completion) {
     c = sat_add_u64(c, r.fill_cycles);
     floor_cycles = std::max(floor_cycles, c);
     c = std::max(c, floor_cycles);
   }
+  r.chunk_cycles = ChunkTimeline::durations(chunk_cycles);
+  r.chunk_completion = ChunkTimeline::completions(chunk_completion);
   return r;
 }
 

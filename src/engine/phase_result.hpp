@@ -5,9 +5,9 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "dataflow/descriptor.hpp"
+#include "engine/chunk_timeline.hpp"
 #include "engine/traffic.hpp"
 
 namespace omega {
@@ -85,10 +85,11 @@ struct EvalTermKeyHash {
          static_cast<std::uint64_t>(order.at(2));
 }
 
-/// Per-phase simulation output. The engines fill both chunk timelines; a
-/// big-grid term in a PipelineEvalPlan's TermStore keeps only the one
-/// compose_pipeline reads (a PP producer's chunk_completion, a PP consumer's
-/// chunk_cycles) and neither at an SP-generic boundary.
+/// Per-phase simulation output. The engines fill both chunk timelines in
+/// run-length form (engine/chunk_timeline.hpp); a big-grid term in a
+/// PipelineEvalPlan's TermStore keeps only the one compose_pipeline reads (a
+/// PP producer's chunk_completion, a PP consumer's chunk_cycles) and neither
+/// at an SP-generic boundary.
 struct PhaseResult {
   std::uint64_t cycles = 0;         // total, including every stall/load
   std::uint64_t issue_steps = 0;    // MAC-issue steps (ideal cycle count)
@@ -102,15 +103,21 @@ struct PhaseResult {
   TrafficCounters traffic;
 
   /// Duration of each pipeline chunk, aligned with the ChunkSpec grid;
-  /// sums to `cycles` (fill attributed to the first chunk).
-  std::vector<std::uint64_t> chunk_cycles;
+  /// sums (saturating) to `cycles` (fill attributed to the first chunk).
+  ChunkTimeline chunk_cycles{ChunkTimeline::Kind::kDurations};
 
   /// Absolute cycle at which each chunk is COMPLETE (its last contribution
-  /// lands). For monotone producers this is the prefix sum of chunk_cycles;
-  /// producers whose traversal revisits chunks (e.g. a CA Combination with
-  /// T_G smaller than the handoff width) complete chunks only on the final
-  /// sweep, which this captures.
-  std::vector<std::uint64_t> chunk_completion;
+  /// lands), stored as runs of per-chunk increments. For monotone producers
+  /// this is the prefix sum of chunk_cycles; producers whose traversal
+  /// revisits chunks (e.g. a CA Combination with T_G smaller than the
+  /// handoff width) complete chunks only on the final sweep, which this
+  /// captures.
+  ChunkTimeline chunk_completion{ChunkTimeline::Kind::kCompletions};
+
+  /// Run bytes both timelines hold (what a TermStore charges).
+  [[nodiscard]] std::size_t timeline_bytes() const {
+    return chunk_cycles.bytes() + chunk_completion.bytes();
+  }
 
   /// Dynamic utilization of the PEs allocated to this phase.
   [[nodiscard]] double utilization(std::size_t pes) const {

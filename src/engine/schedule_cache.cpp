@@ -15,7 +15,6 @@ LaneSchedule build_lane_schedule(const CSRGraph& walk, std::size_t lanes,
   lanes = std::max<std::size_t>(lanes, 1);
   lane_width = std::max<std::size_t>(lane_width, 1);
   LaneSchedule s;
-  s.row_finish.resize(rows);
   s.row_finish_prefix.resize(rows);
   std::vector<std::uint64_t> lane_cum(lanes, 0);
   std::uint64_t prefix = 0;
@@ -25,7 +24,6 @@ LaneSchedule build_lane_schedule(const CSRGraph& walk, std::size_t lanes,
         std::max<std::uint64_t>(1, ceil_div(deg, lane_width));
     auto& cum = lane_cum[r % lanes];
     cum += trips;
-    s.row_finish[r] = cum;
     prefix = std::max(prefix, cum);
     s.row_finish_prefix[r] = prefix;
     s.total_steps += trips;

@@ -64,10 +64,11 @@ inline constexpr std::size_t kPhaseMemoMaxEntries = 65536;
 /// This is exact (not an approximation): multiplying every summand of a
 /// cumulative sum by c_f multiplies every partial sum by c_f.
 struct LaneSchedule {
-  std::uint64_t critical_path = 0;          // max lane work, in steps
-  std::uint64_t total_steps = 0;            // sum of all row steps
-  std::vector<std::uint64_t> row_finish;    // per-row completion step
-  std::vector<std::uint64_t> row_finish_prefix;  // prefix max of row_finish
+  std::uint64_t critical_path = 0;  // max lane work, in steps
+  std::uint64_t total_steps = 0;    // sum of all row steps
+  /// Prefix max of the per-row completion steps: entry r is the step by
+  /// which rows 0..r have all finished.
+  std::vector<std::uint64_t> row_finish_prefix;
 };
 
 /// Builds the schedule for `lanes` round-robin lanes of width `lane_width`
@@ -96,10 +97,10 @@ class EvalPlanBase {
   /// Term lookups that had to run a phase simulation (memo misses).
   [[nodiscard]] virtual std::uint64_t term_builds() const = 0;
   /// Bytes of big-grid term timelines resident in the plan's term store
-  /// (only the vectors composition reads). NOT deterministic near the
-  /// admission budget (which candidate's timeline wins admission at
-  /// saturation depends on thread schedule), so this feeds metrics/CLI
-  /// output only — never goldened responses.
+  /// (only the timelines composition reads, in run bytes). NOT
+  /// deterministic near the admission budget (which candidate's timeline
+  /// wins admission at saturation depends on thread schedule), so this
+  /// feeds metrics/CLI output only — never goldened responses.
   [[nodiscard]] virtual std::size_t term_timeline_bytes() const = 0;
 };
 

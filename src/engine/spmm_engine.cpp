@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "util/error.hpp"
 #include "util/saturate.hpp"
@@ -11,30 +10,30 @@ namespace omega {
 
 namespace {
 
-/// Splits `total_cycles` across `chunks` so that partial sums follow the
-/// cumulative step profile `cum_steps` (monotone, last == critical path).
+/// Splits `total_cycles` across `n` chunks so that partial sums follow the
+/// cumulative step profile `cum_steps(i)` (monotone, last == critical
+/// path), passing each chunk's share to `emit(cycles)` in order.
 /// Exact integer proportioning (128-bit multiply, then divide): chunk
 /// timelines are bit-identical across platforms and never drop cycles to
 /// floating-point rounding; the final chunk absorbs the division remainder.
-std::vector<std::uint64_t> scale_chunks(
-    const std::vector<std::uint64_t>& cum_steps, std::uint64_t critical_path,
-    std::uint64_t total_cycles) {
-  std::vector<std::uint64_t> out(cum_steps.size(), 0);
+template <typename CumSteps, typename Emit>
+void scale_chunks(std::size_t n, const CumSteps& cum_steps,
+                  std::uint64_t critical_path, std::uint64_t total_cycles,
+                  const Emit& emit) {
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < cum_steps.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t cum =
         critical_path == 0
             ? total_cycles
             : static_cast<std::uint64_t>(
                   // omega-lint: allow(raw-arith): exact 128-bit proportioning, quotient <= total_cycles
-                  static_cast<unsigned __int128>(cum_steps[i]) * total_cycles /
+                  static_cast<unsigned __int128>(cum_steps(i)) * total_cycles /
                   critical_path);
-    const std::uint64_t clamped = std::min(cum, total_cycles);
-    out[i] = clamped - prev;
+    const std::uint64_t clamped = i + 1 == n ? total_cycles
+                                             : std::min(cum, total_cycles);
+    emit(clamped - prev);
     prev = clamped;
   }
-  if (!out.empty()) out.back() += total_cycles - prev;
-  return out;
 }
 
 }  // namespace
@@ -253,23 +252,20 @@ PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
   r.cycles = cycles;
 
   // ---- Chunk timeline ------------------------------------------------------
+  // Built in run-length form, straight from the step profile: lane
+  // traversal produces chunks in grid order, so completions are the prefix
+  // sums of the per-chunk durations — the same runs, read as increments.
 
   auto finish = [&]() -> PhaseResult {
-    // Lane traversal produces chunks in grid order: completions are the
-    // prefix sums of the per-chunk durations.
-    r.chunk_completion.resize(r.chunk_cycles.size());
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < r.chunk_cycles.size(); ++i) {
-      cum += r.chunk_cycles[i];
-      r.chunk_completion[i] = cum;
-    }
+    r.chunk_cycles.shrink_to_fit();
+    r.chunk_completion = r.chunk_cycles.back_to_back_completions();
     return r;
   };
 
   const std::size_t num_chunks =
       cfg.chunk_target == ChunkTarget::kNone ? 1 : cfg.chunks.num_chunks();
   if (num_chunks <= 1) {
-    r.chunk_cycles.assign(1, r.cycles);
+    r.chunk_cycles.append(r.cycles);
     return finish();
   }
 
@@ -278,11 +274,12 @@ PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
   if (cfg.chunks.major == TraversalMajor::kColumnMajor || row_blocks == 1) {
     // Column-granular (or single row block): each of the num_chunks passes
     // covers the same rows; durations are uniform.
-    std::vector<std::uint64_t> cum(num_chunks);
-    for (std::size_t i = 0; i < num_chunks; ++i) {
-      cum[i] = critical_path * (i + 1) / num_chunks;
-    }
-    r.chunk_cycles = scale_chunks(cum, critical_path, r.cycles);
+    r.chunk_cycles.reserve(num_chunks);
+    scale_chunks(
+        num_chunks,
+        [&](std::size_t i) { return critical_path * (i + 1) / num_chunks; },
+        critical_path, r.cycles,
+        [&](std::uint64_t c) { r.chunk_cycles.append(c); });
     return finish();
   }
 
@@ -294,27 +291,26 @@ PhaseResult run_spmm_phase(const SpmmPhaseConfig& cfg) {
   // prefix max is monotone, so the clamp covers them).
   const std::size_t row_block =
       std::min(cfg.chunks.row_block, std::max<std::size_t>(v_extent, 1));
-  std::vector<std::uint64_t> block_cum(row_blocks, 0);
-  for (std::size_t b = 0; b < row_blocks && v_extent > 0; ++b) {
+  const auto block_cum = [&](std::size_t b) -> std::uint64_t {
+    if (v_extent == 0) return 0;
     const std::size_t last =
         std::min((b + 1) * row_block, std::size_t{v_extent}) - 1;
-    block_cum[b] = base->row_finish_prefix[b + 1 == row_blocks ? v_extent - 1
-                                                               : last] *
-                   c_f;
-  }
-  const std::vector<std::uint64_t> block_cycles =
-      scale_chunks(block_cum, critical_path, r.cycles);
+    return base->row_finish_prefix[b + 1 == row_blocks ? v_extent - 1
+                                                       : last] *
+           c_f;
+  };
   // Split each row block's cycles evenly over its column chunks: the first
   // col_blocks - r chunks get q, the rest q + 1 (q, r = divmod), which is
   // exactly the successive floor(rem / remaining) distribution.
-  r.chunk_cycles.assign(num_chunks, 0);
-  for (std::size_t b = 0; b < row_blocks; ++b) {
-    const std::uint64_t q = block_cycles[b] / col_blocks;
-    const std::size_t rmd = static_cast<std::size_t>(block_cycles[b] % col_blocks);
-    for (std::size_t c = 0; c < col_blocks; ++c) {
-      r.chunk_cycles[b * col_blocks + c] = q + (c >= col_blocks - rmd ? 1 : 0);
-    }
-  }
+  r.chunk_cycles.reserve(2 * row_blocks);
+  scale_chunks(row_blocks, block_cum, critical_path, r.cycles,
+               [&](std::uint64_t block_cycles) {
+                 const std::uint64_t q = block_cycles / col_blocks;
+                 const std::size_t rmd =
+                     static_cast<std::size_t>(block_cycles % col_blocks);
+                 r.chunk_cycles.append(q, col_blocks - rmd);
+                 r.chunk_cycles.append(q + 1, rmd);
+               });
   return finish();
 }
 

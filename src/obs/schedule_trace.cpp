@@ -74,6 +74,15 @@ void export_pipeline_trace(const PipelineResult& result, TraceCollector& out,
     out.add(std::move(total));
   }
 
+  // The exporter renders one slice per chunk, so it expands every phase's
+  // compact timelines once up front.
+  std::vector<std::vector<std::uint64_t>> chunk_cycles(n);
+  std::vector<std::vector<std::uint64_t>> chunk_completion(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    chunk_cycles[i] = result.phases[i].result.chunk_cycles.expand();
+    chunk_completion[i] = result.phases[i].result.chunk_completion.expand();
+  }
+
   // Replay the engine's composition walk to place each phase on the global
   // clock: serialized segments advance the cursor; an overlapped PP pair
   // runs the consumer recurrence against the producer's chunk completions
@@ -88,19 +97,18 @@ void export_pipeline_trace(const PipelineResult& result, TraceCollector& out,
   for (std::size_t i = 0; i < n;) {
     const PhaseResult& pr = result.phases[i].result;
     const bool overlapped = i + 1 < n && result.boundaries[i].overlapped &&
-                            !pr.chunk_completion.empty() &&
-                            !result.phases[i + 1].result.chunk_cycles.empty();
+                            !chunk_completion[i].empty() &&
+                            !chunk_cycles[i + 1].empty();
     if (overlapped) {
-      const PhaseResult& cr = result.phases[i + 1].result;
       start[i] = cursor;
       finish[i] = sat_add_u64(cursor, pr.cycles);
       const std::vector<std::uint64_t> done =
-          compose_parallel_pipeline_timeline(pr.chunk_completion,
-                                             cr.chunk_cycles);
+          compose_parallel_pipeline_timeline(chunk_completion[i],
+                                             chunk_cycles[i + 1]);
       overlap_done[i + 1] = done;
       overlap_base[i + 1] = cursor;
       start[i + 1] =
-          sat_add_u64(cursor, done.front() - cr.chunk_cycles.front());
+          sat_add_u64(cursor, done.front() - chunk_cycles[i + 1].front());
       finish[i + 1] = sat_add_u64(cursor, done.back());
       cursor = finish[i + 1];
       i += 2;
@@ -130,20 +138,21 @@ void export_pipeline_trace(const PipelineResult& result, TraceCollector& out,
     // Chunk slices: an overlapped consumer renders its composed timeline
     // (dependency stalls included); everything else renders the phase's own
     // chunk completion profile relative to its start.
-    const PhaseResult& pr = po.result;
+    const std::vector<std::uint64_t>& cycles = chunk_cycles[i];
+    const std::vector<std::uint64_t>& completion = chunk_completion[i];
     std::vector<Slice> slices;
     if (!overlap_done[i].empty()) {
       const std::vector<std::uint64_t>& done = overlap_done[i];
       slices.reserve(done.size());
       for (std::size_t j = 0; j < done.size(); ++j) {
         const std::uint64_t end = sat_add_u64(overlap_base[i], done[j]);
-        slices.push_back({end - pr.chunk_cycles[j], end});
+        slices.push_back({end - cycles[j], end});
       }
-    } else if (pr.chunk_completion.size() == pr.chunk_cycles.size()) {
-      slices.reserve(pr.chunk_completion.size());
-      for (std::size_t j = 0; j < pr.chunk_completion.size(); ++j) {
-        const std::uint64_t end = sat_add_u64(start[i], pr.chunk_completion[j]);
-        slices.push_back({end - pr.chunk_cycles[j], end});
+    } else if (completion.size() == cycles.size()) {
+      slices.reserve(completion.size());
+      for (std::size_t j = 0; j < completion.size(); ++j) {
+        const std::uint64_t end = sat_add_u64(start[i], completion[j]);
+        slices.push_back({end - cycles[j], end});
       }
     }
     emit_chunks(slices, pid, static_cast<std::uint32_t>(1 + i),

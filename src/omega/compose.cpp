@@ -103,6 +103,13 @@ std::size_t second_phase_pes(const RunResult& r) {
   return r.dataflow.phase_order == PhaseOrder::kAC ? r.pes_cmb : r.pes_agg;
 }
 
+/// The timelines a layer composes from, expanded to one value per chunk.
+struct LayerTimelines {
+  std::vector<std::uint64_t> head_completion;  // first phase
+  std::vector<std::uint64_t> head_cycles;      // first phase
+  std::vector<std::uint64_t> tail_cycles;      // second phase
+};
+
 /// Both phases report complete chunk timelines aligned with the grid.
 bool usable_chunk_timelines(const RunResult& r) {
   const std::size_t chunks = r.chunk_grid.num_chunks();
@@ -166,6 +173,17 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
   }
   out.layer_finish[0] = layers[0].cycles;
 
+  // The one place composition expands the compact timelines: the
+  // re-tiling below reads them chunk by chunk, with per-chunk floors.
+  std::vector<LayerTimelines> timelines(layers.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    if (!usable_chunk_timelines(layers[l])) continue;
+    timelines[l].head_completion =
+        first_phase(layers[l]).chunk_completion.expand();
+    timelines[l].head_cycles = first_phase(layers[l]).chunk_cycles.expand();
+    timelines[l].tail_cycles = second_phase(layers[l]).chunk_cycles.expand();
+  }
+
   // Absolute consumer-phase completion per chunk of the layer processed
   // last — the producer profile the next boundary re-tiles. Carried forward
   // (rather than recomputed from the RunResult) so a layer whose second
@@ -175,8 +193,7 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
   if (layers[0].dataflow.inter == InterPhase::kParallelPipeline &&
       usable_chunk_timelines(layers[0])) {
     prev_done_abs = compose_parallel_pipeline_timeline(
-        first_phase(layers[0]).chunk_completion,
-        second_phase(layers[0]).chunk_cycles, 0);
+        timelines[0].head_completion, timelines[0].tail_cycles, 0);
   }
 
   for (std::size_t l = 1; l < layers.size(); ++l) {
@@ -213,7 +230,7 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
     const bool pes_fit =
         second_phase_pes(prev) + first_phase_pes(cur) <= hw_.num_pes;
 
-    const PhaseResult& head = first_phase(cur);
+    const LayerTimelines& tl = timelines[l];
     const ChunkSpec& grid = cur.chunk_grid;
     const std::size_t chunks = grid.num_chunks();
     const bool ac = cur.dataflow.phase_order == PhaseOrder::kAC;
@@ -224,8 +241,8 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
                                    cur.dataflow.agg.order.depth_of(Dim::kN);
     const bool chunked = usable_chunk_timelines(cur) &&
                          grid.rows == dep_prefix_.size() &&
-                         monotone_timeline(head.chunk_completion,
-                                           head.chunk_cycles);
+                         monotone_timeline(tl.head_completion,
+                                           tl.head_cycles);
 
     if (!both_pp) {
       b.reason = "both boundary layers must be parallel-pipelined";
@@ -278,14 +295,14 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
       // the chunks behind it. The head's own timeline is back-to-back
       // (the monotone gate above), so chunk_cycles fully describe it.
       const std::vector<std::uint64_t> head_done_abs =
-          compose_parallel_pipeline_timeline(ready, head.chunk_cycles, floor);
+          compose_parallel_pipeline_timeline(ready, tl.head_cycles, floor);
       // The second phase cannot issue before prev_finish (its partition is
       // still held by the draining layer): re-run the intra-layer
       // recurrence with that floor. The boundary overlaps only when the
       // early head start more than pays for the stretch.
       const std::vector<std::uint64_t> done_abs =
-          compose_parallel_pipeline_timeline(
-              head_done_abs, second_phase(cur).chunk_cycles, prev_finish);
+          compose_parallel_pipeline_timeline(head_done_abs, tl.tail_cycles,
+                                             prev_finish);
       const std::uint64_t overlapped_finish = done_abs.back();
       if (overlapped_finish < seq_finish) {
         b.overlapped = true;
@@ -306,9 +323,8 @@ ModelComposition ModelComposer::compose(const std::vector<RunResult>& layers,
       // Sequentially-placed layer: its unstretched timeline, offset to its
       // start, still serves as the next boundary's producer profile.
       const std::vector<std::uint64_t> done_rel =
-          compose_parallel_pipeline_timeline(first_phase(cur).chunk_completion,
-                                             second_phase(cur).chunk_cycles,
-                                             0);
+          compose_parallel_pipeline_timeline(tl.head_completion,
+                                             tl.tail_cycles, 0);
       cur_done_abs.reserve(done_rel.size());
       for (const std::uint64_t d : done_rel) {
         cur_done_abs.push_back(sat_add_u64(start, d));

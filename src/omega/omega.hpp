@@ -129,23 +129,27 @@ class Omega {
   EnergyModel energy_;
 };
 
-/// Pipeline composition (exposed for unit tests): the consumer starts chunk
-/// i once the producer has COMPLETED it and the consumer finished chunk i-1:
+/// Pipeline composition: the consumer starts chunk i once the producer has
+/// COMPLETED it and the consumer finished chunk i-1:
 ///   cons_done[i] = max(producer_completion[i], cons_done[i-1]) + cons[i]
-/// Producer completions are absolute cycle stamps (PhaseResult::
-/// chunk_completion), which correctly handles producers that revisit chunks
-/// across sweeps. Returns cons_done.back(). The recurrence saturates at
-/// UINT64_MAX instead of wrapping (DESIGN.md "Overflow contract"): a wrapped
-/// sum would report a near-zero makespan for an adversarially huge workload.
+/// with cons_done[-1] = `consumer_start`. Producer completions are absolute
+/// cycle stamps (PhaseResult::chunk_completion), which correctly handles
+/// producers that revisit chunks across sweeps. Returns cons_done.back(),
+/// evaluated run by run on the compact timelines (closed form within a
+/// run). The recurrence saturates at UINT64_MAX instead of wrapping
+/// (DESIGN.md "Overflow contract"): a wrapped sum would report a near-zero
+/// makespan for an adversarially huge workload.
 [[nodiscard]] std::uint64_t compose_parallel_pipeline(
-    const std::vector<std::uint64_t>& producer_completion,
-    const std::vector<std::uint64_t>& consumer_chunk_cycles);
+    const ChunkTimeline& producer_completion,
+    const ChunkTimeline& consumer_chunk_cycles,
+    std::uint64_t consumer_start = 0);
 
-/// Same recurrence, returning the whole cons_done vector — the per-chunk
-/// consumer completion timeline the inter-layer composer re-tiles into the
-/// next layer's start times (omega/compose.hpp). `consumer_start` floors
-/// the consumer's clock (the cycle its array partition frees in cross-layer
-/// composition); 0 reproduces the scalar overload's timeline exactly.
+/// Same recurrence over expanded timelines, returning the whole cons_done
+/// vector — the per-chunk consumer completion timeline the inter-layer
+/// composer re-tiles into the next layer's start times (omega/compose.hpp)
+/// and the schedule trace renders. `consumer_start` floors the consumer's
+/// clock (the cycle its array partition frees in cross-layer composition);
+/// its back() equals compose_parallel_pipeline on the compact forms.
 [[nodiscard]] std::vector<std::uint64_t> compose_parallel_pipeline_timeline(
     const std::vector<std::uint64_t>& producer_completion,
     const std::vector<std::uint64_t>& consumer_chunk_cycles,

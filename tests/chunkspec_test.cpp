@@ -1,7 +1,13 @@
 // ChunkSpec grid logic and chunk-timeline invariants across the engines.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/saturate.hpp"
 
 #include "engine/gemm_engine.hpp"
 #include "engine/spmm_engine.hpp"
@@ -57,6 +63,97 @@ TEST(ChunkSpecTest, RaggedTailBlocks) {
   EXPECT_EQ(s.chunk_of(9, 6), 8u);
 }
 
+// ---- Run-length encoding ----------------------------------------------------
+
+constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+using Values = std::vector<std::uint64_t>;
+
+std::size_t count_runs(const Values& v) {
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    runs += i == 0 || v[i] != v[i - 1] ? 1 : 0;
+  }
+  return runs;
+}
+
+TEST(ChunkTimelineTest, RoundTripsEdgeCases) {
+  const ChunkTimeline empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.expand().empty());
+  EXPECT_EQ(empty.bytes(), 0u);
+
+  // One chunk, one run, and one run over many chunks.
+  for (const Values& v :
+       {Values{7}, Values{kMax}, Values(5000, 3), Values(3, kMax)}) {
+    const ChunkTimeline d = ChunkTimeline::durations(v);
+    EXPECT_EQ(d.runs(), 1u);
+    EXPECT_EQ(d.size(), v.size());
+    EXPECT_EQ(d.bytes(), 12u);
+    EXPECT_EQ(d.expand(), v);
+  }
+  // Saturated completions: everything from the first UINT64_MAX on.
+  const Values saturated{kMax, kMax, kMax};
+  const ChunkTimeline c = ChunkTimeline::completions(saturated);
+  EXPECT_EQ(c.runs(), 2u);  // increments kMax, 0, 0
+  EXPECT_EQ(c.expand(), saturated);
+  const Values ramp{1, kMax - 1, kMax, kMax};
+  EXPECT_EQ(ChunkTimeline::completions(ramp).expand(), ramp);
+  // A linear stretch is one run of its increment.
+  EXPECT_EQ(ChunkTimeline::completions(Values{4, 8, 12, 16}).runs(), 1u);
+  EXPECT_THROW((void)ChunkTimeline::completions(Values{5, 4}), Error);
+
+  // Durations read as back-to-back completions expand to prefix sums.
+  const ChunkTimeline d = ChunkTimeline::durations(Values{2, 2, 5});
+  EXPECT_EQ(d.back_to_back_completions().expand(), (Values{2, 4, 9}));
+  // Appending zero chunks is a no-op; equal values extend the last run.
+  ChunkTimeline a;
+  a.append(9, 0);
+  EXPECT_TRUE(a.empty());
+  a.append(9, 2);
+  a.append(9);
+  EXPECT_EQ(a.runs(), 1u);
+  EXPECT_EQ(a, ChunkTimeline::durations(Values{9, 9, 9}));
+}
+
+TEST(ChunkTimelineTest, RoundTripFuzz) {
+  Rng rng(4);
+  const std::uint64_t picks[] = {0, 1, 2, 17, 1u << 20, kMax / 2, kMax - 1,
+                                 kMax};
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + rng.next_below(trial % 5 == 0 ? 2 : 300);
+    std::vector<std::uint64_t> v;
+    while (v.size() < n) {
+      const std::uint64_t x = picks[rng.next_below(std::size(picks))];
+      const std::size_t len = 1 + rng.next_below(12);
+      for (std::size_t k = 0; k < len && v.size() < n; ++k) v.push_back(x);
+    }
+    const ChunkTimeline d = ChunkTimeline::durations(v);
+    ASSERT_EQ(d.expand(), v) << "trial " << trial;
+    EXPECT_EQ(d.size(), n);
+    EXPECT_EQ(d.runs(), count_runs(v));
+    EXPECT_EQ(d.bytes(), 12 * d.runs());
+    // Chunk-at-a-time appends build the same canonical runs.
+    ChunkTimeline appended;
+    for (const std::uint64_t x : v) appended.append(x);
+    EXPECT_EQ(appended, d);
+
+    // Completions: the saturating prefix sums of the same values.
+    std::vector<std::uint64_t> done(v.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      total = sat_add_u64(total, v[i]);
+      done[i] = total;
+    }
+    const ChunkTimeline c = ChunkTimeline::completions(done);
+    ASSERT_EQ(c.expand(), done) << "trial " << trial;
+    EXPECT_EQ(c.size(), n);
+    if (total < kMax) {
+      EXPECT_EQ(c, d.back_to_back_completions());
+    }
+  }
+}
+
 TEST(ChunkTimelineTest, GemmCompletionsArePrefixSumsWhenMonotone) {
   GemmPhaseConfig cfg;
   cfg.rows = 32;
@@ -71,10 +168,12 @@ TEST(ChunkTimelineTest, GemmCompletionsArePrefixSumsWhenMonotone) {
   cfg.chunk_target = ChunkTarget::kMatrixA;
   const PhaseResult r = run_gemm_phase(cfg);
   ASSERT_EQ(r.chunk_cycles.size(), 4u);
+  const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
+  const std::vector<std::uint64_t> completion = r.chunk_completion.expand();
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    cum += r.chunk_cycles[i];
-    EXPECT_EQ(r.chunk_completion[i], cum) << i;
+    cum += cycles[i];
+    EXPECT_EQ(completion[i], cum) << i;
   }
   EXPECT_EQ(cum, r.cycles);
 }
@@ -98,12 +197,13 @@ TEST(ChunkTimelineTest, RevisitingProducerCompletesLate) {
   cfg.chunk_target = ChunkTarget::kMatrixOut;
   const PhaseResult r = run_gemm_phase(cfg);
   ASSERT_EQ(r.chunk_cycles.size(), 4u);
+  const std::vector<std::uint64_t> completion = r.chunk_completion.expand();
   // Even the first chunk (rows 0-15, all G) completes only in the final
   // G sweep: later than 3/4 of the run.
-  EXPECT_GT(r.chunk_completion[0], r.cycles * 3 / 4);
+  EXPECT_GT(completion[0], r.cycles * 3 / 4);
   // Completions are ordered by final-sweep traversal.
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GE(r.chunk_completion[i], r.chunk_completion[i - 1]);
+    EXPECT_GE(completion[i], completion[i - 1]);
   }
 }
 
@@ -122,10 +222,12 @@ TEST(ChunkTimelineTest, SpmmCompletionsMatchDurations) {
   cfg.chunk_target = ChunkTarget::kMatrixOut;
   const PhaseResult r = run_spmm_phase(cfg);
   ASSERT_EQ(r.chunk_cycles.size(), 5u);
+  const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
+  const std::vector<std::uint64_t> completion = r.chunk_completion.expand();
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < r.chunk_cycles.size(); ++i) {
-    cum += r.chunk_cycles[i];
-    EXPECT_EQ(r.chunk_completion[i], cum);
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    cum += cycles[i];
+    EXPECT_EQ(completion[i], cum);
   }
   EXPECT_EQ(cum, r.cycles);
 }
@@ -145,12 +247,13 @@ TEST(ChunkTimelineTest, ElementGranularitySplitsRowBlocks) {
   cfg.chunk_target = ChunkTarget::kMatrixOut;
   const PhaseResult r = run_spmm_phase(cfg);
   ASSERT_EQ(r.chunk_cycles.size(), 8u);  // 4 row blocks x 2 col blocks
+  const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
   std::uint64_t sum = 0;
-  for (const auto c : r.chunk_cycles) sum += c;
+  for (const auto c : cycles) sum += c;
   EXPECT_EQ(sum, r.cycles);
   // The hub's row block dominates the rest.
-  const std::uint64_t hub = r.chunk_cycles[0] + r.chunk_cycles[1];
-  const std::uint64_t leaf = r.chunk_cycles[6] + r.chunk_cycles[7];
+  const std::uint64_t hub = cycles[0] + cycles[1];
+  const std::uint64_t leaf = cycles[6] + cycles[7];
   EXPECT_GT(hub, leaf);
 }
 

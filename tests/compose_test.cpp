@@ -4,12 +4,14 @@
 // strategy eligibility) on hand-built and engine-produced layer results.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 
 #include "gnn/inference.hpp"
 #include "graph/generators.hpp"
 #include "omega/compose.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace omega {
 namespace {
@@ -18,23 +20,38 @@ constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
 
 // ---- Overflow regressions ---------------------------------------------------
 
+/// compose_parallel_pipeline on the compact forms of per-chunk vectors.
+std::uint64_t compose_pp(const std::vector<std::uint64_t>& producer,
+                         const std::vector<std::uint64_t>& consumer,
+                         std::uint64_t consumer_start = 0) {
+  return compose_parallel_pipeline(ChunkTimeline::completions(producer),
+                                   ChunkTimeline::durations(consumer),
+                                   consumer_start);
+}
+
 TEST(ComposeOverflowTest, ParallelPipelineSaturatesInsteadOfWrapping) {
   // Regression: `start + consumer_chunk_cycles[i]` wrapped u64, reporting a
   // near-zero makespan for near-UINT64_MAX chunk cycles. The recurrence now
   // saturates, so the ordering "pipelined >= any single chunk" survives.
   const std::vector<std::uint64_t> producer{kMax - 10, kMax - 5};
   const std::vector<std::uint64_t> consumer{100, 100};
-  EXPECT_EQ(compose_parallel_pipeline(producer, consumer), kMax);
+  EXPECT_EQ(compose_pp(producer, consumer), kMax);
+  EXPECT_EQ(compose_parallel_pipeline_timeline(producer, consumer).back(),
+            kMax);
 
   // Single-chunk variant right at the edge: no saturation needed.
-  EXPECT_EQ(compose_parallel_pipeline({kMax - 10}, {10}), kMax);
+  EXPECT_EQ(compose_pp({kMax - 10}, {10}), kMax);
   // And one past the edge saturates.
-  EXPECT_EQ(compose_parallel_pipeline({kMax - 10}, {11}), kMax);
+  EXPECT_EQ(compose_pp({kMax - 10}, {11}), kMax);
 
   // The consumer-side accumulation alone can also wrap.
   const std::vector<std::uint64_t> zero_producer{0, 0, 0};
   const std::vector<std::uint64_t> huge_consumer{kMax / 2, kMax / 2, kMax / 2};
-  EXPECT_EQ(compose_parallel_pipeline(zero_producer, huge_consumer), kMax);
+  EXPECT_EQ(compose_pp(zero_producer, huge_consumer), kMax);
+  // So can a run of them, composed in closed form.
+  EXPECT_EQ(compose_pp(std::vector<std::uint64_t>(1000, 0),
+                       std::vector<std::uint64_t>(1000, kMax / 500)),
+            kMax);
 }
 
 TEST(ComposeOverflowTest, TimelineMatchesScalarRecurrence) {
@@ -47,7 +64,44 @@ TEST(ComposeOverflowTest, TimelineMatchesScalarRecurrence) {
   EXPECT_EQ(done[1], 16u);  // max(12,9)+4
   EXPECT_EQ(done[2], 34u);  // max(30,16)+4
   EXPECT_EQ(done[3], 38u);  // max(31,34)+4
-  EXPECT_EQ(done.back(), compose_parallel_pipeline(producer, consumer));
+  EXPECT_EQ(done.back(), compose_pp(producer, consumer));
+}
+
+TEST(ComposeOverflowTest, RunWiseComposeMatchesPerChunkRecurrence) {
+  // Random run structures on both sides, run values drawn from the regimes
+  // the closed form distinguishes (producer increment below, at or above
+  // the consumer duration) and from the saturating extreme, with start
+  // floors: the run-wise recurrence must equal the per-chunk one exactly.
+  Rng rng(20260);
+  const std::uint64_t picks[] = {0, 1, 2, 3, 7, 64, 1000, kMax / 4096,
+                                 kMax / 3, kMax};
+  const auto value = [&] {
+    return rng.next_below(4) == 0 ? picks[rng.next_below(std::size(picks))]
+                                  : rng.next_below(40);
+  };
+  const auto random_runs = [&](ChunkTimeline t, std::size_t chunks) {
+    while (t.size() < chunks) {
+      const std::size_t left = chunks - t.size();
+      t.append(value(), 1 + rng.next_below(std::min<std::size_t>(left, 9)));
+    }
+    return t;
+  };
+  std::size_t multi_run = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t chunks = 1 + rng.next_below(trial % 4 == 0 ? 3 : 120);
+    const ChunkTimeline producer = random_runs(
+        ChunkTimeline(ChunkTimeline::Kind::kCompletions), chunks);
+    const ChunkTimeline consumer = random_runs(ChunkTimeline(), chunks);
+    const std::uint64_t floor =
+        trial % 3 == 0 ? 0 : picks[rng.next_below(std::size(picks))];
+    multi_run += producer.runs() > 1 && consumer.runs() > 1;
+    const std::vector<std::uint64_t> done = compose_parallel_pipeline_timeline(
+        producer.expand(), consumer.expand(), floor);
+    ASSERT_EQ(compose_parallel_pipeline(producer, consumer, floor),
+              done.back())
+        << "trial " << trial;
+  }
+  EXPECT_GT(multi_run, 2000u);
 }
 
 TEST(ComposeOverflowTest, ScaledBandwidthComputesIn128Bit) {
@@ -111,12 +165,11 @@ RunResult synthetic_pp_layer(std::size_t rows, std::size_t blocks,
   r.chunk_grid.cols = in_f;
   r.chunk_grid.row_block = (rows + blocks - 1) / blocks;
   r.chunk_grid.col_block = in_f;  // one column block
-  for (std::size_t i = 0; i < blocks; ++i) {
-    r.agg.chunk_cycles.push_back(phase_step);
-    r.agg.chunk_completion.push_back((i + 1) * phase_step);
-    r.cmb.chunk_cycles.push_back(phase_step);
-    r.cmb.chunk_completion.push_back((i + 1) * phase_step);
-  }
+  // Back-to-back phases: each chunk completes one phase_step later.
+  r.agg.chunk_cycles.append(phase_step, blocks);
+  r.agg.chunk_completion.append(phase_step, blocks);
+  r.cmb.chunk_cycles.append(phase_step, blocks);
+  r.cmb.chunk_completion.append(phase_step, blocks);
   r.agg.cycles = blocks * phase_step;
   r.cmb.cycles = blocks * phase_step;
   r.cycles = compose_parallel_pipeline(r.agg.chunk_completion,

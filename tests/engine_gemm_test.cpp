@@ -170,10 +170,11 @@ TEST(GemmEngineTest, ChunkCyclesSumToTotal) {
   cfg.chunks.row_block = 4;  // two row chunks of the V x F intermediate
   cfg.chunk_target = ChunkTarget::kMatrixA;
   const auto r = run_gemm_phase(cfg);
-  ASSERT_EQ(r.chunk_cycles.size(), 2u);
-  EXPECT_EQ(r.chunk_cycles[0] + r.chunk_cycles[1], r.cycles);
-  EXPECT_GT(r.chunk_cycles[0], 0u);
-  EXPECT_GT(r.chunk_cycles[1], 0u);
+  const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
+  ASSERT_EQ(cycles.size(), 2u);
+  EXPECT_EQ(cycles[0] + cycles[1], r.cycles);
+  EXPECT_GT(cycles[0], 0u);
+  EXPECT_GT(cycles[1], 0u);
 }
 
 TEST(GemmEngineTest, PartialTilesKeepTrafficExact) {
@@ -228,19 +229,18 @@ TEST(GemmEngineTest, SaturatedNestSaturatesTailAndFill) {
     const auto r = run_gemm_phase(cfg);
     EXPECT_EQ(r.cycles, kMax) << order;
     ASSERT_EQ(r.chunk_cycles.size(), 1u) << order;
-    EXPECT_EQ(r.chunk_cycles[0], kMax) << order;
-    EXPECT_EQ(r.chunk_completion[0], kMax) << order;
+    EXPECT_EQ(r.chunk_cycles.expand()[0], kMax) << order;
+    EXPECT_EQ(r.chunk_completion.expand()[0], kMax) << order;
 
     // Two row chunks: the timeline still sums (saturating) to the total.
     cfg.chunk_target = ChunkTarget::kMatrixOut;
     cfg.chunks.rows = cfg.rows;
     cfg.chunks.row_block = cfg.rows / 2;
     const auto chunked = run_gemm_phase(cfg);
-    ASSERT_EQ(chunked.chunk_cycles.size(), 2u) << order;
-    EXPECT_EQ(sat_add_u64(chunked.chunk_cycles[0], chunked.chunk_cycles[1]),
-              chunked.cycles)
-        << order;
-    EXPECT_EQ(chunked.chunk_completion[1], kMax) << order;
+    const std::vector<std::uint64_t> cycles = chunked.chunk_cycles.expand();
+    ASSERT_EQ(cycles.size(), 2u) << order;
+    EXPECT_EQ(sat_add_u64(cycles[0], cycles[1]), chunked.cycles) << order;
+    EXPECT_EQ(chunked.chunk_completion.expand()[1], kMax) << order;
   }
 }
 
@@ -363,8 +363,6 @@ void expect_same_result(const PhaseResult& got, const PhaseResult& want,
   expect_same_counts(got.traffic.intermediate_partition,
                      want.traffic.intermediate_partition,
                      what + " partition");
-  EXPECT_EQ(got.chunk_cycles, want.chunk_cycles) << what;
-  EXPECT_EQ(got.chunk_completion, want.chunk_completion) << what;
 }
 
 constexpr int kFuzzConfigs = 8000;
@@ -377,11 +375,16 @@ TEST(GemmEngineTest, MatchesNaiveWalkOnFuzzedConfigs) {
   for (int i = 0; i < kFuzzConfigs; ++i) {
     const GemmPhaseConfig cfg = fuzz_config(rng);
     const std::string what = "config " + std::to_string(i) + ": " + describe(cfg);
-    const PhaseResult want = naive_gemm_walk(cfg);
-    expect_same_result(run_gemm_phase(cfg), want, what);
+    const NaiveGemmWalk naive = naive_gemm_walk(cfg);
+    const PhaseResult& want = naive.result;
+    const PhaseResult got = run_gemm_phase(cfg);
+    expect_same_result(got, want, what);
+    // The compact timelines expand to the walk's per-chunk values.
+    EXPECT_EQ(got.chunk_cycles.expand(), naive.chunk_cycles) << what;
+    EXPECT_EQ(got.chunk_completion.expand(), naive.chunk_completion) << what;
     if (::testing::Test::HasFailure()) break;  // one config's diff is enough
     psum_spills += want.psum_cycles > 0;
-    multi_chunk += want.chunk_cycles.size() > 1;
+    multi_chunk += naive.chunk_cycles.size() > 1;
     long_levels += ceil_div(cfg.rows, cfg.tiles.v) >= 10 &&
                    ceil_div(cfg.cols, cfg.tiles.g) >= 4;
   }
@@ -399,14 +402,20 @@ TEST(GemmEngineTest, FuzzedResultsKeepChunkInvariants) {
     const PhaseResult r = run_gemm_phase(cfg);
     EXPECT_EQ(r.macs, static_cast<std::uint64_t>(cfg.rows) * cfg.inner * cfg.cols)
         << what;
+    const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
+    const std::vector<std::uint64_t> completion = r.chunk_completion.expand();
     std::uint64_t sum = 0;
-    for (const std::uint64_t c : r.chunk_cycles) sum = sat_add_u64(sum, c);
+    for (const std::uint64_t c : cycles) sum = sat_add_u64(sum, c);
     EXPECT_EQ(sum, r.cycles) << what;
-    ASSERT_FALSE(r.chunk_completion.empty()) << what;
-    EXPECT_TRUE(std::is_sorted(r.chunk_completion.begin(),
-                               r.chunk_completion.end()))
+    ASSERT_FALSE(completion.empty()) << what;
+    EXPECT_EQ(completion.size(), cycles.size()) << what;
+    EXPECT_TRUE(std::is_sorted(completion.begin(), completion.end())) << what;
+    EXPECT_EQ(completion.back(), r.cycles) << what;
+    // Compression is canonical: a timeline round-trips through its
+    // expansion unchanged.
+    EXPECT_EQ(ChunkTimeline::durations(cycles), r.chunk_cycles) << what;
+    EXPECT_EQ(ChunkTimeline::completions(completion), r.chunk_completion)
         << what;
-    EXPECT_EQ(r.chunk_completion.back(), r.cycles) << what;
     if (::testing::Test::HasFailure()) break;
   }
 }

@@ -17,6 +17,8 @@
 #include <array>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -204,10 +206,11 @@ TEST(EvalCoreFuzz, BindingMutationsMatchUncachedRunPipeline) {
 
 /// Big-grid terms (past kPhaseMemoMaxChunks) keep only the timeline their
 /// boundary role composes from: a PP producer's chunk_completion, a PP
-/// consumer's chunk_cycles, none at SP-generic. The SP-generic and PP
-/// variants of one binding share their dataflows and chunk grid, so a key
-/// collision between them would hand a stripped SP-generic term to PP
-/// composition and break parity.
+/// consumer's chunk_cycles, none at SP-generic. The store charges exactly
+/// the run bytes the kept timelines hold. The SP-generic and PP variants of
+/// one binding share their dataflows and chunk grid, so a key collision
+/// between them would hand a stripped SP-generic term to PP composition and
+/// break parity.
 TEST(EvalCoreTerms, BigGridTermsKeepOnlyTheTimelineCompositionReads) {
   Rng graph_rng(31);
   GnnWorkload w;
@@ -226,8 +229,7 @@ TEST(EvalCoreTerms, BigGridTermsKeepOnlyTheTimelineCompositionReads) {
       chain, 0, w, omega.config().num_pes, pp_only);
 
   // Feasible PP bindings whose grid is past the memo bound, all on one grid
-  // size so the expected byte count is terms x chunks x 8, each paired with
-  // its SP-generic variant.
+  // size, each paired with its SP-generic variant.
   std::size_t grid = 0;
   std::vector<PipelineCandidate> pp;
   std::vector<PipelineCandidate> spg;
@@ -293,7 +295,10 @@ TEST(EvalCoreTerms, BigGridTermsKeepOnlyTheTimelineCompositionReads) {
   EXPECT_GT(spg_plan->term_count(), 0u);
   EXPECT_EQ(spg_plan->term_timeline_bytes(), 0u);
 
-  // Every PP term is big-grid and keeps one u64 per chunk.
+  // Every PP term is big-grid and keeps one compact timeline: the store
+  // charges the run bytes of the distinct terms' kept timelines, recomputed
+  // here from fresh simulations (the AC producer is phase 0, the consumer
+  // phase 1).
   const WorkloadContext pp_ctx(w.adjacency);
   const auto pp_plan = PipelineEvalPlan::obtain(omega, w, chain, pp_ctx);
   PipelineDeltaState pp_state;
@@ -301,9 +306,31 @@ TEST(EvalCoreTerms, BigGridTermsKeepOnlyTheTimelineCompositionReads) {
     expect_same(evaluate(*pp_plan, pp[i], pp_state), pp_want[i],
                 chain.bind(pp[i].view()).to_string());
   }
-  EXPECT_GT(pp_plan->term_count(), 0u);
-  EXPECT_EQ(pp_plan->term_timeline_bytes(),
-            pp_plan->term_count() * grid * sizeof(std::uint64_t));
+  std::vector<std::unique_ptr<const CSRGraph>> weights;
+  const std::vector<PipelinePhaseShape> shapes =
+      pipeline_shapes(chain.phases, w.in_features, weights);
+  std::map<std::array<std::uint64_t, 22>, std::size_t> held;
+  for (const PipelineCandidate& c : pp) {
+    std::vector<PhaseEngineConfig> configs(shapes.size());
+    std::vector<BoundaryOutcome> boundaries(shapes.size() - 1);
+    (void)derive_pipeline(omega.config(), w.adjacency, nullptr, shapes,
+                          c.view(), configs, boundaries);
+    for (std::size_t p = 0; p < configs.size(); ++p) {
+      ASSERT_TRUE(big_grid(configs[p]));
+      const PhaseResult r = *simulate_phase(configs[p], nullptr);
+      const EvalTermKey key = configs[p].is_gemm ? term_key(configs[p].gemm)
+                                                 : term_key(configs[p].spmm);
+      held[key.w] =
+          p == 0 ? r.chunk_completion.bytes() : r.chunk_cycles.bytes();
+    }
+  }
+  std::size_t held_bytes = 0;
+  for (const auto& [key, bytes] : held) held_bytes += bytes;
+  EXPECT_EQ(pp_plan->term_count(), held.size());
+  EXPECT_EQ(pp_plan->term_timeline_bytes(), held_bytes);
+  // Far below the one u64 per chunk the terms held as plain vectors.
+  EXPECT_LT(pp_plan->term_timeline_bytes(),
+            pp_plan->term_count() * grid * sizeof(std::uint64_t) / 2);
 
   // The mixed plan holds both sets of terms side by side, none shared, and
   // pays only for the PP ones.

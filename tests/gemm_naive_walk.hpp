@@ -12,13 +12,22 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "engine/gemm_engine.hpp"
 #include "util/saturate.hpp"
 
 namespace omega {
 
-inline PhaseResult naive_gemm_walk(const GemmPhaseConfig& cfg) {
+/// The walk's result: the summary fields in `result` (its compact
+/// timelines left empty) and one value per chunk of each timeline.
+struct NaiveGemmWalk {
+  PhaseResult result;
+  std::vector<std::uint64_t> chunk_cycles;
+  std::vector<std::uint64_t> chunk_completion;
+};
+
+inline NaiveGemmWalk naive_gemm_walk(const GemmPhaseConfig& cfg) {
   cfg.validate();
 
   struct Level {
@@ -71,11 +80,14 @@ inline PhaseResult naive_gemm_walk(const GemmPhaseConfig& cfg) {
       ceil_div(covered_v * covered_g, tile_pes) <=
       std::max<std::size_t>(cfg.rf_elements / 2, 1);
 
-  PhaseResult r;
+  NaiveGemmWalk out;
+  PhaseResult& r = out.result;
   const std::size_t num_chunks =
       cfg.chunk_target == ChunkTarget::kNone ? 1 : cfg.chunks.num_chunks();
-  r.chunk_cycles.assign(num_chunks, 0);
-  r.chunk_completion.assign(num_chunks, 0);
+  std::vector<std::uint64_t>& chunk_cycles = out.chunk_cycles;
+  std::vector<std::uint64_t>& chunk_completion = out.chunk_completion;
+  chunk_cycles.assign(num_chunks, 0);
+  chunk_completion.assign(num_chunks, 0);
   r.fill_cycles = 2 + static_cast<std::uint64_t>(
                           std::bit_width(tf > 1 ? tf : std::size_t{1}) - 1);
 
@@ -201,9 +213,9 @@ inline PhaseResult naive_gemm_walk(const GemmPhaseConfig& cfg) {
         } else if (cfg.chunk_target == ChunkTarget::kMatrixOut) {
           chunk = cfg.chunks.chunk_of(iv * tv, ig * tg);
         }
-        r.chunk_cycles.at(chunk) =
-            sat_add_u64(r.chunk_cycles.at(chunk), step + serial);
-        r.chunk_completion.at(chunk) = r.cycles;
+        chunk_cycles.at(chunk) =
+            sat_add_u64(chunk_cycles.at(chunk), step + serial);
+        chunk_completion.at(chunk) = r.cycles;
         last_chunk = chunk;
       }
     }
@@ -212,18 +224,18 @@ inline PhaseResult naive_gemm_walk(const GemmPhaseConfig& cfg) {
   std::uint64_t tail = 0;
   flush_out_visit(tail);
   r.cycles = sat_add_u64(r.cycles, tail);
-  r.chunk_cycles[last_chunk] = sat_add_u64(r.chunk_cycles[last_chunk], tail);
-  r.chunk_completion[last_chunk] =
-      sat_add_u64(r.chunk_completion[last_chunk], tail);
+  chunk_cycles[last_chunk] = sat_add_u64(chunk_cycles[last_chunk], tail);
+  chunk_completion[last_chunk] =
+      sat_add_u64(chunk_completion[last_chunk], tail);
 
   r.cycles = sat_add_u64(r.cycles, r.fill_cycles);
-  r.chunk_cycles.front() = sat_add_u64(r.chunk_cycles.front(), r.fill_cycles);
+  chunk_cycles.front() = sat_add_u64(chunk_cycles.front(), r.fill_cycles);
   std::uint64_t floor_cycles = 0;
-  for (auto& c : r.chunk_completion) {
+  for (auto& c : chunk_completion) {
     c = std::max(sat_add_u64(c, r.fill_cycles), floor_cycles);
     floor_cycles = c;
   }
-  return r;
+  return out;
 }
 
 }  // namespace omega

@@ -43,12 +43,19 @@ std::vector<std::uint64_t> prefix_sums(std::vector<std::uint64_t> v) {
   }
   return v;
 }
+
+/// compose_parallel_pipeline on the compact forms of per-chunk vectors.
+std::uint64_t compose_pp(const std::vector<std::uint64_t>& producer,
+                         const std::vector<std::uint64_t>& consumer) {
+  return compose_parallel_pipeline(ChunkTimeline::completions(producer),
+                                   ChunkTimeline::durations(consumer));
+}
 }  // namespace
 
 TEST(ComposePipelineTest, PerfectOverlapApproachesSlowerPhase) {
   const auto prod_done = prefix_sums(std::vector<std::uint64_t>(100, 10));
   const std::vector<std::uint64_t> cons(100, 4);
-  const std::uint64_t total = compose_parallel_pipeline(prod_done, cons);
+  const std::uint64_t total = compose_pp(prod_done, cons);
   // Producer-bound: 100*10 plus the last consumer chunk.
   EXPECT_EQ(total, 100u * 10 + 4);
 }
@@ -56,7 +63,7 @@ TEST(ComposePipelineTest, PerfectOverlapApproachesSlowerPhase) {
 TEST(ComposePipelineTest, ConsumerBoundPipeline) {
   const auto prod_done = prefix_sums(std::vector<std::uint64_t>(50, 2));
   const std::vector<std::uint64_t> cons(50, 9);
-  const std::uint64_t total = compose_parallel_pipeline(prod_done, cons);
+  const std::uint64_t total = compose_pp(prod_done, cons);
   // First chunk fills, then the consumer dominates.
   EXPECT_EQ(total, 2u + 50 * 9);
 }
@@ -67,12 +74,12 @@ TEST(ComposePipelineTest, LateCompletionGatesConsumer) {
   const std::vector<std::uint64_t> prod_done{90, 91, 92, 93};
   const std::vector<std::uint64_t> cons{5, 5, 5, 5};
   // cons: starts at 90 -> 95, 100, 105, 110.
-  EXPECT_EQ(compose_parallel_pipeline(prod_done, cons), 110u);
+  EXPECT_EQ(compose_pp(prod_done, cons), 110u);
 }
 
 TEST(ComposePipelineTest, MismatchedChunksThrow) {
-  EXPECT_THROW((void)compose_parallel_pipeline({1, 2}, {1}), Error);
-  EXPECT_THROW((void)compose_parallel_pipeline({}, {}), Error);
+  EXPECT_THROW((void)compose_pp({1, 2}, {1}), Error);
+  EXPECT_THROW((void)compose_pp({}, {}), Error);
 }
 
 TEST(OmegaRunTest, SeqCyclesAreSumOfPhases) {

@@ -7,11 +7,13 @@
 // messages the searcher relies on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "dse/pipeline_search.hpp"
+#include "dse/search.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -117,6 +119,58 @@ TEST(PipelineAdapterTest, TwoPhaseParityRankedAndPareto) {
       ASSERT_TRUE(rc.candidate.legacy.has_value());
       EXPECT_EQ(rc.key, rc.candidate.legacy->to_string());
     }
+  }
+}
+
+/// Every field of a two-phase descriptor: its notation omits tile sizes.
+std::string full_key(const DataflowDescriptor& df) {
+  const auto tiles = [](const TileSizes& t) {
+    return std::to_string(t.v) + "x" + std::to_string(t.n) + "x" +
+           std::to_string(t.f) + "x" + std::to_string(t.g);
+  };
+  char frac[32];
+  std::snprintf(frac, sizeof(frac), "%a", df.pp_agg_pe_fraction);
+  return df.to_string() + " " + tiles(df.agg.tiles) + " " +
+         tiles(df.cmb.tiles) + " " + frac;
+}
+
+TEST(PipelineEnumerateTest, ClassicChainsEnumerateOnlyTheirOwnOrder) {
+  // A classic chain's population is its phase order's share of the legacy
+  // include_ca walk, in the same order: the AC head for an AC chain, the CA
+  // tail for a CA chain.
+  SynthesisOptions cora_opt;
+  cora_opt.scale = 0.5;
+  Rng rng(16);
+  GnnWorkload rmat_w;
+  rmat_w.name = "rmat";
+  rmat_w.adjacency = rmat(11, 12000, rng).with_self_loops().gcn_normalized();
+  rmat_w.in_features = 64;
+  const LayerSpec layer{16};
+  const std::size_t pes = 256;
+  for (const GnnWorkload& w :
+       {synthesize_workload(dataset_by_name("Cora"), cora_opt), rmat_w}) {
+    SCOPED_TRACE(w.name);
+    SearchOptions legacy;
+    legacy.include_ca = true;
+    const std::vector<DataflowDescriptor> both =
+        enumerate_search_candidates(legacy, dims_of(w, layer), pes);
+    const std::vector<PipelineChainSpec> chains = classic_chains(layer, true);
+    std::size_t at = 0;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      const PhaseOrder order = c == 0 ? PhaseOrder::kAC : PhaseOrder::kCA;
+      const std::vector<PipelineCandidate> pop =
+          enumerate_pipeline_candidates(chains[c], c, w, pes, {});
+      ASSERT_FALSE(pop.empty());
+      for (const PipelineCandidate& cand : pop) {
+        ASSERT_LT(at, both.size());
+        ASSERT_TRUE(cand.legacy.has_value());
+        EXPECT_EQ(cand.legacy->phase_order, order);
+        ASSERT_EQ(full_key(*cand.legacy), full_key(both[at]))
+            << "candidate " << at;
+        ++at;
+      }
+    }
+    EXPECT_EQ(at, both.size());
   }
 }
 

@@ -110,10 +110,10 @@ TEST_P(RandomMappings, CostModelInvariants) {
   // (3) Chunk timelines cover the phase exactly.
   for (const PhaseResult* p : {&r.agg, &r.cmb}) {
     std::uint64_t sum = 0;
-    for (const auto c : p->chunk_cycles) sum += c;
+    for (const auto c : p->chunk_cycles.expand()) sum += c;
     EXPECT_EQ(sum, p->cycles);
     ASSERT_FALSE(p->chunk_completion.empty());
-    EXPECT_LE(p->chunk_completion.back(), p->cycles);
+    EXPECT_LE(p->chunk_completion.expand().back(), p->cycles);
   }
 
   // (4) Compulsory traffic: every edge's feature slice must be fetched at

@@ -187,18 +187,41 @@ TEST(SharedTransposeTest, CopyDropsCacheAndMutationInvalidates) {
   EXPECT_FLOAT_EQ(rebuilt->values().front(), 1.5f);
 }
 
-TEST(LaneScheduleTest, PrefixMaxMatchesRowFinish) {
+TEST(LaneScheduleTest, PrefixMaxMatchesAnIndependentLaneWalk) {
   Rng rng(5);
   const CSRGraph g = lognormal_chung_lu(96, 700, 1.5, rng);
-  const LaneSchedule s = build_lane_schedule(g, 8, 2);
-  ASSERT_EQ(s.row_finish.size(), g.num_vertices());
-  ASSERT_EQ(s.row_finish_prefix.size(), g.num_vertices());
-  std::uint64_t running = 0;
-  for (std::size_t r = 0; r < s.row_finish.size(); ++r) {
-    running = std::max(running, s.row_finish[r]);
-    EXPECT_EQ(s.row_finish_prefix[r], running);
+  for (const auto& [lanes, width] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {8, 2}, {1, 1}, {3, 5}, {200, 1}}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes x " + std::to_string(width));
+    const LaneSchedule s = build_lane_schedule(g, lanes, width);
+    // Lane by lane: lane l walks rows l, l + lanes, ... and finishes each
+    // row after the trips of every earlier row it walked.
+    std::vector<std::uint64_t> finish(g.num_vertices(), 0);
+    std::uint64_t total = 0;
+    std::uint64_t slowest = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::uint64_t clock = 0;
+      for (std::size_t r = l; r < g.num_vertices(); r += lanes) {
+        const std::size_t deg = g.degree(static_cast<VertexId>(r));
+        const std::uint64_t trips =
+            deg == 0 ? 1 : (deg + width - 1) / width;
+        clock += trips;
+        total += trips;
+        finish[r] = clock;
+      }
+      slowest = std::max(slowest, clock);
+    }
+    ASSERT_EQ(s.row_finish_prefix.size(), g.num_vertices());
+    std::uint64_t running = 0;
+    for (std::size_t r = 0; r < finish.size(); ++r) {
+      running = std::max(running, finish[r]);
+      EXPECT_EQ(s.row_finish_prefix[r], running) << "row " << r;
+    }
+    EXPECT_EQ(s.total_steps, total);
+    EXPECT_EQ(s.critical_path, slowest);
+    EXPECT_EQ(s.row_finish_prefix.back(), s.critical_path);
   }
-  EXPECT_EQ(s.row_finish_prefix.back(), s.critical_path);
 }
 
 TEST(WorkloadContextTest, SchedulesAreMemoized) {
