@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace omega {
@@ -33,13 +32,6 @@ class ChunkTimeline {
   };
 
   explicit ChunkTimeline(Kind kind = Kind::kDurations) : kind_(kind) {}
-
-  /// Compresses per-chunk durations.
-  [[nodiscard]] static ChunkTimeline durations(
-      std::span<const std::uint64_t> per_chunk);
-  /// Compresses per-chunk completions; they must be non-decreasing.
-  [[nodiscard]] static ChunkTimeline completions(
-      std::span<const std::uint64_t> per_chunk);
 
   /// The completion timeline of chunks that run back to back with these
   /// durations: the same runs, read as increments.
@@ -108,10 +100,6 @@ class ChunkTimeline {
   };
   static_assert(sizeof(Run) == 12);
 
-  /// Replaces the runs with those of stored(0), ..., stored(n - 1), sized
-  /// exactly.
-  template <typename Stored>
-  void assign_runs(std::size_t n, const Stored& stored);
   [[noreturn]] static void throw_too_many_chunks();
 
   std::vector<Run> runs_;

@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -37,6 +39,243 @@ int deepest_effective_level(const std::array<LoopInfo, 3>& loops, bool uses_v,
     if (uses && loops[static_cast<std::size_t>(d)].count > 1) level = d;
   }
   return level;
+}
+
+// ---- Chunk charges as run segments ------------------------------------------
+
+/// Charges to chunks [lo, hi): each chunk takes `cycles`, and chunk lo + j
+/// completes at `done + j * step`. Every such value fits in a u64 (a
+/// saturated stretch is its own segment with step 0), so the progression
+/// is exact.
+struct ChunkSegment {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t done = 0;
+  std::uint64_t step = 0;  // unused by a one-chunk segment
+
+  [[nodiscard]] std::size_t length() const { return hi - lo; }
+  [[nodiscard]] std::uint64_t last_done() const {
+    return done + (hi - lo - 1) * step;
+  }
+};
+
+/// Emits `s` with `add` added to every completion, saturating: the chunks
+/// that stay below UINT64_MAX keep the progression, the rest complete at
+/// UINT64_MAX. At most two segments.
+template <typename Emit>
+void emit_delayed(ChunkSegment s, std::uint64_t add, const Emit& emit) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t room = kMax - add;  // completions up to room stay exact
+  std::size_t exact = s.length();
+  if (s.done > room) {
+    exact = 0;
+  } else if (s.step > 0) {
+    exact = static_cast<std::size_t>(std::min<std::uint64_t>(
+        exact, (room - s.done) / s.step + 1));
+  }
+  if (exact > 0) {
+    ChunkSegment head = s;
+    head.hi = s.lo + exact;
+    head.done += add;
+    emit(head);
+  }
+  if (exact < s.length()) {
+    s.lo += exact;
+    s.done = kMax;
+    s.step = 0;
+    emit(s);
+  }
+}
+
+/// Appends `s` to `segs`, extending the last segment when `s` continues
+/// it: adjacent chunks, the same cycles and the same completion increment.
+/// `s` starts after the last segment and completes no earlier.
+void extend_or_push(std::vector<ChunkSegment>& segs, const ChunkSegment& s) {
+  if (!segs.empty()) {
+    ChunkSegment& b = segs.back();
+    const std::uint64_t gap = s.done - b.last_done();
+    if (b.hi == s.lo && b.cycles == s.cycles &&
+        (b.length() == 1 || gap == b.step) &&
+        (s.length() == 1 || s.step == gap)) {
+      b.step = gap;
+      b.hi = s.hi;
+      return;
+    }
+  }
+  segs.push_back(s);
+}
+
+/// Folds `s` into `segs`, which hold one segment per run of chunks in chunk
+/// order: a chunk in both sums its cycles (saturating) and keeps the later
+/// completion. Returns false, leaving `segs` as it was, when `s` goes
+/// backwards: it starts before the last charged chunk or completes before
+/// it.
+bool fold_in_order(std::vector<ChunkSegment>& segs, ChunkSegment s) {
+  if (segs.empty()) {
+    segs.push_back(s);
+    return true;
+  }
+  ChunkSegment& b = segs.back();
+  const std::size_t last = b.hi - 1;
+  const std::uint64_t last_done = b.last_done();
+  if (s.lo < last || s.done < last_done) return false;
+  if (s.lo == last) {
+    const ChunkSegment shared{last, last + 1, sat_add_u64(b.cycles, s.cycles),
+                              s.done, 0};
+    if (b.length() == 1) {
+      segs.pop_back();
+    } else {
+      --b.hi;
+    }
+    extend_or_push(segs, shared);
+    if (s.length() == 1) return true;
+    ++s.lo;
+    s.done += s.step;
+  }
+  extend_or_push(segs, s);
+  return true;
+}
+
+/// Collects the walk's chunk charges into the phase's two timelines. While
+/// charges arrive in chunk order (and time order) it keeps one segment per
+/// run and allocates nothing per chunk. The first charge that goes
+/// backwards, from a transposed or revisiting loop order, switches it to
+/// per-chunk accumulation for the rest of the walk; a chunk's charges then
+/// fold by summed cycles and the latest completion, which is the last one
+/// because completions never decrease in walk order.
+class ChunkSink {
+ public:
+  explicit ChunkSink(std::size_t num_chunks) : num_chunks_(num_chunks) {
+    segs_.push_back({0, 1, 0, 0, 0});  // chunk 0 takes the fill
+  }
+
+  /// Charges `s`. Throws InvalidArgumentError when `s` reaches past the
+  /// grid: a wrong plateau shift fails here, once per segment.
+  void charge(const ChunkSegment& s) {
+    if (s.hi > num_chunks_) {
+      throw InvalidArgumentError(
+          "GEMM chunk " + std::to_string(s.hi - 1) + " is outside its " +
+          std::to_string(num_chunks_) + "-chunk grid");
+    }
+    last_ = s.hi - 1;
+    if (!spilled_) {
+      if (fold_in_order(segs_, s)) return;
+      spill();
+    }
+    for (std::size_t c = s.lo; c < s.hi; ++c) {
+      cycles_[c] = sat_add_u64(cycles_[c], s.cycles);
+      done_[c] = std::max(done_[c], s.done + (c - s.lo) * s.step);
+    }
+  }
+
+  /// Adds the drain `tail` to the last charged chunk's cycles and completion.
+  void charge_tail(std::uint64_t tail) {
+    const std::uint64_t done =
+        spilled_ ? done_[last_] : segs_.back().last_done();
+    charge({last_, last_ + 1, tail, sat_add_u64(done, tail), 0});
+  }
+
+  /// The timelines, with the pipeline `fill` added to chunk 0's cycles and
+  /// to every completion. A never-charged chunk completes with its
+  /// predecessor.
+  void finish(std::uint64_t fill, ChunkTimeline& cycles,
+              ChunkTimeline& completion) const {
+    cycles = ChunkTimeline(ChunkTimeline::Kind::kDurations);
+    completion = ChunkTimeline(ChunkTimeline::Kind::kCompletions);
+    std::uint64_t prev = 0;  // the previous chunk's completion
+    if (spilled_) {
+      for (std::size_t c = 0; c < num_chunks_; ++c) {
+        cycles.append(c == 0 ? sat_add_u64(cycles_[c], fill) : cycles_[c]);
+        const std::uint64_t done = std::max(sat_add_u64(done_[c], fill), prev);
+        completion.append(done - prev);
+        prev = done;
+      }
+    } else {
+      std::size_t next = 0;  // first chunk not yet appended
+      for (const ChunkSegment& s : segs_) {
+        cycles.append(0, s.lo - next);
+        completion.append(0, s.lo - next);
+        if (s.lo == 0) {
+          cycles.append(sat_add_u64(s.cycles, fill));
+          cycles.append(s.cycles, s.length() - 1);
+        } else {
+          cycles.append(s.cycles, s.length());
+        }
+        emit_delayed(s, fill, [&](const ChunkSegment& p) {
+          completion.append(p.done - prev);
+          completion.append(p.step, p.length() - 1);
+          prev = p.last_done();
+        });
+        next = s.hi;
+      }
+      cycles.append(0, num_chunks_ - next);
+      completion.append(0, num_chunks_ - next);
+    }
+    cycles.shrink_to_fit();
+    completion.shrink_to_fit();
+  }
+
+ private:
+  void spill() {
+    spilled_ = true;
+    cycles_.assign(num_chunks_, 0);
+    done_.assign(num_chunks_, 0);
+    for (const ChunkSegment& s : segs_) {
+      for (std::size_t c = s.lo; c < s.hi; ++c) {
+        cycles_[c] = s.cycles;
+        done_[c] = s.done + (c - s.lo) * s.step;
+      }
+    }
+    segs_.clear();
+  }
+
+  std::size_t num_chunks_;
+  std::size_t last_ = 0;  // the last charged chunk
+  bool spilled_ = false;
+  std::vector<ChunkSegment> segs_;     // in chunk order, until spilled
+  std::vector<std::uint64_t> cycles_;  // per chunk, once spilled
+  std::vector<std::uint64_t> done_;    // per chunk, once spilled
+};
+
+/// Folds the representative iteration's charges, log[mark..], to one
+/// segment per run of chunks in chunk order (summed cycles, latest
+/// completion per chunk). An out-of-order log folds chunk by chunk.
+void fold_representative(std::vector<ChunkSegment>& log, std::size_t mark,
+                         std::vector<ChunkSegment>& scratch) {
+  if (log.size() - mark < 2) return;  // one segment is folded already
+  scratch.clear();
+  bool in_order = true;
+  for (std::size_t j = mark; j < log.size() && in_order; ++j) {
+    in_order = fold_in_order(scratch, log[j]);
+  }
+  if (!in_order) {
+    scratch.clear();
+    for (std::size_t j = mark; j < log.size(); ++j) {
+      const ChunkSegment& s = log[j];
+      for (std::size_t c = s.lo; c < s.hi; ++c) {
+        scratch.push_back(
+            {c, c + 1, s.cycles, s.done + (c - s.lo) * s.step, 0});
+      }
+    }
+    std::sort(scratch.begin(), scratch.end(),
+              [](const ChunkSegment& a, const ChunkSegment& b) {
+                return a.lo < b.lo;
+              });
+    std::size_t folded = 0;
+    for (const ChunkSegment& s : scratch) {
+      if (folded > 0 && scratch[folded - 1].lo == s.lo) {
+        ChunkSegment& f = scratch[folded - 1];
+        f.cycles = sat_add_u64(f.cycles, s.cycles);
+        f.done = std::max(f.done, s.done);
+      } else {
+        scratch[folded++] = s;
+      }
+    }
+    scratch.resize(folded);
+  }
+  log.resize(mark);
+  log.insert(log.end(), scratch.begin(), scratch.end());
 }
 
 }  // namespace
@@ -136,11 +375,9 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   PhaseResult r;
   const std::size_t num_chunks =
       cfg.chunk_target == ChunkTarget::kNone ? 1 : cfg.chunks.num_chunks();
-  // Per-chunk accumulation during the walk, compressed into the result's
-  // run-length timelines once at the end.
-  std::vector<std::uint64_t> chunk_cycles(num_chunks, 0);
-  std::vector<std::uint64_t> chunk_completion(num_chunks, 0);
-  std::size_t last_chunk_touched = 0;
+  // The walk charges chunks as run segments; the sink builds the result's
+  // timelines from them.
+  ChunkSink sink(num_chunks);
 
   // One-time fill: distribution latency + spatial-reduction tree depth.
   const std::size_t tree_in = tf > 1 ? tf : 1;
@@ -235,19 +472,14 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
 
   // Chunk charges made while a representative iteration is being recorded
   // (see the walk below); empty otherwise.
-  struct ChunkCharge {
-    std::size_t chunk;
-    std::uint64_t cycles;
-    std::uint64_t completion;
-  };
-  std::vector<ChunkCharge> recorded;
+  std::vector<ChunkSegment> recorded;
+  std::vector<ChunkSegment> fold_scratch;
+  recorded.reserve(16);  // a few segments per level; skip the first regrowths
+  fold_scratch.reserve(16);
   int recording = 0;
-  const auto charge_chunk = [&](std::size_t chunk, std::uint64_t cycles,
-                                std::uint64_t completion) {
-    chunk_cycles[chunk] = sat_add_u64(chunk_cycles[chunk], cycles);
-    chunk_completion[chunk] = completion;  // last contribution wins
-    last_chunk_touched = chunk;
-    if (recording > 0) recorded.push_back({chunk, cycles, completion});
+  const auto charge = [&](const ChunkSegment& s) {
+    sink.charge(s);
+    if (recording > 0) recorded.push_back(s);
   };
 
   const bool a_streams = la == 2;
@@ -347,7 +579,7 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
     r.active_pe_cycles = sat_add_u64(r.active_pe_cycles, macs);
     const std::uint64_t total_step = step + serial;
     r.cycles = sat_add_u64(r.cycles, total_step);
-    charge_chunk(chunk, total_step, r.cycles);
+    charge({chunk, chunk + 1, total_step, r.cycles, 0});
   };
 
   // ---- Uniform-walk collapse, at every loop level --------------------------
@@ -361,10 +593,13 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   // one representative middle iteration and the last one (recursively, so
   // at most 27 tile steps run), and replays the representative's deltas
   // arithmetically: scalar totals and traffic times the middle count, and
-  // its per-chunk charges once per chunk plateau of this level. The replay
-  // is exact by construction (it multiplies the deltas the real code path
+  // its chunk charges, folded to run segments, once per chunk plateau of
+  // this level (a stretch of equal full plateaus at once). The replay is
+  // exact by construction (it multiplies the deltas the real code path
   // produced); engine_gemm_test checks it against the naive walk. A term
-  // costs O(plateaus x chunks touched), not O(steps).
+  // whose charges arrive in chunk order costs O(plateaus x segments), with
+  // nothing allocated per chunk; one that goes back a chunk costs
+  // O(plateaus x chunks touched + chunks). Never O(steps).
   const auto walk = [&](const auto& self, std::size_t level,
                         std::size_t chunk_base) -> void {
     if (level == 3) {
@@ -395,25 +630,10 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
     run(1);  // the representative middle iteration
     --recording;
 
-    // Fold the representative's chunk charges to one per chunk: the sum of
-    // its cycles and its last completion.
-    std::stable_sort(recorded.begin() + static_cast<std::ptrdiff_t>(mark),
-                     recorded.end(),
-                     [](const ChunkCharge& a, const ChunkCharge& b) {
-                       return a.chunk < b.chunk;
-                     });
-    std::size_t folded_end = mark;
-    for (std::size_t j = mark; j < recorded.size(); ++j) {
-      const ChunkCharge& c = recorded[j];
-      if (folded_end > mark && recorded[folded_end - 1].chunk == c.chunk) {
-        ChunkCharge& f = recorded[folded_end - 1];
-        f.cycles = sat_add_u64(f.cycles, c.cycles);
-        f.completion = c.completion;
-      } else {
-        recorded[folded_end++] = c;
-      }
-    }
-    recorded.resize(folded_end);
+    // Fold the representative's chunk charges to runs: per chunk, the sum
+    // of its cycles and its latest completion.
+    fold_representative(recorded, mark, fold_scratch);
+    const std::size_t folded_end = recorded.size();
 
     // Middle iterations 2 .. count-2 replay the representative (1).
     const std::size_t mid_end = count - 2;
@@ -421,19 +641,53 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
     const std::uint64_t iter_cycles = r.cycles - s_cycles;
 
     // Chunks: iteration k charges the representative's chunks shifted by
-    // contribution(k) - contribution(1), ending iter_cycles * (k - 1) later.
+    // contribution(k) - contribution(1), ending iter_cycles * (k - 1) later,
+    // so plateau k..e replays each folded segment once: shifted, its cycles
+    // times the plateau's length and its completions iteration e's.
+    // When the representative charged one chunk and the level's tiles
+    // divide its chunk blocks, its full plateaus move one chunk each and
+    // last `per_plateau` iterations: they charge consecutive chunks the same
+    // cycles, completing per_plateau iterations apart, which is one segment.
     const std::size_t rep_contribution = contribution(level, 1);
+    const ChunkAxis& axis = axes[level];
+    const std::size_t per_plateau =
+        axis.block == 0 ? 0 : axis.block / loops[level].tile;
+    const bool uniform_plateaus = folded_end == mark + 1 &&
+                                  recorded[mark].length() == 1 &&
+                                  axis.stride == 1 && per_plateau > 0 &&
+                                  axis.block % loops[level].tile == 0;
     for (std::size_t k = 2; k <= mid_end;) {
       const std::size_t e = std::min(plateau_end(level, k), mid_end + 1) - 1;
       const std::size_t shift = contribution(level, k) - rep_contribution;
       const std::uint64_t n = e - k + 1;
       const std::uint64_t delay = sat_mul_u64(e - 1, iter_cycles);
       for (std::size_t j = mark; j < folded_end; ++j) {
-        const ChunkCharge c = recorded[j];  // charge_chunk may grow the log
-        charge_chunk(c.chunk + shift, sat_mul_u64(n, c.cycles),
-                     sat_add_u64(c.completion, delay));
+        ChunkSegment s = recorded[j];  // charge may grow the log
+        s.lo += shift;
+        s.hi += shift;
+        s.cycles = sat_mul_u64(n, s.cycles);
+        emit_delayed(s, delay, charge);
       }
       k = e + 1;
+      if (!uniform_plateaus || k > mid_end) continue;
+      // k starts a block: replay the full plateaus that follow at once,
+      // unless their completions saturate.
+      const std::size_t plateaus = (mid_end + 1 - k) / per_plateau;
+      const std::size_t last = k + plateaus * per_plateau - 1;
+      ChunkSegment s = recorded[mark];
+      if (plateaus < 2 ||
+          sat_add_u64(s.done, sat_mul_u64(last - 1, iter_cycles)) ==
+              std::numeric_limits<std::uint64_t>::max()) {
+        continue;
+      }
+      s.lo += contribution(level, k) - rep_contribution;
+      s.hi = s.lo + plateaus;
+      s.cycles = sat_mul_u64(per_plateau, s.cycles);
+      s.done = sat_add_u64(
+          s.done, sat_mul_u64(k + per_plateau - 2, iter_cycles));
+      s.step = sat_mul_u64(per_plateau, iter_cycles);
+      charge(s);
+      k = last + 1;
     }
     if (recording == 0) recorded.clear();
 
@@ -471,23 +725,10 @@ PhaseResult run_gemm_phase(const GemmPhaseConfig& cfg) {
   std::uint64_t tail = 0;
   flush_out_visit(&tail);
   r.cycles = sat_add_u64(r.cycles, tail);
-  chunk_cycles[last_chunk_touched] =
-      sat_add_u64(chunk_cycles[last_chunk_touched], tail);
-  chunk_completion[last_chunk_touched] =
-      sat_add_u64(chunk_completion[last_chunk_touched], tail);
+  sink.charge_tail(tail);
 
   r.cycles = sat_add_u64(r.cycles, r.fill_cycles);
-  chunk_cycles.front() = sat_add_u64(chunk_cycles.front(), r.fill_cycles);
-  // The pipeline fill delays every completion; never-touched chunks (empty
-  // grid cells) complete with their predecessors.
-  std::uint64_t floor_cycles = 0;
-  for (auto& c : chunk_completion) {
-    c = sat_add_u64(c, r.fill_cycles);
-    floor_cycles = std::max(floor_cycles, c);
-    c = std::max(c, floor_cycles);
-  }
-  r.chunk_cycles = ChunkTimeline::durations(chunk_cycles);
-  r.chunk_completion = ChunkTimeline::completions(chunk_completion);
+  sink.finish(r.fill_cycles, r.chunk_cycles, r.chunk_completion);
   return r;
 }
 

@@ -13,6 +13,8 @@
 #include "engine/spmm_engine.hpp"
 #include "graph/generators.hpp"
 
+#include "chunk_timeline_oracle.hpp"
+
 namespace omega {
 namespace {
 
@@ -86,7 +88,7 @@ TEST(ChunkTimelineTest, RoundTripsEdgeCases) {
   // One chunk, one run, and one run over many chunks.
   for (const Values& v :
        {Values{7}, Values{kMax}, Values(5000, 3), Values(3, kMax)}) {
-    const ChunkTimeline d = ChunkTimeline::durations(v);
+    const ChunkTimeline d = compress_durations(v);
     EXPECT_EQ(d.runs(), 1u);
     EXPECT_EQ(d.size(), v.size());
     EXPECT_EQ(d.bytes(), 12u);
@@ -94,17 +96,17 @@ TEST(ChunkTimelineTest, RoundTripsEdgeCases) {
   }
   // Saturated completions: everything from the first UINT64_MAX on.
   const Values saturated{kMax, kMax, kMax};
-  const ChunkTimeline c = ChunkTimeline::completions(saturated);
+  const ChunkTimeline c = compress_completions(saturated);
   EXPECT_EQ(c.runs(), 2u);  // increments kMax, 0, 0
   EXPECT_EQ(c.expand(), saturated);
   const Values ramp{1, kMax - 1, kMax, kMax};
-  EXPECT_EQ(ChunkTimeline::completions(ramp).expand(), ramp);
+  EXPECT_EQ(compress_completions(ramp).expand(), ramp);
   // A linear stretch is one run of its increment.
-  EXPECT_EQ(ChunkTimeline::completions(Values{4, 8, 12, 16}).runs(), 1u);
-  EXPECT_THROW((void)ChunkTimeline::completions(Values{5, 4}), Error);
+  EXPECT_EQ(compress_completions(Values{4, 8, 12, 16}).runs(), 1u);
+  EXPECT_THROW((void)compress_completions(Values{5, 4}), Error);
 
   // Durations read as back-to-back completions expand to prefix sums.
-  const ChunkTimeline d = ChunkTimeline::durations(Values{2, 2, 5});
+  const ChunkTimeline d = compress_durations(Values{2, 2, 5});
   EXPECT_EQ(d.back_to_back_completions().expand(), (Values{2, 4, 9}));
   // Appending zero chunks is a no-op; equal values extend the last run.
   ChunkTimeline a;
@@ -113,7 +115,7 @@ TEST(ChunkTimelineTest, RoundTripsEdgeCases) {
   a.append(9, 2);
   a.append(9);
   EXPECT_EQ(a.runs(), 1u);
-  EXPECT_EQ(a, ChunkTimeline::durations(Values{9, 9, 9}));
+  EXPECT_EQ(a, compress_durations(Values{9, 9, 9}));
 }
 
 TEST(ChunkTimelineTest, RoundTripFuzz) {
@@ -128,7 +130,7 @@ TEST(ChunkTimelineTest, RoundTripFuzz) {
       const std::size_t len = 1 + rng.next_below(12);
       for (std::size_t k = 0; k < len && v.size() < n; ++k) v.push_back(x);
     }
-    const ChunkTimeline d = ChunkTimeline::durations(v);
+    const ChunkTimeline d = compress_durations(v);
     ASSERT_EQ(d.expand(), v) << "trial " << trial;
     EXPECT_EQ(d.size(), n);
     EXPECT_EQ(d.runs(), count_runs(v));
@@ -145,7 +147,7 @@ TEST(ChunkTimelineTest, RoundTripFuzz) {
       total = sat_add_u64(total, v[i]);
       done[i] = total;
     }
-    const ChunkTimeline c = ChunkTimeline::completions(done);
+    const ChunkTimeline c = compress_completions(done);
     ASSERT_EQ(c.expand(), done) << "trial " << trial;
     EXPECT_EQ(c.size(), n);
     if (total < kMax) {

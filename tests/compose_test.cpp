@@ -13,6 +13,8 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+#include "chunk_timeline_oracle.hpp"
+
 namespace omega {
 namespace {
 
@@ -24,8 +26,8 @@ constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
 std::uint64_t compose_pp(const std::vector<std::uint64_t>& producer,
                          const std::vector<std::uint64_t>& consumer,
                          std::uint64_t consumer_start = 0) {
-  return compose_parallel_pipeline(ChunkTimeline::completions(producer),
-                                   ChunkTimeline::durations(consumer),
+  return compose_parallel_pipeline(compress_completions(producer),
+                                   compress_durations(consumer),
                                    consumer_start);
 }
 

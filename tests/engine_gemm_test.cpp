@@ -9,12 +9,15 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/saturate.hpp"
 
 #include "engine/gemm_engine.hpp"
+#include "chunk_timeline_oracle.hpp"
 #include "gemm_naive_walk.hpp"
 
 namespace omega {
@@ -244,6 +247,72 @@ TEST(GemmEngineTest, SaturatedNestSaturatesTailAndFill) {
   }
 }
 
+TEST(GemmEngineTest, SaturatedPlateausCompleteAtPrefixSums) {
+  // 64 chunks walked in order, each taking 2^59 or more F steps:
+  // completions pass UINT64_MAX partway through the grid, inside the
+  // stretches the collapse replays as runs (one row chunk per V tile; a row
+  // of eight column chunks per V tile). Each chunk still completes at the
+  // saturating prefix sum of the chunk durations.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const char* order : {"VFG", "VGF"}) {
+    GemmPhaseConfig cfg;
+    const bool row_chunks = order[1] == 'F';
+    cfg.rows = row_chunks ? 64 : 8;
+    cfg.inner = std::size_t{1} << (row_chunks ? 60 : 59);
+    cfg.cols = row_chunks ? 1 : 8;
+    cfg.order = LoopOrder::parse(order, GnnPhase::kCombination);
+    cfg.tiles = {.v = 1, .n = 1, .f = 1, .g = 1};
+    cfg.pes = 1;
+    cfg.chunk_target = ChunkTarget::kMatrixOut;
+    cfg.chunks.rows = cfg.rows;
+    cfg.chunks.cols = cfg.cols;
+    cfg.chunks.row_block = 1;
+    cfg.chunks.col_block = 1;
+    const PhaseResult r = run_gemm_phase(cfg);
+    const std::vector<std::uint64_t> cycles = r.chunk_cycles.expand();
+    const std::vector<std::uint64_t> completion = r.chunk_completion.expand();
+    ASSERT_EQ(cycles.size(), 64u) << order;
+    ASSERT_EQ(completion.size(), 64u) << order;
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      sum = sat_add_u64(sum, cycles[i]);
+      EXPECT_EQ(completion[i], sum) << order << " chunk " << i;
+    }
+    EXPECT_LT(completion[3], kMax) << order;
+    EXPECT_EQ(completion[40], kMax) << order;
+    EXPECT_EQ(sum, r.cycles) << order;
+  }
+}
+
+TEST(GemmEngineTest, RejectsChunksOutsideTheGrid) {
+  // A chunk grid over half the rows the nest walks: the walk's chunk
+  // indices run past the grid, and the engine throws rather than charge a
+  // chunk its timelines do not hold. VGF row-major walks the chunks in
+  // order (runs); GVF column-major goes back a chunk when G advances
+  // (per-chunk accumulation) before it leaves the grid.
+  const std::pair<const char*, TraversalMajor> walks[] = {
+      {"VGF", TraversalMajor::kRowMajor},
+      {"GVF", TraversalMajor::kColumnMajor},
+  };
+  for (const auto& [order, major] : walks) {
+    auto cfg = base_config(order, {.v = 1, .n = 1, .f = 1, .g = 3});
+    cfg.chunk_target = ChunkTarget::kMatrixOut;
+    cfg.chunks.rows = cfg.rows / 2;
+    cfg.chunks.cols = cfg.cols;
+    cfg.chunks.row_block = 1;
+    cfg.chunks.col_block = 3;
+    cfg.chunks.major = major;
+    try {
+      (void)run_gemm_phase(cfg);
+      ADD_FAILURE() << order << ": a chunk outside the grid was charged";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("is outside its 8-chunk grid"),
+                std::string::npos)
+          << order << ": " << e.what();
+    }
+  }
+}
+
 // ---- Differential fuzz against the naive walk ---------------------------
 
 // Tile count of one loop level: 1, 2-3, 4-9 or 10-24, so every level shape
@@ -365,6 +434,127 @@ void expect_same_result(const PhaseResult& got, const PhaseResult& want,
                      what + " partition");
 }
 
+// ---- Which way the chunk sink builds the timelines ------------------------
+// The engine keeps a walk's timelines as runs while its chunk charges arrive
+// in chunk order, and accumulates per chunk from the first charge that goes
+// back. Two cases follow from the naive walk alone: a walk whose steps never
+// go back a chunk charges in order throughout, and a walk that goes back a
+// chunk when some level first advances (iteration 0 to 1, every outer level
+// at 0) goes back between two steps the collapse executes itself, one
+// right after the other.
+
+std::size_t level_count(const GemmPhaseConfig& cfg, std::size_t depth) {
+  switch (cfg.order.at(depth)) {
+    case Dim::kV: return ceil_div(cfg.rows, std::min(cfg.tiles.v, cfg.rows));
+    case Dim::kF: return ceil_div(cfg.inner, std::min(cfg.tiles.f, cfg.inner));
+    default: return ceil_div(cfg.cols, std::min(cfg.tiles.g, cfg.cols));
+  }
+}
+
+bool walks_in_chunk_order(const NaiveGemmWalk& naive) {
+  return std::is_sorted(naive.step_chunks.begin(), naive.step_chunks.end());
+}
+
+bool goes_back_on_first_advance(const GemmPhaseConfig& cfg,
+                                const NaiveGemmWalk& naive) {
+  const std::vector<std::size_t>& chunks = naive.step_chunks;
+  std::size_t steps_per_iteration = 1;  // of the level at `depth`
+  for (std::size_t depth = 3; depth-- > 0;) {
+    const std::size_t count = level_count(cfg, depth);
+    if (count > 1 &&
+        chunks[steps_per_iteration - 1] > chunks[steps_per_iteration]) {
+      return true;
+    }
+    steps_per_iteration *= count;
+  }
+  return false;
+}
+
+// ---- Sweep-sized grids ----------------------------------------------------
+// Shaped like the largest GEMM terms of the R-MAT scale-16 sweep: 65,536
+// rows and grids of about 10K chunks, in both traversal majors. Each shape
+// names the loop order it stands for and the sink regime it must reach.
+
+struct SweepShape {
+  const char* name;
+  const char* order;
+  TraversalMajor major;
+  ChunkTarget target;
+  std::size_t inner;
+  std::size_t cols;
+  TileSizes tiles;
+  std::size_t row_block;
+  std::size_t col_block;
+  bool in_order;
+};
+
+GemmPhaseConfig sweep_config(const SweepShape& s) {
+  GemmPhaseConfig cfg;
+  cfg.rows = 65536;
+  cfg.inner = s.inner;
+  cfg.cols = s.cols;
+  cfg.order = LoopOrder::parse(s.order, GnnPhase::kCombination);
+  cfg.tiles = s.tiles;
+  cfg.pes = s.tiles.v * s.tiles.f * s.tiles.g;
+  cfg.bw_dist = 8;
+  cfg.bw_red = 4;
+  cfg.rf_elements = 4;
+  cfg.chunk_target = s.target;
+  cfg.chunks.rows = cfg.rows;
+  cfg.chunks.cols = s.target == ChunkTarget::kMatrixA ? cfg.inner : cfg.cols;
+  cfg.chunks.row_block = s.row_block;
+  cfg.chunks.col_block = s.col_block;
+  cfg.chunks.major = s.major;
+  return cfg;
+}
+
+TEST(GemmEngineTest, MatchesNaiveWalkOnSweepSizedGrids) {
+  constexpr auto kRow = TraversalMajor::kRowMajor;
+  constexpr auto kCol = TraversalMajor::kColumnMajor;
+  constexpr auto kOut = ChunkTarget::kMatrixOut;
+  constexpr auto kA = ChunkTarget::kMatrixA;
+  const TileSizes wide_v{.v = 12, .n = 1, .f = 4, .g = 8};
+  const TileSizes wide_g{.v = 4, .n = 1, .f = 4, .g = 32};
+  const SweepShape shapes[] = {
+      // Each V tile fills one row block, its G tiles walk the columns.
+      {"in order, row-major", "VGF", kRow, kOut, 16, 64, wide_v, 12, 32, true},
+      // One G tile per column block; three V tiles per row block replay
+      // as one run.
+      {"in order, column-major", "GVF", kCol, kOut, 16, 64, wide_g, 12, 32,
+       true},
+      {"in order, row-major A", "VFG", kRow, kA, 32, 16,
+       {.v = 12, .n = 1, .f = 16, .g = 8}, 12, 16, true},
+      // The minor axis outside the major one.
+      {"transposed, row-major", "GVF", kRow, kOut, 16, 64, wide_v, 12, 32,
+       false},
+      {"transposed, column-major", "VGF", kCol, kOut, 16, 64, wide_g, 12, 32,
+       false},
+      // The contraction outside a level that moves the chunk.
+      {"revisiting, row-major", "FVG", kRow, kOut, 16, 64, wide_v, 12, 32,
+       false},
+      {"revisiting, column-major", "VFG", kCol, kOut, 16, 64, wide_g, 12, 32,
+       false},
+      // Eight V tiles per row block, each walking the block's columns.
+      {"revisiting rows, row-major A", "VFG", kRow, kA, 64, 16,
+       {.v = 2, .n = 1, .f = 16, .g = 8}, 16, 16, false},
+  };
+  for (const SweepShape& shape : shapes) {
+    const GemmPhaseConfig cfg = sweep_config(shape);
+    const std::string what = std::string(shape.name) + ": " + describe(cfg);
+    const NaiveGemmWalk naive = naive_gemm_walk(cfg);
+    const PhaseResult got = run_gemm_phase(cfg);
+    EXPECT_GT(naive.chunk_cycles.size(), 10000u) << what;
+    expect_same_result(got, naive.result, what);
+    EXPECT_EQ(got.chunk_cycles.expand(), naive.chunk_cycles) << what;
+    EXPECT_EQ(got.chunk_completion.expand(), naive.chunk_completion) << what;
+    if (shape.in_order) {
+      EXPECT_TRUE(walks_in_chunk_order(naive)) << what;
+    } else {
+      EXPECT_TRUE(goes_back_on_first_advance(cfg, naive)) << what;
+    }
+  }
+}
+
 constexpr int kFuzzConfigs = 8000;
 
 TEST(GemmEngineTest, MatchesNaiveWalkOnFuzzedConfigs) {
@@ -372,6 +562,8 @@ TEST(GemmEngineTest, MatchesNaiveWalkOnFuzzedConfigs) {
   int psum_spills = 0;
   int multi_chunk = 0;
   int long_levels = 0;
+  int in_order_sinks = 0;
+  int per_chunk_sinks = 0;
   for (int i = 0; i < kFuzzConfigs; ++i) {
     const GemmPhaseConfig cfg = fuzz_config(rng);
     const std::string what = "config " + std::to_string(i) + ": " + describe(cfg);
@@ -387,11 +579,18 @@ TEST(GemmEngineTest, MatchesNaiveWalkOnFuzzedConfigs) {
     multi_chunk += naive.chunk_cycles.size() > 1;
     long_levels += ceil_div(cfg.rows, cfg.tiles.v) >= 10 &&
                    ceil_div(cfg.cols, cfg.tiles.g) >= 4;
+    if (naive.chunk_cycles.size() > 1) {
+      in_order_sinks += walks_in_chunk_order(naive);
+      per_chunk_sinks += goes_back_on_first_advance(cfg, naive);
+    }
   }
-  // The generator reaches the corners the collapse must get right.
+  // The generator reaches the corners the collapse must get right,
+  // including both ways the chunk sink builds a multi-chunk timeline.
   EXPECT_GT(psum_spills, kFuzzConfigs / 20);
   EXPECT_GT(multi_chunk, kFuzzConfigs / 4);
   EXPECT_GT(long_levels, kFuzzConfigs / 20);
+  EXPECT_GT(in_order_sinks, kFuzzConfigs / 20);
+  EXPECT_GT(per_chunk_sinks, kFuzzConfigs / 20);
 }
 
 TEST(GemmEngineTest, FuzzedResultsKeepChunkInvariants) {
@@ -413,8 +612,8 @@ TEST(GemmEngineTest, FuzzedResultsKeepChunkInvariants) {
     EXPECT_EQ(completion.back(), r.cycles) << what;
     // Compression is canonical: a timeline round-trips through its
     // expansion unchanged.
-    EXPECT_EQ(ChunkTimeline::durations(cycles), r.chunk_cycles) << what;
-    EXPECT_EQ(ChunkTimeline::completions(completion), r.chunk_completion)
+    EXPECT_EQ(compress_durations(cycles), r.chunk_cycles) << what;
+    EXPECT_EQ(compress_completions(completion), r.chunk_completion)
         << what;
     if (::testing::Test::HasFailure()) break;
   }

@@ -20,11 +20,13 @@
 namespace omega {
 
 /// The walk's result: the summary fields in `result` (its compact
-/// timelines left empty) and one value per chunk of each timeline.
+/// timelines left empty), one value per chunk of each timeline, and the
+/// chunk of every tile step in walk order.
 struct NaiveGemmWalk {
   PhaseResult result;
   std::vector<std::uint64_t> chunk_cycles;
   std::vector<std::uint64_t> chunk_completion;
+  std::vector<std::size_t> step_chunks;
 };
 
 inline NaiveGemmWalk naive_gemm_walk(const GemmPhaseConfig& cfg) {
@@ -216,6 +218,7 @@ inline NaiveGemmWalk naive_gemm_walk(const GemmPhaseConfig& cfg) {
         chunk_cycles.at(chunk) =
             sat_add_u64(chunk_cycles.at(chunk), step + serial);
         chunk_completion.at(chunk) = r.cycles;
+        out.step_chunks.push_back(chunk);
         last_chunk = chunk;
       }
     }

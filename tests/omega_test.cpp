@@ -8,6 +8,8 @@
 #include "graph/generators.hpp"
 #include "omega/omega.hpp"
 
+#include "chunk_timeline_oracle.hpp"
+
 namespace omega {
 namespace {
 
@@ -47,8 +49,8 @@ std::vector<std::uint64_t> prefix_sums(std::vector<std::uint64_t> v) {
 /// compose_parallel_pipeline on the compact forms of per-chunk vectors.
 std::uint64_t compose_pp(const std::vector<std::uint64_t>& producer,
                          const std::vector<std::uint64_t>& consumer) {
-  return compose_parallel_pipeline(ChunkTimeline::completions(producer),
-                                   ChunkTimeline::durations(consumer));
+  return compose_parallel_pipeline(compress_completions(producer),
+                                   compress_durations(consumer));
 }
 }  // namespace
 
