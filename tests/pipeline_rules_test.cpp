@@ -10,17 +10,26 @@
 //    that lack spatial or temporal reduction (the substrate half of the
 //    rules, which the binding-mutation fuzz in eval_core_test never
 //    exercises: its substrate supports both);
-//  * the enumerator emits only bindings that break no rule.
+//  * the enumerator emits only bindings that break no rule;
+//  * the classic two-phase descriptor's checks (validation_error and
+//    Omega::run) answer the whole tile-1/2 descriptor space exactly as the
+//    committed parity table says.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <vector>
 
 #include "dse/pipeline_search.hpp"
 #include "engine/eval_core.hpp"
 #include "graph/generators.hpp"
+#include "omega/omega.hpp"
 #include "omega/pipeline.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -677,6 +686,154 @@ TEST(PipelineRulesTest, EnumeratorEmitsOnlyValidBindings) {
       }
     }
     EXPECT_GT(pp, 0u);
+  }
+}
+
+
+// ---- Two-phase descriptor parity table ---------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// An OMEGA_CHECK message names the checking source file and line; keep the
+/// file name only, so the table does not depend on the checkout or on line
+/// numbers.
+std::string without_source_location(std::string what) {
+  const std::size_t at = what.find(" at /");
+  if (at == std::string::npos) return what;
+  const std::size_t end = what.find(' ', at + 4);
+  const std::string location = what.substr(at + 4, end - at - 4);
+  const std::string file =
+      location.substr(location.rfind('/') + 1,
+                      location.rfind(':') - location.rfind('/') - 1);
+  return what.replace(at + 4, end - at - 4, file);
+}
+
+/// The two-phase descriptors with tiles 1 and 2: both phase orders, the four
+/// strategies, the 36 loop-order pairs, the tile fields a rule reads at 1 or
+/// 2, and under PP five Aggregation PE shares (inside (0, 1), tiny, both
+/// ends, NaN). SP-Optimized reads all six tile fields (agg V, N, F; cmb V, F,
+/// G); the other strategies read only the contraction tiles (agg N, cmb F,
+/// through the substrate's reduction support), so the others stay 1 there:
+/// 6,624 descriptors, where all six fields everywhere would be 36,864 and
+/// take about 2 s. Each gets five rows: validation_error's text, and what
+/// Omega::run throws on an 8-vertex graph under the default substrate, one
+/// without spatial reduction, one without temporal reduction and a 1-PE one.
+/// Returns the FNV-1a digest of every row in order, then a sorted histogram
+/// of the rows with the descriptor prefix stripped from their messages.
+std::string descriptor_parity_table() {
+  GnnWorkload w;
+  w.name = "ring8";
+  w.adjacency = cycle_graph(8).with_self_loops().gcn_normalized();
+  w.in_features = 4;
+  const LayerSpec layer{4};
+  AcceleratorConfig no_spatial = default_accelerator();
+  no_spatial.supports_spatial_reduction = false;
+  AcceleratorConfig no_temporal = default_accelerator();
+  no_temporal.supports_temporal_reduction = false;
+  AcceleratorConfig one_pe = default_accelerator();
+  one_pe.num_pes = 1;
+  const std::vector<std::pair<std::string, Omega>> runs = {
+      {"run default", Omega(default_accelerator())},
+      {"run no-spatial", Omega(no_spatial)},
+      {"run no-temporal", Omega(no_temporal)},
+      {"run 1-pe", Omega(one_pe)}};
+  // Phase results are memoized by their full engine config, so one context
+  // serves every substrate.
+  const WorkloadContext context(w.adjacency);
+  const std::vector<std::pair<std::string, double>> pp_shares = {
+      {"0.5", 0.5},
+      {"1e-9", 1e-9},
+      {"0", 0.0},
+      {"1", 1.0},
+      {"nan", std::numeric_limits<double>::quiet_NaN()}};
+  const std::vector<std::pair<std::string, double>> other_shares = {
+      {"0.5", 0.5}};
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t rows = 0;
+  std::map<std::string, std::size_t> histogram;
+  const auto record = [&](const std::string& df, const std::string& share,
+                          const std::string& call, const std::string& type,
+                          const std::string& what) {
+    digest = fnv1a(digest, df + "|" + share + "|" + call + "|" + type + "|" +
+                               what + "\n");
+    ++rows;
+    const std::string prefix = df + ": ";
+    std::string message = what.starts_with(prefix)
+                              ? what.substr(prefix.size())
+                              : what;
+    ++histogram[call + "\t" + type + "\t" + message];
+  };
+
+  for (const PhaseOrder po : {PhaseOrder::kAC, PhaseOrder::kCA}) {
+    for (const InterPhase inter :
+         {InterPhase::kSequential, InterPhase::kSPGeneric,
+          InterPhase::kSPOptimized, InterPhase::kParallelPipeline}) {
+      for (const LoopOrder& agg : all_loop_orders(GnnPhase::kAggregation)) {
+        for (const LoopOrder& cmb : all_loop_orders(GnnPhase::kCombination)) {
+          for (unsigned bits = 0; bits < 64; ++bits) {
+            constexpr unsigned kContractionBits = 1u << 1 | 1u << 4;
+            if (inter != InterPhase::kSPOptimized &&
+                (bits & ~kContractionBits) != 0) {
+              continue;
+            }
+            const auto tile = [&](unsigned bit) -> std::size_t {
+              return (bits >> bit & 1u) + 1;
+            };
+            DataflowDescriptor df;
+            df.inter = inter;
+            df.phase_order = po;
+            df.agg = {GnnPhase::kAggregation, agg,
+                      {.v = tile(0), .n = tile(1), .f = tile(2), .g = 1}};
+            df.cmb = {GnnPhase::kCombination, cmb,
+                      {.v = tile(3), .n = 1, .f = tile(4), .g = tile(5)}};
+            const std::string name = df.to_string();
+            for (const auto& [share, f] :
+                 inter == InterPhase::kParallelPipeline ? pp_shares
+                                                        : other_shares) {
+              df.pp_agg_pe_fraction = f;
+              const auto err = df.validation_error();
+              record(name, share, "validation_error", err ? "error" : "ok",
+                     err.value_or(""));
+              for (const auto& [call, omega] : runs) {
+                const Thrown t =
+                    thrown_by([&] { (void)omega.run(w, layer, df, context); });
+                record(name, share, call, t.type.empty() ? "ok" : t.type,
+                       without_source_location(t.what));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  std::ostringstream out;
+  out << "# Two-phase descriptor rule parity: " << rows / 5
+      << " descriptors x (validation_error + Omega::run on 4 substrates).\n"
+      << "# Regenerating it is a behaviour change that CHANGES.md explains.\n"
+      << "digest " << std::hex << digest << std::dec << "\n";
+  for (const auto& [key, count] : histogram) out << count << "\t" << key << "\n";
+  return out.str();
+}
+
+TEST(DescriptorRulesTest, ParityTableMatchesGolden) {
+  const std::string got = descriptor_parity_table();
+  std::ifstream in(OMEGA_GOLDEN_DIR "/descriptor_rules_parity.txt");
+  std::stringstream want;
+  want << in.rdbuf();
+  if (got != want.str()) {
+    std::ofstream("descriptor_rules_parity.actual.txt") << got;
+    FAIL() << "the descriptor checks disagree with "
+              "tests/golden/descriptor_rules_parity.txt; the table this build "
+              "computes is in descriptor_rules_parity.actual.txt in the test's "
+              "working directory";
   }
 }
 
