@@ -2,10 +2,10 @@
 //
 //     <Inter><order>(<AggIntra>, <CmbIntra>)
 //
-// plus the machinery the paper's Table II encodes: which intra-phase loop
-// order pairs can be pipelined, at what granularity (element / row / column),
-// and which extra constraints SP-Optimized imposes (matched tile sizes,
-// temporal reduction).
+// plus the hand-off analysis of the paper's Table II: which intra-phase loop
+// order pairs can be pipelined, and at what granularity (element / row /
+// column). The rules built on it, SP-Optimized's included, live in one
+// place, check_pipeline (omega/pipeline.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,8 @@ struct PipelineAnalysis {
 };
 
 /// Analyzes pipelined hand-off feasibility for a loop-order pair under a
-/// phase order, independent of tile sizes (Table II rows 4-9).
+/// phase order, independent of tile sizes (Table II rows 4-9): analyze_handoff
+/// on the roles of the lowered pair (omega/pipeline.cpp).
 [[nodiscard]] PipelineAnalysis analyze_pipeline(const LoopOrder& agg,
                                                 const LoopOrder& cmb,
                                                 PhaseOrder order);
@@ -116,25 +117,15 @@ struct DataflowDescriptor {
   /// Parses the canonical notation produced by to_string().
   static DataflowDescriptor parse(const std::string& text);
 
-  /// Full Table II validation: intra-phase validity, inter-phase loop-order
+  /// The Table II spec rules: intra-phase validity, inter-phase loop-order
   /// feasibility, SP-Optimized tile/reduction constraints, PP fraction.
-  /// Throws InvalidDataflowError with a specific message on violation.
+  /// Throws InvalidDataflowError "<to_string()>: <reason>" on violation.
+  /// Defined with the rules in omega/pipeline.cpp: the descriptor is lowered
+  /// as two_phase_pipeline lowers it and checked by check_pipeline.
   void validate() const;
 
   /// Like validate() but returns the failure reason instead of throwing.
   [[nodiscard]] std::optional<std::string> validation_error() const;
 };
-
-/// Hardware support a dataflow needs (Table II "NoC/PE support" column),
-/// used by the flexibility case study (Section V-D).
-struct HardwareRequirements {
-  bool needs_spatial_reduction = false;   // any contraction dim with T > 1
-  bool needs_temporal_reduction = false;  // any contraction dim with T == 1
-  bool needs_intermediate_noc = false;    // PP / SP-Generic chunk staging
-  bool needs_local_accumulation = false;  // SP-Optimized RF residency
-};
-
-[[nodiscard]] HardwareRequirements hardware_requirements(
-    const DataflowDescriptor& df);
 
 }  // namespace omega

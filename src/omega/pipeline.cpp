@@ -1,6 +1,7 @@
 #include "omega/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -119,6 +120,15 @@ namespace {
 
 std::string dim_str(Dim d) { return std::string(1, dim_letter(d)); }
 
+// The substrate rules' texts, after the pipeline's or descriptor's name.
+constexpr const char* kNoSpatialText =
+    "substrate has no spatial-reduction support (adder tree / "
+    "store-and-forward)";
+constexpr const char* kNoTemporalText =
+    "substrate has no temporal-reduction support (in-place accumulators)";
+constexpr const char* kPpTooFewPesText =
+    "parallel pipeline needs >= 2 PEs to split the array between the phases";
+
 // Out^T swaps rows/columns, and flipping the traversal major keeps the
 // FLATTENED chunk order identical (row-major over (R, C) and column-major
 // over (C, R) enumerate the same (r, c) sequence), which is what lets a
@@ -160,9 +170,7 @@ EnergyBreakdown compute_energy(const TrafficCounters& traffic,
 // intermediate tile resident in the PE register files, so the producer must
 // accumulate temporally, the consumer must stream its third dim temporally,
 // both must traverse the shared tile in the same major with the third dim
-// innermost, and the row/col tiles must match across the pair. Reduces
-// exactly to the classic sp_optimized_error pairs for the two-phase
-// descriptor.
+// innermost, and the row/col tiles must match across the pair.
 PipelineRule sp_optimized_violation(PhaseEngine prod_engine,
                                     const IntraPhaseDataflow& prod,
                                     PhaseEngine cons_engine,
@@ -406,17 +414,11 @@ std::string pipeline_violation_message(const PipelineViolation& v,
              "(both neighbors are SP-Generic/PP); separate the chunked "
              "boundaries with Seq or SP-Optimized";
     case R::kNoSpatialReduction:
-      return label(i) +
-             ": substrate has no spatial-reduction support (adder tree / "
-             "store-and-forward)";
+      return label(i) + ": " + kNoSpatialText;
     case R::kNoTemporalReduction:
-      return label(i) +
-             ": substrate has no temporal-reduction support (in-place "
-             "accumulators)";
+      return label(i) + ": " + kNoTemporalText;
     case R::kPpTooFewPes:
-      return spec() +
-             ": parallel pipeline needs >= 2 PEs to split the array between "
-             "the phases";
+      return spec() + ": " + kPpTooFewPesText;
     case R::kPpShare:
       return spec() +
              ": PP PE shares must lie strictly inside (0, 1) — 0, 1 or NaN "
@@ -567,42 +569,175 @@ CSRGraph sparse_weight_csr(std::size_t in_features, std::size_t out_features,
   return CSRGraph::from_rows(std::move(rows));
 }
 
-PipelineSpec two_phase_pipeline(const DataflowDescriptor& df,
-                                const LayerSpec& layer, std::size_t num_pes) {
-  PipelineSpec s;
-  s.in_features = layer.in_features;
-  PhaseSpec agg;
-  agg.name = "agg";
-  agg.engine = PhaseEngine::kSparseDense;
-  agg.dataflow = df.agg;
-  PhaseSpec cmb;
-  cmb.name = "cmb";
-  cmb.engine = PhaseEngine::kDenseDense;
-  cmb.dataflow = df.cmb;
-  cmb.out_features = layer.out_features;
-  const bool ac = df.phase_order == PhaseOrder::kAC;
-  if (ac) {
-    s.phases = {std::move(agg), std::move(cmb)};
-  } else {
-    s.phases = {std::move(cmb), std::move(agg)};
+// ---- The two-phase descriptor front end -----------------------------------
+
+namespace {
+
+// two_phase_pipeline's lowering as a chain and a binding held by value, so
+// checking a descriptor touches no heap.
+struct TwoPhaseBinding {
+  std::array<PhaseChainSpec, 2> chain;
+  std::array<IntraPhaseDataflow, 2> phases;
+  InterPhase boundary = InterPhase::kSequential;
+  std::array<double, 2> pe_fractions{};  // read under PP only
+
+  [[nodiscard]] PipelineBindingView view() const {
+    const bool pp = boundary == InterPhase::kParallelPipeline;
+    return {phases, {&boundary, 1},
+            std::span<const double>(pe_fractions).first(pp ? 2 : 0)};
   }
-  s.boundaries = {df.inter};
+};
+
+TwoPhaseBinding two_phase_binding(const DataflowDescriptor& df,
+                                  std::size_t out_features,
+                                  std::size_t num_pes) {
+  const PhaseChainSpec agg{.name = "agg", .engine = PhaseEngine::kSparseDense};
+  const PhaseChainSpec cmb{.name = "cmb",
+                           .engine = PhaseEngine::kDenseDense,
+                           .out_features = out_features};
+  const bool ac = df.phase_order == PhaseOrder::kAC;
+  TwoPhaseBinding b{.chain = {ac ? agg : cmb, ac ? cmb : agg},
+                    .phases = {ac ? df.agg : df.cmb, ac ? df.cmb : df.agg},
+                    .boundary = df.inter};
   if (df.inter == InterPhase::kParallelPipeline) {
-    double first = ac ? df.pp_agg_pe_fraction : 1.0 - df.pp_agg_pe_fraction;
-    if (num_pes >= 2 && df.pp_agg_pe_fraction > 0.0 &&
-        df.pp_agg_pe_fraction < 1.0) {
+    const double f = df.pp_agg_pe_fraction;
+    double first = ac ? f : 1.0 - f;
+    if (num_pes >= 2 && f > 0.0 && f < 1.0) {
       // Resolve the split the way the historic two-phase model did — round
       // the AGGREGATION share and give Combination the remainder — then
       // express it as an exact first-phase share. llround(num_pes * (1-f))
       // is NOT always num_pes - llround(num_pes * f), so a CA pair fed the
       // raw complement would drift by one PE on rounding ties.
-      const std::size_t pes_agg = pp_first_pes(num_pes, df.pp_agg_pe_fraction);
+      const std::size_t pes_agg = pp_first_pes(num_pes, f);
       const std::size_t first_pes = ac ? pes_agg : num_pes - pes_agg;
       first = static_cast<double>(first_pes) / static_cast<double>(num_pes);
     }
-    s.pe_fractions = {first, 1.0 - first};
+    b.pe_fractions = {first, 1.0 - first};
   }
-  return s;
+  return b;
+}
+
+// check_pipeline on `b`, the lowering of `df` (with `hw`, the substrate rules
+// too), called once. The PP share is the descriptor's own field and keeps the
+// place the descriptor has always checked it in: outside (0, 1) it breaks
+// kFractionValue after every other spec rule; NaN passes that range test and
+// breaks kPpShare, after the substrate's reduction rules and only when `hw`
+// is given.
+PipelineViolation check_two_phase(const DataflowDescriptor& df,
+                                  const TwoPhaseBinding& b,
+                                  const AcceleratorConfig* hw) {
+  using R = PipelineRule;
+  const double share = df.pp_agg_pe_fraction;
+  const bool bad_share = df.inter == InterPhase::kParallelPipeline &&
+                         !(share > 0.0 && share < 1.0);
+  PipelineBindingView view = b.view();
+  if (bad_share) view.pe_fractions = {};
+  const PipelineViolation v = check_pipeline(b.chain, &view, hw);
+  if (!bad_share || (v && !v.substrate())) return v;
+  if (!std::isnan(share)) return {R::kFractionValue};
+  const bool reduction = v.rule == R::kNoSpatialReduction ||
+                         v.rule == R::kNoTemporalReduction;
+  return hw == nullptr || reduction ? v : PipelineViolation{R::kPpShare};
+}
+
+// The text of a violation check_two_phase returned, in descriptor notation:
+// validation_error's text for spec rules, and Omega::run's ResourceError text
+// (after the "<df>: " prefix) for substrate rules.
+std::string two_phase_violation_message(const PipelineViolation& v,
+                                        const DataflowDescriptor& df,
+                                        const TwoPhaseBinding& b) {
+  using R = PipelineRule;
+  const bool ac = df.phase_order == PhaseOrder::kAC;
+  switch (v.rule) {
+    case R::kWrongVocabulary:
+    case R::kIntraPhase:
+      // Reported in notation order, Aggregation first.
+      try {
+        df.agg.validate();
+        df.cmb.validate();
+      } catch (const Error& e) {
+        return e.what();
+      }
+      return "descriptor phases mislabeled";
+    case R::kSpoProducerContractionNotInnermost:
+    case R::kSpoConsumerThirdNotInnermost:
+    case R::kSpoMajorMismatch:
+      return std::string(ac ? "SP-Optimized (AC) requires loop-order pair "
+                              "(VFN,VFG) or (FVN,FVG); got ("
+                            : "SP-Optimized (CA) requires loop-order pair "
+                              "(NFV,VGF) or (FNV,GVF); got (") +
+             df.agg.order.letters() + "," + df.cmb.order.letters() + ")";
+    case R::kSpoProducerContractionSpatial:
+      return ac ? "SP-Optimized requires temporal reduction in Aggregation "
+                  "(T_N = 1) so accumulated data stays inside the PEs"
+                : "SP-Optimized (CA) requires temporal reduction in "
+                  "Combination (T_F_CMB = 1)";
+    case R::kSpoConsumerThirdSpatial:
+      return ac ? "SP-Optimized (AC) streams G temporally over the "
+                  "stationary intermediate (T_G = 1)"
+                : "SP-Optimized (CA) scatters outputs with a temporal V loop "
+                  "(T_V_AGG = 1)";
+    case R::kSpoTileMismatch:
+      return ac ? "SP-Optimized requires matched tiles: T_V_AGG == T_V_CMB "
+                  "and T_F_AGG == T_F_CMB (same intermediate data stays in "
+                  "the PEs)"
+                : "SP-Optimized (CA) requires matched tiles: T_N_AGG == "
+                  "T_V_CMB and T_F_AGG == T_G";
+    case R::kHandoffInfeasible:
+      return analyze_pipeline(df.agg.order, df.cmb.order, df.phase_order)
+          .reason;
+    case R::kFractionValue:
+      return "PP needs 0 < pp_agg_pe_fraction < 1 (both engines need PEs)";
+    case R::kNoSpatialReduction:
+      return kNoSpatialText;
+    case R::kNoTemporalReduction:
+      return kNoTemporalText;
+    case R::kPpTooFewPes:
+      return kPpTooFewPesText;
+    case R::kPpShare:
+      return "pp_agg_pe_fraction must lie strictly inside (0, 1); 0, 1 or NaN "
+             "would starve a phase of PEs before the allocation clamp";
+    default: {
+      // The chain's own rules, which a lowered descriptor never breaks.
+      const PipelineBindingView view = b.view();
+      return pipeline_violation_message(v, b.chain, &view);
+    }
+  }
+}
+
+}  // namespace
+
+PipelineAnalysis analyze_pipeline(const LoopOrder& agg, const LoopOrder& cmb,
+                                  PhaseOrder order) {
+  // The lowered pair's roles: the first phase produces, the second consumes.
+  if (order == PhaseOrder::kAC) {
+    return analyze_handoff(phase_producer_role(PhaseEngine::kSparseDense, agg),
+                           phase_consumer_role(PhaseEngine::kDenseDense, cmb));
+  }
+  return analyze_handoff(phase_producer_role(PhaseEngine::kDenseDense, cmb),
+                         phase_consumer_role(PhaseEngine::kSparseDense, agg));
+}
+
+PipelineSpec two_phase_pipeline(const DataflowDescriptor& df,
+                                const LayerSpec& layer, std::size_t num_pes) {
+  const TwoPhaseBinding b = two_phase_binding(df, layer.out_features, num_pes);
+  const PipelineChainSpec chain{{b.chain.begin(), b.chain.end()},
+                                layer.in_features};
+  return chain.bind(b.view());
+}
+
+std::optional<std::string> DataflowDescriptor::validation_error() const {
+  // No rule reads the output width; any positive one lowers.
+  const TwoPhaseBinding b = two_phase_binding(*this, 1, 0);
+  const PipelineViolation v = check_two_phase(*this, b, nullptr);
+  if (!v) return std::nullopt;
+  return two_phase_violation_message(v, *this, b);
+}
+
+void DataflowDescriptor::validate() const {
+  if (const auto err = validation_error()) {
+    throw InvalidDataflowError(to_string() + ": " + *err);
+  }
 }
 
 RunResult to_run_result(PipelineResult&& pr, const DataflowDescriptor& df) {
@@ -925,6 +1060,68 @@ PipelineCost compose_pipeline(std::span<const PhaseResult* const> phases,
   return cost;
 }
 
+namespace {
+
+// run_pipeline after its check: derive, simulate, compose. The binding must
+// pass check_pipeline on `hw`.
+PipelineResult run_checked(const AcceleratorConfig& hw, const EnergyModel& em,
+                           const GnnWorkload& workload,
+                           std::span<const PhaseChainSpec> chain,
+                           std::size_t in_features,
+                           const PipelineBindingView& binding,
+                           const WorkloadContext* context) {
+  const std::size_t n = chain.size();
+  OMEGA_CHECK(workload.num_vertices() >= 1,
+              "workload needs at least one vertex");
+  const std::size_t width =
+      in_features > 0 ? in_features : workload.in_features;
+  OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
+
+  // Sparse-weight phases get their W^T pattern here, once per call (the
+  // eval plan builds it once per chain instead).
+  std::vector<std::unique_ptr<const CSRGraph>> weights;
+  const std::vector<PipelinePhaseShape> shapes =
+      pipeline_shapes(chain, width, weights);
+
+  // ---- Derive, simulate, compose -------------------------------------------
+  PipelineResult result;
+  result.boundaries.resize(n > 0 ? n - 1 : 0);
+  std::vector<PhaseEngineConfig> configs(n);
+  const std::size_t partition_bytes =
+      derive_pipeline(hw, workload.adjacency, context, shapes, binding,
+                      configs, result.boundaries);
+
+  result.phases.resize(n);
+  std::vector<const PhaseResult*> results(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    PhaseOutcome& po = result.phases[i];
+    po.name = chain[i].name;
+    po.engine = chain[i].engine;
+    po.pes = configs[i].pes();
+    po.in_features = shapes[i].in_features;
+    po.out_features = shapes[i].out_features;
+    po.static_utilization = static_utilization(binding.phases[i], po.pes);
+    po.result = *simulate_phase(configs[i], context);
+    results[i] = &po.result;
+  }
+
+  const PipelineCost cost =
+      compose_pipeline(results, binding.boundaries, em, partition_bytes);
+  result.cycles = cost.cycles;
+  result.traffic = cost.traffic;
+  result.energy = cost.energy;
+  // Validation keeps PP boundaries apart, so every one composes as a pair.
+  for (BoundaryOutcome& bo : result.boundaries) {
+    bo.overlapped = bo.inter == InterPhase::kParallelPipeline;
+  }
+  result.num_rows = workload.num_vertices();
+  result.in_features = n > 0 ? shapes.front().in_features : 0;
+  result.out_features = n > 0 ? shapes.back().out_features : 0;
+  return result;
+}
+
+}  // namespace
+
 PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
                                    const PipelineSpec& spec,
                                    const WorkloadContext* context) const {
@@ -940,54 +1137,32 @@ PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
     if (v.substrate()) throw ResourceError(msg);
     throw InvalidDataflowError("pipeline " + spec.to_string() + ": " + msg);
   }
-  OMEGA_CHECK(workload.num_vertices() >= 1,
-              "workload needs at least one vertex");
-  const std::size_t width =
-      spec.in_features > 0 ? spec.in_features : workload.in_features;
-  OMEGA_CHECK(width >= 1, "first-phase input width must be >= 1");
+  return run_checked(hw_, energy_, workload, chain.phases, spec.in_features,
+                     binding, context);
+}
 
-  // Sparse-weight phases get their W^T pattern here, once per call (the
-  // eval plan builds it once per chain instead).
-  std::vector<std::unique_ptr<const CSRGraph>> weights;
-  const std::vector<PipelinePhaseShape> shapes =
-      pipeline_shapes(chain.phases, width, weights);
 
-  // ---- Derive, simulate, compose -------------------------------------------
-  PipelineResult result;
-  result.boundaries.resize(n > 0 ? n - 1 : 0);
-  std::vector<PhaseEngineConfig> configs(n);
-  const std::size_t partition_bytes =
-      derive_pipeline(hw_, workload.adjacency, context, shapes, binding,
-                      configs, result.boundaries);
-
-  result.phases.resize(n);
-  std::vector<const PhaseResult*> results(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PhaseSpec& p = spec.phases[i];
-    PhaseOutcome& po = result.phases[i];
-    po.name = p.name;
-    po.engine = p.engine;
-    po.pes = configs[i].pes();
-    po.in_features = shapes[i].in_features;
-    po.out_features = shapes[i].out_features;
-    po.static_utilization = static_utilization(p.dataflow, po.pes);
-    po.result = *simulate_phase(configs[i], context);
-    results[i] = &po.result;
+RunResult Omega::run_impl(const GnnWorkload& workload, const LayerSpec& layer,
+                          const DataflowDescriptor& df,
+                          const WorkloadContext* context) const {
+  // Lower, check once, evaluate and view the result as a RunResult;
+  // bit-identical to the historic model (tests/pipeline_test.cpp). The rules
+  // come before the legacy dims guard, so the check sees a positive width.
+  const TwoPhaseBinding b = two_phase_binding(
+      df, std::max<std::size_t>(layer.out_features, 1), hw_.num_pes);
+  if (const PipelineViolation v = check_two_phase(df, b, &hw_)) {
+    const std::string msg =
+        df.to_string() + ": " + two_phase_violation_message(v, df, b);
+    if (v.substrate()) throw ResourceError(msg);
+    throw InvalidDataflowError(msg);
   }
-
-  const PipelineCost cost =
-      compose_pipeline(results, spec.boundaries, energy_, partition_bytes);
-  result.cycles = cost.cycles;
-  result.traffic = cost.traffic;
-  result.energy = cost.energy;
-  // Validation keeps PP boundaries apart, so every one composes as a pair.
-  for (BoundaryOutcome& bo : result.boundaries) {
-    bo.overlapped = bo.inter == InterPhase::kParallelPipeline;
-  }
-  result.num_rows = workload.num_vertices();
-  result.in_features = n > 0 ? shapes.front().in_features : 0;
-  result.out_features = n > 0 ? shapes.back().out_features : 0;
-  return result;
+  const std::size_t f =
+      layer.in_features > 0 ? layer.in_features : workload.in_features;
+  OMEGA_CHECK(workload.num_vertices() >= 1 && f >= 1 && layer.out_features >= 1,
+              "workload dims must be positive");
+  return to_run_result(run_checked(hw_, energy_, workload, b.chain,
+                                   layer.in_features, b.view(), context),
+                       df);
 }
 
 }  // namespace omega

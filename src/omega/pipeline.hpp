@@ -20,8 +20,9 @@
 //
 // Validation: check_pipeline below is the one home of the Table II rules
 // (PipelineRule lists them in the order it tests them). PipelineSpec::
-// validate, PipelineChainSpec::chain_error, Omega::run_pipeline and the DSE
-// eval plan all ask it.
+// validate, PipelineChainSpec::chain_error, Omega::run_pipeline, the DSE
+// eval plan, and DataflowDescriptor::validation_error and Omega::run on the
+// lowered two-phase descriptor all ask it.
 #pragma once
 
 #include <cstdint>

@@ -62,6 +62,25 @@ TEST(DescriptorTest, NotationRoundTrip) {
   EXPECT_EQ(df.to_string(), "PP_AC(VtFsNt, VsGsFt)");
 }
 
+TEST(DescriptorTest, ParseRejectsTextAfterTheClosingParen) {
+  for (const char* text :
+       {"Seq_AC(VtNtFt, VtFtGt) and then some", "Seq_AC(VtNtFt, VtFtGt))",
+        "Seq_AC(VtNtFt, VtFtGt)trailing junk"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)DataflowDescriptor::parse(text), InvalidDataflowError);
+  }
+  try {
+    (void)DataflowDescriptor::parse("Seq_AC(VtNtFt, VtFtGt) and then some");
+  } catch (const InvalidDataflowError& e) {
+    EXPECT_STREQ(e.what(), "unexpected text after the dataflow's ')': and "
+                           "then some");
+  }
+  // Whitespace around the notation is still fine.
+  EXPECT_EQ(DataflowDescriptor::parse("  Seq_AC(VtNtFt, VtFtGt) \n")
+                .to_string(),
+            "Seq_AC(VtNtFt, VtFtGt)");
+}
+
 TEST(DescriptorTest, HyGcnAndAwbGcnDataflowsParse) {
   // Section III-C: HyGCN = PP_AC(VxFsNt, VsGsFt); AWB-GCN = PP_CA(FsNtVs,
   // GtFtVs). Our notation orders Aggregation dims as written in Table II.
@@ -274,28 +293,6 @@ TEST(BufferingTest, PelClampsToExtents) {
   ppr.cmb.tiles = {.v = 512, .n = 1, .f = 1, .g = 1};
   // Tiny intermediate: Pel cannot exceed it.
   EXPECT_EQ(ppr.pipeline_elements(16, 4), 16u * 4u);
-}
-
-// ---- Hardware requirements (Table II support column) ---------------------
-
-TEST(HardwareRequirementsTest, SpatialAggregationNeedsAdderTree) {
-  auto df = DataflowDescriptor::parse("Seq_AC(VsFtNs, VsGsFt)");
-  df.agg.tiles = {.v = 8, .n = 8, .f = 1, .g = 1};
-  const auto req = hardware_requirements(df);
-  EXPECT_TRUE(req.needs_spatial_reduction);
-  EXPECT_FALSE(req.needs_intermediate_noc);
-}
-
-TEST(HardwareRequirementsTest, PPNeedsIntermediateNoc) {
-  auto df = DataflowDescriptor::parse("PP_AC(VtFsNt, VsGsFt)");
-  const auto req = hardware_requirements(df);
-  EXPECT_TRUE(req.needs_intermediate_noc);
-  EXPECT_TRUE(req.needs_temporal_reduction);
-}
-
-TEST(HardwareRequirementsTest, SpOptimizedNeedsLocalAccumulation) {
-  const auto df = DataflowDescriptor::parse("SP_AC(VsFsNt, VsFsGt)");
-  EXPECT_TRUE(hardware_requirements(df).needs_local_accumulation);
 }
 
 // ---- Table V patterns -----------------------------------------------------

@@ -498,6 +498,24 @@ TEST(ServiceTest, EngineResourceErrorsPropagateStructured) {
   EXPECT_EQ(v.find("error")->find("type")->as_string(), "ResourceError");
 }
 
+TEST(ServiceTest, DataflowWithTrailingTextIsRejected) {
+  MappingService svc;
+  for (const char* dataflow :
+       {"Seq_AC(VtNtFt, VtFtGt) and then some", "Seq_AC(VtNtFt, VtFtGt))"}) {
+    SCOPED_TRACE(dataflow);
+    const JsonValue v = JsonValue::parse(svc.handle_line(
+        R"({"id":4,"kind":"evaluate","workload":)" +
+        std::string(kCoraQuarter) + R"(,"dataflow":")" + dataflow + R"("})"));
+    EXPECT_EQ(v.find("id")->as_u64(), 4u);
+    EXPECT_FALSE(v.find("ok")->as_bool());
+    EXPECT_EQ(v.find("error")->find("type")->as_string(),
+              "InvalidDataflowError");
+    EXPECT_NE(v.find("error")->find("message")->as_string().find(
+                  "unexpected text after the dataflow's ')'"),
+              std::string::npos);
+  }
+}
+
 // ---- Registry ---------------------------------------------------------------
 
 TEST(RegistryTest, HitMissAccountingAndLruEviction) {
