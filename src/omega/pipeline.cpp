@@ -1141,7 +1141,6 @@ PipelineResult Omega::run_pipeline(const GnnWorkload& workload,
                      binding, context);
 }
 
-
 RunResult Omega::run_impl(const GnnWorkload& workload, const LayerSpec& layer,
                           const DataflowDescriptor& df,
                           const WorkloadContext* context) const {
